@@ -7,12 +7,13 @@
 //! windows — the same op mix as STSM's temporal module, without the graph
 //! machinery — so the per-window autograd overhead (node boxing, grad slots,
 //! leaf re-registration) is what the two modes differ by. The outputs of the
-//! two modes are asserted bitwise equal before the report is written. Buffer
-//! requests are counted by the `alloc-stats` feature, which this binary
-//! requires:
+//! two modes are asserted bitwise equal before the report is written. Timed
+//! passes run with telemetry off; fresh vs pool-reused buffer requests per
+//! window come from the `alloc.fresh` / `alloc.reused` telemetry counters of
+//! one extra untimed, telemetry-on pass per mode:
 //!
 //! ```bash
-//! cargo run -p stsm-bench --release --features alloc-stats --bin bench_infer
+//! cargo run -p stsm-bench --release --bin bench_infer
 //! ```
 //!
 //! A per-dtype section additionally serves the same window stream from f32,
@@ -40,6 +41,8 @@ const WARMUP: usize = 3;
 struct RunStats {
     outputs: Vec<u32>,
     windows_per_sec: f64,
+    /// Buffer-request counts per measured window; zero unless telemetry is
+    /// on during the run.
     fresh_per_window: f64,
     reused_per_window: f64,
     /// Parameter storage bytes the bound session keeps resident (the
@@ -48,6 +51,12 @@ struct RunStats {
     /// f32 activation arena bytes after warmup (identical across dtypes —
     /// compute stays f32).
     arena_bytes: usize,
+}
+
+/// `(fresh, reused)` buffer requests recorded so far by the telemetry
+/// registry.
+fn alloc_counters() -> (u64, u64) {
+    (telemetry::counter_value("alloc.fresh"), telemetry::counter_value("alloc.reused"))
 }
 
 fn window_inputs(rng: &mut StdRng, windows: usize) -> Vec<Tensor> {
@@ -72,13 +81,14 @@ fn run_train_mode(store: &ParamStore, gru: &GruCell, head: &Linear, xs: &[Tensor
         forward(x, &mut outputs);
     }
     outputs.clear();
-    alloc::reset_alloc_counts();
+    let (fresh0, reused0) = alloc_counters();
     let t0 = Instant::now();
     for x in &xs[WARMUP..] {
         forward(x, &mut outputs);
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    let (fresh, reused) = alloc::alloc_counts();
+    let (fresh, reused) = alloc_counters();
+    let (fresh, reused) = (fresh - fresh0, reused - reused0);
     let windows = xs.len() - WARMUP;
     RunStats {
         outputs,
@@ -108,13 +118,14 @@ fn run_infer_mode(store: &ParamStore, gru: &GruCell, head: &Linear, xs: &[Tensor
         forward(x, &mut session, &mut outputs);
     }
     outputs.clear();
-    alloc::reset_alloc_counts();
+    let (fresh0, reused0) = alloc_counters();
     let t0 = Instant::now();
     for x in &xs[WARMUP..] {
         forward(x, &mut session, &mut outputs);
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    let (fresh, reused) = alloc::alloc_counts();
+    let (fresh, reused) = alloc_counters();
+    let (fresh, reused) = (fresh - fresh0, reused - reused0);
     let windows = xs.len() - WARMUP;
     RunStats {
         outputs,
@@ -174,10 +185,30 @@ fn main() {
         train.outputs, infer.outputs,
         "Train and Infer forward outputs must be bitwise identical"
     );
-    for (label, r) in [("train mode", &train), ("infer mode", &infer)] {
+
+    // One untimed, instrumented pass per mode: allocation counts per window,
+    // plus the Infer session counters and kernel span totals in the
+    // telemetry table (stderr).
+    let (train_counted, infer_counted) = telemetry::with_telemetry(true, || {
+        telemetry::reset();
+        let train_counted = run_train_mode(&store, &gru, &head, &xs);
+        telemetry::reset();
+        let infer_counted = run_infer_mode(&store, &gru, &head, &xs);
+        assert!(
+            telemetry::counter_value("infer.session.new") >= 1,
+            "instrumented run must register the Infer session"
+        );
+        eprint!("\n{}", telemetry::snapshot().render_table());
+        (train_counted, infer_counted)
+    });
+    assert_eq!(train_counted.outputs, train.outputs, "telemetry must not change outputs");
+    assert_eq!(infer_counted.outputs, infer.outputs, "telemetry must not change outputs");
+    for (label, r, c) in
+        [("train mode", &train, &train_counted), ("infer mode", &infer, &infer_counted)]
+    {
         println!(
             "{label}  {:>8.2} windows/s   fresh allocs/window {:>8.1}   pool reuses/window {:>8.1}",
-            r.windows_per_sec, r.fresh_per_window, r.reused_per_window
+            r.windows_per_sec, c.fresh_per_window, c.reused_per_window
         );
     }
 
@@ -236,13 +267,13 @@ fn main() {
                  resets the session arena per window.",
         "train_mode": {
             "windows_per_sec": train.windows_per_sec,
-            "fresh_allocs_per_window": train.fresh_per_window,
-            "pool_reuses_per_window": train.reused_per_window,
+            "fresh_allocs_per_window": train_counted.fresh_per_window,
+            "pool_reuses_per_window": train_counted.reused_per_window,
         },
         "infer_mode": {
             "windows_per_sec": infer.windows_per_sec,
-            "fresh_allocs_per_window": infer.fresh_per_window,
-            "pool_reuses_per_window": infer.reused_per_window,
+            "fresh_allocs_per_window": infer_counted.fresh_per_window,
+            "pool_reuses_per_window": infer_counted.reused_per_window,
         },
         "dtypes_note": "Per-dtype Infer-mode serving of the same stream. bytes/window = parameter \
                         storage bytes the bound session keeps resident per served window stream \
@@ -260,16 +291,4 @@ fn main() {
             .expect("write BENCH_infer.json");
         println!("\nwrote {path}");
     }
-
-    // One more instrumented Infer-mode pass: the session counters and kernel
-    // span totals land in the telemetry table (stderr).
-    telemetry::with_telemetry(true, || {
-        telemetry::reset();
-        run_infer_mode(&store, &gru, &head, &xs);
-        assert!(
-            telemetry::counter_value("infer.session.new") >= 1,
-            "instrumented run must register the Infer session"
-        );
-        eprint!("\n{}", telemetry::snapshot().render_table());
-    });
 }

@@ -3,7 +3,7 @@
 //! For the same parameters, inputs and adjacencies, the tape-free Infer
 //! forward (`predict_once` / `Predictor`) must produce values bit-identical
 //! to the Train-mode forward (`tape.value(out.prediction)`), for both
-//! temporal variants and with the buffer pool on or off.
+//! temporal variants.
 
 use std::sync::Arc;
 use stsm_core::{
@@ -13,7 +13,7 @@ use stsm_core::{
 use stsm_graph::{normalize_gcn, CsrLinMap};
 use stsm_synth::{space_split, DatasetConfig, NetworkKind, SignalKind, SplitAxis};
 use stsm_tensor::nn::Fwd;
-use stsm_tensor::{alloc, ParamBinder, ParamStore, Tape, Tensor};
+use stsm_tensor::{ParamBinder, ParamStore, Tape, Tensor};
 use stsm_timeseries::sliding_windows;
 
 fn tiny_problem(seed: u64) -> ProblemInstance {
@@ -89,21 +89,17 @@ fn assert_model_equivalence(cfg: &StsmConfig) {
     }
     let x = Tensor::from_vec([n, cfg.t_in, 1], xv);
     let tf = StModel::time_features(start, cfg.t_in, problem.steps_per_day());
-    for pool_on in [true, false] {
-        alloc::with_pool(pool_on, || {
-            let train_out = {
-                let tape = Tape::new();
-                let mut binder = ParamBinder::new(&tape);
-                let mut fwd = Fwd::new(&store, &mut binder);
-                let out = model.forward(&mut fwd, &x, &tf, &a_s, &a_dtw);
-                tape.value(out.prediction)
-            };
-            let infer_out = predict_once(&model, &store, &x, &tf, &a_s, &a_dtw);
-            assert_eq!(train_out.shape(), infer_out.shape());
-            for (a, b) in train_out.data().iter().zip(infer_out.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "Train/Infer divergence (pool_on={pool_on})");
-            }
-        });
+    let train_out = {
+        let tape = Tape::new();
+        let mut binder = ParamBinder::new(&tape);
+        let mut fwd = Fwd::new(&store, &mut binder);
+        let out = model.forward(&mut fwd, &x, &tf, &a_s, &a_dtw);
+        tape.value(out.prediction)
+    };
+    let infer_out = predict_once(&model, &store, &x, &tf, &a_s, &a_dtw);
+    assert_eq!(train_out.shape(), infer_out.shape());
+    for (a, b) in train_out.data().iter().zip(infer_out.data()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "Train/Infer divergence");
     }
 }
 

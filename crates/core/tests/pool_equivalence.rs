@@ -1,11 +1,11 @@
-//! End-to-end bit-identity of STSM training under the `STSM_BUFFER_POOL`
-//! gate: the full pipeline (masking, DTW rebuild, forward, backward, clip,
-//! Adam) must produce bitwise identical epoch losses with buffer recycling
-//! and fused kernels on or off, for any worker-thread count.
+//! End-to-end bit-identity of STSM training across worker-thread counts:
+//! the full pipeline (masking, DTW rebuild, forward, backward, clip, Adam)
+//! must produce bitwise identical epoch losses whether the pool runs one
+//! thread or several.
 
 use stsm_core::{train_stsm, DistanceMode, ProblemInstance, StsmConfig};
 use stsm_synth::{space_split, DatasetConfig, NetworkKind, SignalKind, SplitAxis};
-use stsm_tensor::{alloc, pool};
+use stsm_tensor::pool;
 
 fn tiny_problem(seed: u64) -> ProblemInstance {
     let d = DatasetConfig {
@@ -41,27 +41,19 @@ fn tiny_cfg() -> StsmConfig {
     }
 }
 
-fn epoch_loss_bits(pool_on: bool, threads: usize) -> Vec<u32> {
+fn epoch_loss_bits(threads: usize) -> Vec<u32> {
     pool::with_max_threads(threads, || {
-        alloc::with_pool(pool_on, || {
-            let p = tiny_problem(77);
-            let cfg = tiny_cfg();
-            let (_, report) = train_stsm(&p, &cfg).expect("trains");
-            report.epoch_losses.iter().map(|l| l.to_bits()).collect()
-        })
+        let p = tiny_problem(77);
+        let cfg = tiny_cfg();
+        let (_, report) = train_stsm(&p, &cfg).expect("trains");
+        report.epoch_losses.iter().map(|l| l.to_bits()).collect()
     })
 }
 
 #[test]
-fn training_bitwise_identical_pool_on_off_and_across_threads() {
-    let reference = epoch_loss_bits(true, 1);
+fn training_bitwise_identical_across_threads() {
+    let reference = epoch_loss_bits(1);
     assert_eq!(reference.len(), 2);
     assert!(reference.iter().all(|&b| f32::from_bits(b).is_finite()));
-    for (pool_on, threads) in [(true, 3), (false, 1), (false, 3)] {
-        assert_eq!(
-            epoch_loss_bits(pool_on, threads),
-            reference,
-            "epoch losses diverged for pool_on={pool_on} threads={threads}"
-        );
-    }
+    assert_eq!(epoch_loss_bits(3), reference, "epoch losses diverged for threads=3");
 }

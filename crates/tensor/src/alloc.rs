@@ -20,15 +20,12 @@
 //! list for; buffers above [`MAX_POOLED_LEN`] are dropped to bound resident
 //! memory. Each class keeps at most [`MAX_BUFS_PER_CLASS`] buffers.
 //!
-//! ## Gating
+//! ## Always on
 //!
 //! Recycling (and the fused kernels built on top of it; see
-//! [`crate::Tape::addmm`]) is ON by default and disabled by
-//! `STSM_BUFFER_POOL=off|0|false`, read once at first use. [`with_pool`]
-//! overrides the switch for the calling thread, so tests and benchmarks can
-//! A/B the two paths in one process. Pooling never changes results: pooled
-//! buffers are length-reset before reuse and every kernel writes or zeroes
-//! each output element exactly as the unpooled path does — see the
+//! [`crate::Tape::addmm`]) is unconditional. Pooling never changes results:
+//! pooled buffers are length-reset before reuse and every kernel writes or
+//! zeroes each output element exactly as a fresh allocation would — see the
 //! equivalence tests in `tests/fused_equivalence.rs`.
 //!
 //! ## Session caches
@@ -45,14 +42,11 @@
 //!
 //! ## Allocation counters
 //!
-//! With the `alloc-stats` feature (used by the `bench_train` and
-//! `bench_infer` benchmarks), [`alloc_counts`] reports how many buffer
-//! requests were served fresh from the system allocator vs reused from the
-//! pool. The same events also feed the [`crate::telemetry`] registry as the
-//! `alloc.fresh` / `alloc.reused` counters whenever `STSM_TELEMETRY` is on,
-//! with no feature flag required.
+//! Buffer requests served fresh from the system allocator vs reused from the
+//! pool feed the [`crate::telemetry`] registry as the `alloc.fresh` /
+//! `alloc.reused` counters whenever `STSM_TELEMETRY` is on.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Smallest buffer length (in `f32` elements) worth pooling: 64 elements.
@@ -86,9 +80,6 @@ static CLASSES_U16: [Mutex<Vec<Vec<u16>>>; NUM_CLASSES] =
     [const { Mutex::new(Vec::new()) }; NUM_CLASSES];
 
 thread_local! {
-    /// Per-thread override of the env switch; see [`with_pool`].
-    static POOL_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-
     /// The calling thread's session cache, when one is installed.
     static SESSION: RefCell<Option<SessionCache>> = const { RefCell::new(None) };
 }
@@ -188,41 +179,6 @@ fn session_put_u16(class: usize, buf: Vec<u16>) -> Option<Vec<u16>> {
     })
 }
 
-/// The `STSM_BUFFER_POOL` switch, read once. Anything but `off`/`0`/`false`
-/// (case-insensitive) leaves pooling on.
-fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("STSM_BUFFER_POOL") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    })
-}
-
-/// True when buffer recycling (and the fused kernels gated with it) is
-/// active on the calling thread.
-pub fn enabled() -> bool {
-    POOL_OVERRIDE.with(|c| c.get()).unwrap_or_else(env_enabled)
-}
-
-/// Runs `f` with recycling forced on or off for the calling thread,
-/// restoring the previous setting on exit (including on panic). This is the
-/// in-process analogue of `STSM_BUFFER_POOL`, used by the equivalence tests
-/// and `bench_train` to A/B the pooled/fused path against the plain one.
-pub fn with_pool<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            POOL_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = POOL_OVERRIDE.with(|c| c.replace(Some(enabled)));
-    let _restore = Restore(prev);
-    f()
-}
-
 /// Class index serving requests of `n` elements (capacity rounded up), or
 /// `None` when `n` is outside the pooled range.
 fn request_class(n: usize) -> Option<usize> {
@@ -257,12 +213,8 @@ fn lock_u16(class: usize) -> std::sync::MutexGuard<'static, Vec<Vec<u16>>> {
 }
 
 /// Pops a pooled buffer able to hold `n` elements, cleared to length 0.
-/// Returns `None` when recycling is off, `n` is outside the pooled range, or
-/// the class is empty.
+/// Returns `None` when `n` is outside the pooled range or the class is empty.
 fn take(n: usize) -> Option<Vec<f32>> {
-    if !enabled() {
-        return None;
-    }
     let class = request_class(n)?;
     let mut buf = match session_take(class) {
         Some(buf) => buf,
@@ -273,12 +225,9 @@ fn take(n: usize) -> Option<Vec<f32>> {
 }
 
 /// Returns `buf` to its capacity class — the thread's session cache when one
-/// is installed, the global free list otherwise. Drops it when recycling is
-/// off, the capacity is outside the pooled range, or the class is full.
+/// is installed, the global free list otherwise. Drops it when the capacity
+/// is outside the pooled range or the class is full.
 pub fn recycle(buf: Vec<f32>) {
-    if !enabled() {
-        return;
-    }
     let Some(class) = capacity_class(buf.capacity()) else { return };
     let Some(buf) = session_put(class, buf) else { return };
     let mut list = lock(class);
@@ -289,9 +238,6 @@ pub fn recycle(buf: Vec<f32>) {
 
 /// [`take`] for 16-bit storage buffers.
 fn take_u16(n: usize) -> Option<Vec<u16>> {
-    if !enabled() {
-        return None;
-    }
     let class = request_class(n)?;
     let mut buf = match session_take_u16(class) {
         Some(buf) => buf,
@@ -303,9 +249,6 @@ fn take_u16(n: usize) -> Option<Vec<u16>> {
 
 /// [`recycle`] for 16-bit storage buffers (f16/bf16 tensor storage).
 pub fn recycle_u16(buf: Vec<u16>) {
-    if !enabled() {
-        return;
-    }
     let Some(class) = capacity_class(buf.capacity()) else { return };
     let Some(buf) = session_put_u16(class, buf) else { return };
     let mut list = lock_u16(class);
@@ -343,39 +286,13 @@ pub fn clear() {
     }
 }
 
-#[cfg(feature = "alloc-stats")]
-mod stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub static FRESH: AtomicU64 = AtomicU64::new(0);
-    pub static REUSED: AtomicU64 = AtomicU64::new(0);
-
-    /// `(fresh, reused)` buffer-request counts since the last reset.
-    pub fn alloc_counts() -> (u64, u64) {
-        (FRESH.load(Ordering::Relaxed), REUSED.load(Ordering::Relaxed))
-    }
-
-    /// Zeroes both counters.
-    pub fn reset_alloc_counts() {
-        FRESH.store(0, Ordering::Relaxed);
-        REUSED.store(0, Ordering::Relaxed);
-    }
-}
-
-#[cfg(feature = "alloc-stats")]
-pub use stats::{alloc_counts, reset_alloc_counts};
-
 #[inline]
 fn count_fresh() {
-    #[cfg(feature = "alloc-stats")]
-    stats::FRESH.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     crate::telemetry::count("alloc.fresh", 1);
 }
 
 #[inline]
 fn count_reused() {
-    #[cfg(feature = "alloc-stats")]
-    stats::REUSED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     crate::telemetry::count("alloc.reused", 1);
 }
 
@@ -393,12 +310,12 @@ pub fn buf_zeroed(n: usize) -> Vec<f32> {
             // Round a poolable miss up to its class size so the buffer is
             // reusable for any request of the class once recycled.
             match request_class(n) {
-                Some(_) if enabled() => {
+                Some(_) => {
                     let mut buf = Vec::with_capacity(n.next_power_of_two().max(MIN_POOLED_LEN));
                     buf.resize(n, 0.0);
                     buf
                 }
-                _ => vec![0.0; n],
+                None => vec![0.0; n],
             }
         }
     }
@@ -424,10 +341,8 @@ pub fn buf_with_capacity(n: usize) -> Vec<f32> {
         None => {
             count_fresh();
             match request_class(n) {
-                Some(_) if enabled() => {
-                    Vec::with_capacity(n.next_power_of_two().max(MIN_POOLED_LEN))
-                }
-                _ => Vec::with_capacity(n),
+                Some(_) => Vec::with_capacity(n.next_power_of_two().max(MIN_POOLED_LEN)),
+                None => Vec::with_capacity(n),
             }
         }
     }
@@ -444,10 +359,8 @@ pub fn buf_u16_with_capacity(n: usize) -> Vec<u16> {
         None => {
             count_fresh();
             match request_class(n) {
-                Some(_) if enabled() => {
-                    Vec::with_capacity(n.next_power_of_two().max(MIN_POOLED_LEN))
-                }
-                _ => Vec::with_capacity(n),
+                Some(_) => Vec::with_capacity(n.next_power_of_two().max(MIN_POOLED_LEN)),
+                None => Vec::with_capacity(n),
             }
         }
     }
@@ -459,8 +372,7 @@ mod tests {
     use crate::tensor::Tensor;
 
     // Each test drains and reuses a size class no other test (or the rest of
-    // the suite) plausibly touches, because the pool is process-global and
-    // the default gate is ON for every test thread.
+    // the suite) plausibly touches, because the pool is process-global.
 
     fn drain(n: usize) {
         while take(n).is_some() {}
@@ -486,156 +398,123 @@ mod tests {
     fn recycled_buffer_serves_its_class() {
         // Unique class: ~2^20 elements.
         let n = (1 << 20) + 7;
-        with_pool(true, || {
-            drain(n);
-            recycle(Vec::with_capacity(1 << 21)); // floor class == ceil class of n
-            let buf = take(n).expect("pooled buffer should serve request");
-            assert!(buf.capacity() >= n);
-            assert!(buf.is_empty());
-            // A request one class up must not see it.
-            recycle(buf);
-            drain((1 << 21) + 1);
-            assert!(take((1 << 21) + 1).is_none());
-            drain(n);
-        });
+        drain(n);
+        recycle(Vec::with_capacity(1 << 21)); // floor class == ceil class of n
+        let buf = take(n).expect("pooled buffer should serve request");
+        assert!(buf.capacity() >= n);
+        assert!(buf.is_empty());
+        // A request one class up must not see it.
+        recycle(buf);
+        drain((1 << 21) + 1);
+        assert!(take((1 << 21) + 1).is_none());
+        drain(n);
     }
 
     #[test]
     fn dropping_unique_tensor_recycles_shared_does_not() {
         let n = (1 << 22) + 3; // unique class, ~16 MiB
-        with_pool(true, || {
-            drain(n);
-            let t = Tensor::zeros([n]);
-            let t2 = t.clone();
-            drop(t); // storage still shared with t2 — must not be recycled
-            assert!(take(n).is_none(), "shared buffer was recycled");
-            drop(t2); // now uniquely owned — recycled
-            let buf = take(n).expect("unique buffer should be recycled");
-            assert!(buf.capacity() >= n);
-            drain(n);
-        });
+        drain(n);
+        let t = Tensor::zeros([n]);
+        let t2 = t.clone();
+        drop(t); // storage still shared with t2 — must not be recycled
+        assert!(take(n).is_none(), "shared buffer was recycled");
+        drop(t2); // now uniquely owned — recycled
+        let buf = take(n).expect("unique buffer should be recycled");
+        assert!(buf.capacity() >= n);
+        drain(n);
     }
 
     #[test]
     fn cross_thread_return() {
         let n = (1 << 23) + 11; // unique class, ~32 MiB
-        with_pool(true, || drain(n));
-        std::thread::spawn(move || {
-            with_pool(true, || drop(Tensor::zeros([n])));
-        })
-        .join()
-        .unwrap();
-        with_pool(true, || {
-            assert!(take(n).is_some(), "buffer recycled on another thread not visible");
-            drain(n);
-        });
-    }
-
-    #[test]
-    fn with_pool_off_disables_take_and_recycle() {
-        let n = (1 << 21) + 5; // unique class
-        with_pool(true, || drain(n));
-        with_pool(false, || {
-            assert!(!enabled());
-            recycle(Vec::with_capacity(n.next_power_of_two()));
-            assert!(take(n).is_none());
-        });
-        // The recycle above was dropped, not pooled.
-        with_pool(true, || assert!(take(n).is_none()));
+        drain(n);
+        std::thread::spawn(move || drop(Tensor::zeros([n]))).join().unwrap();
+        assert!(take(n).is_some(), "buffer recycled on another thread not visible");
+        drain(n);
     }
 
     #[test]
     fn session_cache_bypasses_global_cap_and_drains_on_end() {
         let n = (1usize << 19) + 9; // unique class, ~2 MiB
         let cap = n.next_power_of_two();
-        with_pool(true, || {
-            drain(n);
-            session_begin();
-            // More buffers than the global cap admits all fit in the session.
-            for _ in 0..(MAX_BUFS_PER_CLASS + 8) {
-                recycle(Vec::with_capacity(cap));
-            }
-            for _ in 0..(MAX_BUFS_PER_CLASS + 8) {
-                assert!(take(n).is_some(), "session-cached buffer should serve");
-            }
-            assert!(take(n).is_none());
-            // Recycle a few, then end the session: they drain globally.
-            for _ in 0..4 {
-                recycle(Vec::with_capacity(cap));
-            }
-            session_end();
-            assert_eq!(pooled_in_class_of(n), 4);
-            drain(n);
-        });
+        drain(n);
+        session_begin();
+        // More buffers than the global cap admits all fit in the session.
+        for _ in 0..(MAX_BUFS_PER_CLASS + 8) {
+            recycle(Vec::with_capacity(cap));
+        }
+        for _ in 0..(MAX_BUFS_PER_CLASS + 8) {
+            assert!(take(n).is_some(), "session-cached buffer should serve");
+        }
+        assert!(take(n).is_none());
+        // Recycle a few, then end the session: they drain globally.
+        for _ in 0..4 {
+            recycle(Vec::with_capacity(cap));
+        }
+        session_end();
+        assert_eq!(pooled_in_class_of(n), 4);
+        drain(n);
     }
 
     #[test]
     fn nested_sessions_share_one_cache() {
         let n = (1usize << 18) + 3; // unique class
         let cap = n.next_power_of_two();
-        with_pool(true, || {
-            drain(n);
-            session_begin();
-            session_begin();
-            recycle(Vec::with_capacity(cap));
-            session_end();
-            // Still cached: the outer session is alive.
-            assert!(take(n).is_some());
-            session_end();
-            drain(n);
-        });
+        drain(n);
+        session_begin();
+        session_begin();
+        recycle(Vec::with_capacity(cap));
+        session_end();
+        // Still cached: the outer session is alive.
+        assert!(take(n).is_some());
+        session_end();
+        drain(n);
     }
 
     #[test]
     fn u16_pool_is_separate_and_recycles() {
         let n = (1usize << 17) + 5; // unique class
         let cap = n.next_power_of_two();
-        with_pool(true, || {
-            while take_u16(n).is_some() {}
-            recycle_u16(Vec::with_capacity(cap));
-            let buf = take_u16(n).expect("pooled u16 buffer should serve");
-            assert!(buf.capacity() >= n && buf.is_empty());
-            // The f32 pool must never see 16-bit buffers and vice versa.
-            while take(n).is_some() {}
-            recycle_u16(buf);
-            assert!(take(n).is_none());
-            assert!(take_u16(n).is_some());
-            while take_u16(n).is_some() {}
-        });
+        while take_u16(n).is_some() {}
+        recycle_u16(Vec::with_capacity(cap));
+        let buf = take_u16(n).expect("pooled u16 buffer should serve");
+        assert!(buf.capacity() >= n && buf.is_empty());
+        // The f32 pool must never see 16-bit buffers and vice versa.
+        while take(n).is_some() {}
+        recycle_u16(buf);
+        assert!(take(n).is_none());
+        assert!(take_u16(n).is_some());
+        while take_u16(n).is_some() {}
     }
 
     #[test]
     fn session_cache_holds_u16_buffers() {
         let n = (1usize << 16) + 1; // unique class
         let cap = n.next_power_of_two();
-        with_pool(true, || {
-            while take_u16(n).is_some() {}
-            session_begin();
-            recycle_u16(Vec::with_capacity(cap));
-            assert!(take_u16(n).is_some(), "session-cached u16 buffer should serve");
-            recycle_u16(Vec::with_capacity(cap));
-            session_end();
-            // Drained into the global u16 class on the final end.
-            assert!(take_u16(n).is_some());
-            while take_u16(n).is_some() {}
-        });
+        while take_u16(n).is_some() {}
+        session_begin();
+        recycle_u16(Vec::with_capacity(cap));
+        assert!(take_u16(n).is_some(), "session-cached u16 buffer should serve");
+        recycle_u16(Vec::with_capacity(cap));
+        session_end();
+        // Drained into the global u16 class on the final end.
+        assert!(take_u16(n).is_some());
+        while take_u16(n).is_some() {}
     }
 
     #[test]
     fn buffers_match_plain_allocation() {
-        with_pool(true, || {
-            let n = 130;
-            // Seed the pool with a dirty buffer to prove reuse re-zeroes.
-            let mut dirty = Vec::with_capacity(256);
-            dirty.resize(256, 7.25f32);
-            recycle(dirty);
-            let z = buf_zeroed(n);
-            assert_eq!(z, vec![0.0; n]);
-            recycle(z);
-            let f = buf_filled(n, 3.5);
-            assert_eq!(f, vec![3.5; n]);
-            let c = buf_with_capacity(n);
-            assert!(c.is_empty() && c.capacity() >= n);
-        });
+        let n = 130;
+        // Seed the pool with a dirty buffer to prove reuse re-zeroes.
+        let mut dirty = Vec::with_capacity(256);
+        dirty.resize(256, 7.25f32);
+        recycle(dirty);
+        let z = buf_zeroed(n);
+        assert_eq!(z, vec![0.0; n]);
+        recycle(z);
+        let f = buf_filled(n, 3.5);
+        assert_eq!(f, vec![3.5; n]);
+        let c = buf_with_capacity(n);
+        assert!(c.is_empty() && c.capacity() >= n);
     }
 }

@@ -568,7 +568,7 @@ pub fn log_softmax_lastdim(x: &Tensor) -> Tensor {
 //
 // The fused training-step kernels collapse the small-op chains that dominate
 // STSM's step time (linear bias-add, GRU gates) into single passes over the
-// data. They are used only when [`crate::alloc::enabled`] — and each one is
+// data. They are the only path the layers take, and each one is
 // bit-identical to the composed-op path it replaces: the floating-point
 // expression evaluated per element, and the order gradient contributions are
 // accumulated in, match the composed ops exactly (verified in
@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn addmm_bitwise_matches_composed_ops() {
-        // Small (serial) and large (parallel) problems, pool on and off.
+        // Small (serial) and large (parallel) problems.
         for (m, k, n) in [(3, 4, 5), (160, 170, 160)] {
             let x = Tensor::from_vec([m, k], pseudo_fill(m * k, 2654435761, 1000, 997.0));
             let w = Tensor::from_vec([k, n], pseudo_fill(k * n, 40503, 1000, 991.0));
@@ -852,8 +852,6 @@ mod tests {
                 let got = pool::with_max_threads(cap, || addmm(&x, &w, &b));
                 assert_eq!(reference, got, "addmm differs at cap {cap}");
             }
-            let unpooled = crate::alloc::with_pool(false, || addmm(&x, &w, &b));
-            assert_eq!(reference, unpooled, "addmm differs with pool off");
         }
     }
 

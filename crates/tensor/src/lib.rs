@@ -19,8 +19,8 @@
 //!   types;
 //! * [`pool`] — the persistent worker pool behind every parallel kernel
 //!   (sized by `STSM_NUM_THREADS`, deterministic for any thread count);
-//! * [`alloc`] — size-classed buffer recycling for tensor storage, plus the
-//!   `STSM_BUFFER_POOL` gate shared with the fused training-step kernels;
+//! * [`alloc`] — size-classed buffer recycling for tensor storage, always
+//!   on (the fused training-step kernels build on it);
 //! * [`telemetry`] — the always-compiled, default-off instrumentation
 //!   registry (spans, counters, latency histograms) behind `STSM_TELEMETRY`;
 //!   disabled it costs one relaxed atomic load per probe and never changes

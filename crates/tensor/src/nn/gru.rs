@@ -70,21 +70,33 @@ impl GruCell {
     /// One recurrence step. `x`: (B, input_dim), `h`: (B, hidden_dim).
     /// Returns the next hidden state (B, hidden_dim).
     ///
-    /// When the buffer pool / fused-kernel gate is on (see [`crate::alloc`]),
-    /// the pointwise gate arithmetic runs through the fused tape ops
+    /// The pointwise gate arithmetic runs through the fused tape ops
     /// [`crate::Tape::gru_rh`] and [`crate::Tape::gru_out`]; the gate affines
-    /// stay composed in both paths because folding the bias into them would
-    /// change floating-point addition order. Both paths are bit-identical.
+    /// stay composed because folding the bias into them would change
+    /// floating-point addition order. The result is bit-identical to
+    /// [`GruCell::step_reference`].
     pub fn step(&self, fwd: &mut Fwd, x: Var, h: Var) -> Var {
-        if crate::alloc::enabled() {
-            self.step_fused(fwd, x, h)
-        } else {
-            self.step_composed(fwd, x, h)
-        }
+        let ar = self.affine(fwd, self.wxr, self.whr, self.br, x, h);
+        let az = self.affine(fwd, self.wxz, self.whz, self.bz, x, h);
+        // rh = sigmoid(ar) ⊙ h, fused
+        let rh = fwd.gru_rh(ar, h);
+        // candidate pre-activation stays composed (see the doc comment)
+        let s = {
+            let wxv = fwd.p(self.wxn);
+            let whv = fwd.p(self.whn);
+            let bv = fwd.p(self.bn);
+            let xa = fwd.matmul(x, wxv);
+            let ha = fwd.matmul(rh, whv);
+            let s = fwd.add(xa, ha);
+            fwd.add(s, bv)
+        };
+        // h' = (1 - sigmoid(az)) ⊙ tanh(s) + sigmoid(az) ⊙ h, fused
+        fwd.gru_out(az, s, h)
     }
 
-    /// Pre-activation `x·Wx + h·Wh + b`. Shared verbatim by both step paths
-    /// so the fused path cannot drift from the composed one.
+    /// Pre-activation `x·Wx + h·Wh + b`. Shared verbatim by [`GruCell::step`]
+    /// and [`GruCell::step_reference`] so the fused step cannot drift from
+    /// the composed one.
     fn affine(&self, fwd: &mut Fwd, wx: ParamId, wh: ParamId, b: ParamId, x: Var, h: Var) -> Var {
         let wxv = fwd.p(wx);
         let whv = fwd.p(wh);
@@ -95,8 +107,11 @@ impl GruCell {
         fwd.add(s, bv)
     }
 
-    /// Reference step built entirely from composed primitives.
-    fn step_composed(&self, fwd: &mut Fwd, x: Var, h: Var) -> Var {
+    /// Reference step built entirely from composed primitives: the oracle the
+    /// fused [`GruCell::step`] is tested bitwise against. Never used at run
+    /// time.
+    #[doc(hidden)]
+    pub fn step_reference(&self, fwd: &mut Fwd, x: Var, h: Var) -> Var {
         let r = {
             let a = self.affine(fwd, self.wxr, self.whr, self.br, x, h);
             fwd.sigmoid(a)
@@ -124,26 +139,6 @@ impl GruCell {
         let a = fwd.mul(omz, n);
         let b = fwd.mul(z, h);
         fwd.add(a, b)
-    }
-
-    /// Step with the pointwise gate math fused into two nodes.
-    fn step_fused(&self, fwd: &mut Fwd, x: Var, h: Var) -> Var {
-        let ar = self.affine(fwd, self.wxr, self.whr, self.br, x, h);
-        let az = self.affine(fwd, self.wxz, self.whz, self.bz, x, h);
-        // rh = sigmoid(ar) ⊙ h, fused
-        let rh = fwd.gru_rh(ar, h);
-        // candidate pre-activation stays composed (see `step` doc)
-        let s = {
-            let wxv = fwd.p(self.wxn);
-            let whv = fwd.p(self.whn);
-            let bv = fwd.p(self.bn);
-            let xa = fwd.matmul(x, wxv);
-            let ha = fwd.matmul(rh, whv);
-            let s = fwd.add(xa, ha);
-            fwd.add(s, bv)
-        };
-        // h' = (1 - sigmoid(az)) ⊙ tanh(s) + sigmoid(az) ⊙ h, fused
-        fwd.gru_out(az, s, h)
     }
 
     /// Runs the cell over a sequence `x` of shape (B, T, input_dim) starting

@@ -72,17 +72,12 @@ impl Linear {
         let rows = in_shape.numel() / self.in_dim;
         let x2 = fwd.reshape(x, [rows, self.in_dim]);
         let w = fwd.p(self.w);
-        // The fused affine is bit-identical to matmul + add; both paths are
-        // kept so `STSM_BUFFER_POOL=off` exercises the composed ops.
+        // The fused affine is bit-identical to matmul + add (see
+        // `tests/fused_equivalence.rs`).
         let y = match self.b {
-            Some(b) if crate::alloc::enabled() => {
+            Some(b) => {
                 let bv = fwd.p(b);
                 fwd.addmm(x2, w, bv)
-            }
-            Some(b) => {
-                let y = fwd.matmul(x2, w);
-                let bv = fwd.p(b);
-                fwd.add(y, bv)
             }
             None => fwd.matmul(x2, w),
         };

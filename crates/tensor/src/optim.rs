@@ -6,8 +6,7 @@
 //! the hot path — and parameters are updated in place through
 //! [`ParamStore::data_mut`] in a single fused pass per parameter. The
 //! arithmetic (expressions and evaluation order) is unchanged from the
-//! original map-based implementation, so results are bit-identical and this
-//! rewrite is deliberately *not* gated by `STSM_BUFFER_POOL` (see
+//! original map-based implementation, so results are bit-identical (see
 //! `DESIGN.md`, "Memory model").
 
 use crate::params::{ParamId, ParamStore};

@@ -35,12 +35,12 @@
 //! calling thread.
 
 use crate::telemetry;
-use crossbeam::channel::{unbounded, Sender};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A type-erased unit of work shipped to a pool worker.
@@ -72,16 +72,21 @@ fn configured_threads() -> usize {
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
         let threads = configured_threads();
-        let (sender, receiver) = unbounded::<Job>();
+        let (sender, receiver) = channel::<Job>();
+        // Workers share the one receiver; each holds the lock only while it
+        // waits for the next job, never while running it.
+        let receiver = Arc::new(Mutex::new(receiver));
         // The calling thread always participates, so `threads` total
         // parallelism needs `threads - 1` workers.
         for idx in 1..threads {
-            let rx = receiver.clone();
+            let rx = Arc::clone(&receiver);
             std::thread::Builder::new()
                 .name(format!("stsm-pool-{idx}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
+                .spawn(move || loop {
+                    let job = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                    match job {
+                        Ok(job) => job(),
+                        Err(_) => break,
                     }
                 })
                 .expect("failed to spawn stsm worker thread");

@@ -82,9 +82,6 @@ impl Drop for Tensor {
     /// per dtype) when this tensor is its unique owner; shared storage
     /// (clones, tape leaves) is left for the last owner to recycle.
     fn drop(&mut self) {
-        if !alloc::enabled() {
-            return;
-        }
         match &mut self.data {
             Storage::F32(arc) => {
                 if Arc::strong_count(arc) != 1 {

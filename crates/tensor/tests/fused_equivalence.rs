@@ -1,40 +1,49 @@
-//! Bit-identity and gradient correctness for the `STSM_BUFFER_POOL` fast
-//! path (buffer recycling + fused addmm / GRU-gate tape ops).
+//! Bit-identity and gradient correctness for the fused training-step
+//! kernels (`addmm` and the GRU-gate tape ops).
 //!
 //! The contract under test is the one `DESIGN.md` ("Memory model") promises:
-//! pool on and pool off produce **bitwise identical** results — same forward
-//! values, same gradients, same multi-step training trajectory — for any
-//! worker-thread count. The fused tape ops are additionally checked against
-//! numeric finite-difference gradients.
+//! the fused layers produce **bitwise identical** results to the composed
+//! primitives they replace — same forward values, same gradients — and a
+//! multi-step training trajectory is bitwise identical for any worker-thread
+//! count. The fused tape ops are additionally checked against numeric
+//! finite-difference gradients.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stsm_tensor::nn::{uniform, Fwd, GruCell, Linear};
 use stsm_tensor::optim::{clip_grad_norm, Adam, Optimizer};
-use stsm_tensor::{alloc, pool, ParamBinder, ParamStore, Tape, Tensor};
+use stsm_tensor::{pool, ParamBinder, ParamStore, Tape, Tensor, Var};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Forward + backward through a Linear layer; returns output and grad bits.
-fn linear_pass(pool_on: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
-    alloc::with_pool(pool_on, || {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        let layer = Linear::new(&mut store, "fc", 5, 3, &mut rng);
-        let x = uniform([4, 5], -1.0, 1.0, &mut rng);
-        let tape = Tape::new();
-        let mut binder = ParamBinder::new(&tape);
-        let mut fwd = Fwd::new(&store, &mut binder);
-        let xv = tape.constant(x);
-        let y = layer.forward(&mut fwd, xv);
-        let loss = tape.sum_all(y);
-        tape.backward(loss);
-        let out = bits(&tape.value(y));
-        let grads = binder.grads().iter().map(|(_, g)| bits(g)).collect();
-        (out, grads)
-    })
+/// Forward + backward through a Linear layer, either through
+/// `Linear::forward` (fused `addmm`) or through `matmul` + `add` on the same
+/// parameters; returns output and grad bits.
+fn linear_pass(fused: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut store = ParamStore::new();
+    let layer = Linear::new(&mut store, "fc", 5, 3, &mut rng);
+    let ids: Vec<_> = store.iter().map(|(id, _, _)| id).collect();
+    let x = uniform([4, 5], -1.0, 1.0, &mut rng);
+    let tape = Tape::new();
+    let mut binder = ParamBinder::new(&tape);
+    let mut fwd = Fwd::new(&store, &mut binder);
+    let xv = tape.constant(x);
+    let y = if fused {
+        layer.forward(&mut fwd, xv)
+    } else {
+        let w = fwd.p(ids[0]);
+        let y = fwd.matmul(xv, w);
+        let b = fwd.p(ids[1]);
+        fwd.add(y, b)
+    };
+    let loss = tape.sum_all(y);
+    tape.backward(loss);
+    let out = bits(&tape.value(y));
+    let grads = binder.grads().iter().map(|(_, g)| bits(g)).collect();
+    (out, grads)
 }
 
 #[test]
@@ -42,24 +51,28 @@ fn linear_fused_addmm_bitwise_matches_composed() {
     assert_eq!(linear_pass(true), linear_pass(false));
 }
 
-/// Forward + backward through a GRU over a short sequence.
-fn gru_pass(pool_on: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
-    alloc::with_pool(pool_on, || {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut store = ParamStore::new();
-        let gru = GruCell::new(&mut store, "g", 3, 6, &mut rng);
-        let x = uniform([4, 5, 3], -1.0, 1.0, &mut rng);
-        let tape = Tape::new();
-        let mut binder = ParamBinder::new(&tape);
-        let mut fwd = Fwd::new(&store, &mut binder);
-        let xv = tape.constant(x);
-        let h = gru.forward_seq(&mut fwd, xv);
-        let loss = tape.sum_all(h);
-        tape.backward(loss);
-        let out = bits(&tape.value(h));
-        let grads = binder.grads().iter().map(|(_, g)| bits(g)).collect();
-        (out, grads)
-    })
+/// Forward + backward through a GRU over a short sequence, stepping with the
+/// fused `GruCell::step` or the composed `GruCell::step_reference`.
+fn gru_pass(fused: bool) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut store = ParamStore::new();
+    let gru = GruCell::new(&mut store, "g", 3, 6, &mut rng);
+    let x = uniform([4, 5, 3], -1.0, 1.0, &mut rng);
+    let tape = Tape::new();
+    let mut binder = ParamBinder::new(&tape);
+    let mut fwd = Fwd::new(&store, &mut binder);
+    let xv = tape.constant(x);
+    let mut h: Var = fwd.constant(Tensor::zeros([4, 6]));
+    for t in 0..5 {
+        let xt = fwd.slice(xv, 1, t, t + 1);
+        let xt = fwd.reshape(xt, [4, 3]);
+        h = if fused { gru.step(&mut fwd, xt, h) } else { gru.step_reference(&mut fwd, xt, h) };
+    }
+    let loss = tape.sum_all(h);
+    tape.backward(loss);
+    let out = bits(&tape.value(h));
+    let grads = binder.grads().iter().map(|(_, g)| bits(g)).collect();
+    (out, grads)
 }
 
 #[test]
@@ -184,47 +197,39 @@ fn gru_gate_ops_gradcheck() {
 
 /// Six Adam steps on a GRU + Linear head regression task; returns the loss
 /// trajectory as raw f32 bit patterns.
-fn train_trajectory(pool_on: bool, threads: usize) -> Vec<u32> {
+fn train_trajectory(threads: usize) -> Vec<u32> {
     pool::with_max_threads(threads, || {
-        alloc::with_pool(pool_on, || {
-            let mut rng = StdRng::seed_from_u64(99);
-            let mut store = ParamStore::new();
-            let gru = GruCell::new(&mut store, "g", 2, 8, &mut rng);
-            let head = Linear::new(&mut store, "head", 8, 1, &mut rng);
-            let x = uniform([6, 4, 2], -1.0, 1.0, &mut rng);
-            let y = uniform([6, 1], -1.0, 1.0, &mut rng);
-            let mut opt = Adam::new(0.01);
-            let mut losses = Vec::with_capacity(6);
-            for _ in 0..6 {
-                let (loss_v, mut grads) = {
-                    let tape = Tape::new();
-                    let mut binder = ParamBinder::new(&tape);
-                    let mut fwd = Fwd::new(&store, &mut binder);
-                    let xv = tape.constant(x.clone());
-                    let hidden = gru.forward_seq(&mut fwd, xv);
-                    let p = head.forward(&mut fwd, hidden);
-                    let loss = tape.mse_loss(p, &y);
-                    tape.backward(loss);
-                    (tape.value(loss).item(), binder.grads())
-                };
-                clip_grad_norm(&mut grads, 5.0);
-                opt.step(&mut store, &grads);
-                losses.push(loss_v.to_bits());
-            }
-            losses
-        })
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut store = ParamStore::new();
+        let gru = GruCell::new(&mut store, "g", 2, 8, &mut rng);
+        let head = Linear::new(&mut store, "head", 8, 1, &mut rng);
+        let x = uniform([6, 4, 2], -1.0, 1.0, &mut rng);
+        let y = uniform([6, 1], -1.0, 1.0, &mut rng);
+        let mut opt = Adam::new(0.01);
+        let mut losses = Vec::with_capacity(6);
+        for _ in 0..6 {
+            let (loss_v, mut grads) = {
+                let tape = Tape::new();
+                let mut binder = ParamBinder::new(&tape);
+                let mut fwd = Fwd::new(&store, &mut binder);
+                let xv = tape.constant(x.clone());
+                let hidden = gru.forward_seq(&mut fwd, xv);
+                let p = head.forward(&mut fwd, hidden);
+                let loss = tape.mse_loss(p, &y);
+                tape.backward(loss);
+                (tape.value(loss).item(), binder.grads())
+            };
+            clip_grad_norm(&mut grads, 5.0);
+            opt.step(&mut store, &grads);
+            losses.push(loss_v.to_bits());
+        }
+        losses
     })
 }
 
 #[test]
-fn training_trajectory_bitwise_identical_across_pool_and_threads() {
-    let reference = train_trajectory(true, 1);
+fn training_trajectory_bitwise_identical_across_threads() {
+    let reference = train_trajectory(1);
     assert_eq!(reference.len(), 6);
-    for (pool_on, threads) in [(true, 3), (false, 1), (false, 3)] {
-        assert_eq!(
-            train_trajectory(pool_on, threads),
-            reference,
-            "trajectory diverged for pool_on={pool_on} threads={threads}"
-        );
-    }
+    assert_eq!(train_trajectory(3), reference, "trajectory diverged for threads=3");
 }

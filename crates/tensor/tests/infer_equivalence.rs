@@ -3,8 +3,8 @@
 //! The contract under test is the one `DESIGN.md` ("Execution modes")
 //! promises: for the same parameters and inputs, an Infer-mode forward
 //! ([`Fwd::infer`]) produces **bit-identical** values to the Train-mode
-//! forward (`tape.value(out)`), with the buffer pool on or off, and whether
-//! the session is fresh or reused (reset) across many forwards.
+//! forward (`tape.value(out)`), whether the session is fresh or reused
+//! (reset) across many forwards.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,20 +12,19 @@ use stsm_tensor::nn::{
     uniform, Activation, Conv1d, Fwd, GruCell, LayerNorm, Linear, Mlp, MultiHeadAttention,
     TransformerEncoderLayer,
 };
-use stsm_tensor::{alloc, InferSession, ParamBinder, ParamStore, Tape, Tensor, Var};
+use stsm_tensor::{InferSession, ParamBinder, ParamStore, Tape, Tensor, Var};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Runs `forward` once in Train mode and once in Infer mode over the same
-/// store and inputs, asserting the outputs are bit-identical. Returns the
-/// output bits so callers can compare across pool settings too.
+/// store and inputs, asserting the outputs are bit-identical.
 fn train_vs_infer(
     store: &ParamStore,
     forward: impl Fn(&mut Fwd, &[Var]) -> Var,
     inputs: &[Tensor],
-) -> Vec<u32> {
+) {
     let train_out = {
         let tape = Tape::new();
         let mut binder = ParamBinder::new(&tape);
@@ -42,21 +41,7 @@ fn train_vs_infer(
         fwd.value(y)
     };
     assert_eq!(train_out.shape(), infer_out.shape(), "Train/Infer shape divergence");
-    let (tb, ib) = (bits(&train_out), bits(&infer_out));
-    assert_eq!(tb, ib, "Train/Infer value divergence");
-    tb
-}
-
-/// Asserts Train == Infer with the pool on, with the pool off, and that the
-/// two pool settings agree with each other.
-fn check_both_pools(
-    store: &ParamStore,
-    forward: impl Fn(&mut Fwd, &[Var]) -> Var + Copy,
-    inputs: &[Tensor],
-) {
-    let on = alloc::with_pool(true, || train_vs_infer(store, forward, inputs));
-    let off = alloc::with_pool(false, || train_vs_infer(store, forward, inputs));
-    assert_eq!(on, off, "pool on/off divergence");
+    assert_eq!(bits(&train_out), bits(&infer_out), "Train/Infer value divergence");
 }
 
 #[test]
@@ -65,7 +50,7 @@ fn linear_matches() {
     let mut store = ParamStore::new();
     let layer = Linear::new(&mut store, "fc", 5, 3, &mut rng);
     let x = uniform([4, 5], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| layer.forward(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| layer.forward(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -75,7 +60,7 @@ fn linear_3d_matches() {
     let mut store = ParamStore::new();
     let layer = Linear::new(&mut store, "fc", 5, 3, &mut rng);
     let x = uniform([2, 4, 5], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| layer.forward(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| layer.forward(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -84,7 +69,7 @@ fn mlp_matches() {
     let mut store = ParamStore::new();
     let mlp = Mlp::new(&mut store, "mlp", &[6, 10, 4], Activation::Relu, &mut rng);
     let x = uniform([3, 6], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| mlp.forward(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| mlp.forward(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -93,8 +78,8 @@ fn gru_matches() {
     let mut store = ParamStore::new();
     let gru = GruCell::new(&mut store, "g", 3, 6, &mut rng);
     let x = uniform([4, 5, 3], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| gru.forward_seq(fwd, v[0]), std::slice::from_ref(&x));
-    check_both_pools(&store, |fwd, v| gru.forward_seq_all(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| gru.forward_seq(fwd, v[0]), std::slice::from_ref(&x));
+    train_vs_infer(&store, |fwd, v| gru.forward_seq_all(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -103,7 +88,7 @@ fn conv1d_matches() {
     let mut store = ParamStore::new();
     let conv = Conv1d::new(&mut store, "c", 2, 4, 3, 2, &mut rng);
     let x = uniform([3, 2, 8], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| conv.forward(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| conv.forward(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -112,7 +97,7 @@ fn layer_norm_matches() {
     let mut store = ParamStore::new();
     let ln = LayerNorm::new(&mut store, "ln", 6);
     let x = uniform([4, 3, 6], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| ln.forward(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| ln.forward(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -121,7 +106,7 @@ fn attention_matches() {
     let mut store = ParamStore::new();
     let mha = MultiHeadAttention::new(&mut store, "a", 8, 2, &mut rng);
     let x = uniform([3, 5, 8], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| mha.forward(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| mha.forward(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -130,7 +115,7 @@ fn transformer_encoder_layer_matches() {
     let mut store = ParamStore::new();
     let enc = TransformerEncoderLayer::new(&mut store, "enc", 8, 2, 16, &mut rng);
     let x = uniform([2, 4, 8], -1.0, 1.0, &mut rng);
-    check_both_pools(&store, |fwd, v| enc.forward(fwd, v[0]), &[x]);
+    train_vs_infer(&store, |fwd, v| enc.forward(fwd, v[0]), &[x]);
 }
 
 #[test]
@@ -141,7 +126,7 @@ fn elementwise_composites_match() {
     let mut rng = StdRng::seed_from_u64(31);
     let store = ParamStore::new();
     let x = uniform([4, 6], -2.0, 2.0, &mut rng);
-    check_both_pools(
+    train_vs_infer(
         &store,
         |fwd, v| {
             let a = fwd.neg(v[0]);

@@ -682,17 +682,4 @@ mod tests {
             assert_eq!(sparse.neighbors(i).len(), 2);
         }
     }
-
-    #[test]
-    fn telemetry_counters_register_pruning() {
-        let series = wavy(30, 40);
-        telemetry::with_telemetry(true, || {
-            telemetry::reset();
-            let (_, stats) = dtw_top_q(&series, 6, 2);
-            assert_eq!(telemetry::counter_value("dtw.lb_kim_pruned"), stats.lb_kim_pruned);
-            assert_eq!(telemetry::counter_value("dtw.lb_keogh_pruned"), stats.lb_keogh_pruned);
-            assert_eq!(telemetry::counter_value("dtw.full_dtw"), stats.full_dtw);
-            assert!(stats.full_dtw > 0);
-        });
-    }
 }

@@ -13,10 +13,11 @@ fast="${CHECK_FAST:-0}"
 if [[ "$fast" != "1" ]]; then
   cargo fmt --check
   cargo build --release
-  cargo test -q
+  cargo test --workspace -q
 fi
-# The STSM_BUFFER_POOL bit-identity contract, exercised explicitly so a
-# plain `cargo test -q` filter can never silently skip it.
+# The fused-kernel contract (fused addmm / GRU gates bitwise equal to the
+# composed ops, training bitwise equal across thread counts), exercised
+# explicitly so a test filter can never silently skip it.
 cargo test -q -p stsm-tensor --test fused_equivalence
 cargo test -q -p stsm-core --test pool_equivalence
 # The Train/Infer execution-mode bit-identity contract (DESIGN.md,
@@ -60,7 +61,8 @@ cargo test -q -p stsm-core --test quantized_equivalence
 # bitwise recovery, telemetry-gate invisibility, quantized<->f32 hot-swap
 # compatibility, fingerprint-mismatch rejection, and the online-refresh
 # hot-swap — pinned by name.
-# `cargo clippy --all-targets` below covers the stsm-serve crate too.
+# `cargo clippy --workspace --all-targets` below covers the stsm-serve crate
+# too.
 cargo test -q -p stsm-serve --test serve_chaos
 cargo test -q -p stsm-serve --test serve_equivalence
 # The online-adaptation contracts (DESIGN.md, "Online adaptation"): rolling
@@ -80,17 +82,16 @@ if [[ "$fast" == "1" ]]; then
 fi
 
 cargo run -q -p stsm-bench --release --bin bench_kernels -- --smoke
-# Bench-binary wiring smokes: train/infer assert their pool-on/off and
-# Train/Infer bitwise contracts in-process (bench_infer includes the
-# per-dtype f32/f16/bf16 serving pass with its f32-row bitwise assert);
+# Bench-binary wiring smokes: infer asserts its Train/Infer and telemetry
+# on/off bitwise contracts in-process (and the per-dtype f32/f16/bf16
+# serving pass with its f32-row bitwise assert);
 # scale asserts pruned-vs-dense top-q identity on a small metro layout;
 # online asserts rolling-vs-refit row identity after every appended window.
 # Smoke runs never rewrite the BENCH_*.json artefacts.
-cargo run -q -p stsm-bench --release --features alloc-stats --bin bench_train -- --smoke
-cargo run -q -p stsm-bench --release --features alloc-stats --bin bench_infer -- --smoke
+cargo run -q -p stsm-bench --release --bin bench_infer -- --smoke
 cargo run -q -p stsm-bench --release --bin bench_scale -- --smoke
 # Serving load-generator wiring: telemetry on/off forecast bits asserted
 # identical in-process; smoke never rewrites BENCH_serve.json.
 cargo run -q -p stsm-bench --release --bin bench_serve -- --smoke
 cargo run -q -p stsm-bench --release --bin bench_online -- --smoke
-cargo clippy --all-targets -q -- -D warnings
+cargo clippy --workspace --all-targets -q -- -D warnings
