@@ -19,7 +19,10 @@
 
 use serde_json::json;
 use std::time::Instant;
-use stsm_tensor::{bmm, conv1d_dilated, matmul, pool, Tensor};
+use stsm_core::{DistanceMode, ProblemInstance, StsmConfig};
+use stsm_graph::normalize_gcn;
+use stsm_synth::{presets, space_split, SplitAxis};
+use stsm_tensor::{bmm, conv1d_ntc, matmul, pool, Tensor};
 use stsm_timeseries::dtw_all_pairs;
 
 /// Deterministic pseudo-random fill in [-0.5, 0.5) — no RNG state needed.
@@ -140,21 +143,57 @@ fn main() {
         }));
     }
 
-    // Dilated conv over (N, C_out) rows — STSM's TCN shape at daily length.
-    {
-        let (n, cin, cout, t, k) =
-            if smoke { (4usize, 8usize, 8usize, 48usize, 3usize) } else { (64, 32, 32, 288, 3) };
-        let x = Tensor::from_vec([n, cin, t], fill(n * cin * t, 31, 999959));
-        let w = Tensor::from_vec([cout, cin, k], fill(cout * cin * k, 7, 997));
-        let flops = 2.0 * (n * cout * cin * k * t) as f64;
-        let reps = if smoke { 1 } else { 5 };
+    // The TCN conv as the model runs it, channels-last (N, T, C) with bias:
+    // STSM's shape on PEMS-08 (400 nodes, 12 steps, hidden 16, K = 2) and a
+    // daily-length sequence (64 series, 288 steps, 32 channels, K = 3).
+    let conv_shapes: &[(usize, usize, usize, usize, usize)] = if smoke {
+        &[(8, 12, 4, 2, 1), (4, 48, 8, 3, 2)]
+    } else {
+        &[(400, 12, 16, 2, 1), (64, 288, 32, 3, 2)]
+    };
+    for &(n, t, c, k, d) in conv_shapes {
+        let x = Tensor::from_vec([n, t, c], fill(n * t * c, 31, 999959));
+        let w = Tensor::from_vec([c, c, k], fill(c * c * k, 7, 997));
+        let b = Tensor::from_vec([c], fill(c, 3, 101));
+        let flops = 2.0 * (n * t * k * c * c) as f64;
+        let reps = if smoke {
+            1
+        } else if t > 12 {
+            5
+        } else {
+            50
+        };
         cases.push(bench_case(
-            "conv1d_dilated",
-            &format!("{n}x{cin}->{cout}x{t} k{k}"),
+            "conv1d_ntc",
+            &format!("{n}x{t}x{c}->{c} k{k} d{d}"),
             reps,
             Some(flops),
             || {
-                conv1d_dilated(&x, &w, None, 2);
+                conv1d_ntc(&x, &w, Some(&b), d);
+            },
+        ));
+    }
+
+    // A_s propagation: the PEMS-08 preset's normalized spatial adjacency
+    // (400 nodes) against a T·H = 192 wide feature matrix.
+    {
+        let (sensors, feat) = if smoke { (40usize, 24usize) } else { (400, 192) };
+        let data = presets::pems_08(sensors, 1, 1).generate();
+        let split = space_split(&data.coords, SplitAxis::Vertical, false);
+        let problem = ProblemInstance::new(data, split, DistanceMode::Euclidean);
+        let cfg = StsmConfig::default().for_dataset("PEMS-08");
+        let nodes: Vec<usize> = (0..problem.n()).collect();
+        let adj = normalize_gcn(&problem.spatial_adjacency(&nodes, cfg.epsilon_s));
+        let x = Tensor::from_vec([sensors, feat], fill(sensors * feat, 53, 999953));
+        let flops = 2.0 * (adj.nnz() * feat) as f64;
+        let reps = if smoke { 1 } else { 200 };
+        cases.push(bench_case(
+            "spmm",
+            &format!("{sensors}x{sensors} nnz{} f{feat}", adj.nnz()),
+            reps,
+            Some(flops),
+            || {
+                adj.matmul_dense(&x);
             },
         ));
     }

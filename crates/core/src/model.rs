@@ -239,12 +239,11 @@ impl StModel {
         // Temporal path.
         match &block.temporal {
             TemporalSub::Conv(c1, c2) => {
-                let hc = fwd.permute(h, &[0, 2, 1]); // (N, H, T)
-                let y = c1.forward(fwd, hc);
+                // The convs run channels-last, on (N, T, H) as it is.
+                let y = c1.forward(fwd, h);
                 let y = fwd.relu(y);
                 let y = c2.forward(fwd, y);
-                let y = fwd.relu(y);
-                let h_tcn = fwd.permute(y, &[0, 2, 1]);
+                let h_tcn = fwd.relu(y);
                 // Eq. 12: residual combination.
                 fwd.add(h_gcn, h_tcn)
             }

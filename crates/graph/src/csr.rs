@@ -2,7 +2,7 @@
 //! implementation — the storage format for all adjacency matrices.
 
 use serde::{Deserialize, Serialize};
-use stsm_tensor::{LinMap, Tensor};
+use stsm_tensor::{csr_spmm, LinMap, Tensor};
 
 /// A sparse matrix in compressed sparse row format.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -134,7 +134,10 @@ impl CsrMatrix {
     }
 
     /// Sparse-matrix × dense-matrix product. `x` is `(cols, features...)`;
-    /// the result is `(rows, features...)`.
+    /// the result is `(rows, features...)`. Runs the register-blocked
+    /// [`stsm_tensor::csr_spmm`] kernel: every stored entry is used in
+    /// stored order, so the result is bitwise equal at every SIMD level and
+    /// thread count.
     pub fn matmul_dense(&self, x: &Tensor) -> Tensor {
         assert!(x.rank() >= 1, "spmm input must have at least one dim");
         assert_eq!(
@@ -148,21 +151,8 @@ impl CsrMatrix {
         let feat = x.numel() / x.dim(0);
         let mut out_dims = x.dims().to_vec();
         out_dims[0] = self.rows;
-        let mut out = Tensor::zeros(out_dims);
-        {
-            let odata = out.data_mut();
-            let xdata = x.data();
-            for r in 0..self.rows {
-                let orow = &mut odata[r * feat..(r + 1) * feat];
-                for (c, v) in self.row(r) {
-                    let xrow = &xdata[c * feat..(c + 1) * feat];
-                    for (o, &xv) in orow.iter_mut().zip(xrow) {
-                        *o += v * xv;
-                    }
-                }
-            }
-        }
-        out
+        let out = csr_spmm(&self.row_ptr, &self.col_idx, &self.values, x.data(), feat);
+        Tensor::from_vec(out_dims, out)
     }
 
     /// Per-row sum of stored values (the weighted out-degree).

@@ -1,14 +1,114 @@
 //! Property-based tests for the graph crate: CSR round-trips, normalization
-//! invariants, shortest-path metric properties.
+//! invariants, shortest-path metric properties, and the spmm kernel
+//! contract (pinned by name in `scripts/check.sh`): `matmul_dense` is
+//! bitwise equal at every SIMD level, to the plain row loop, and for any
+//! thread count — explicit zeros included, so NaN in `x` propagates.
 
 use proptest::prelude::*;
 use stsm_graph::{
     all_pairs_shortest_paths, bfs_hops, connected_components, dijkstra, normalize_gcn,
     normalize_row, CsrMatrix,
 };
+use stsm_tensor::simd::{self, SimdLevel};
+use stsm_tensor::{pool, Tensor};
 
 fn triplet_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, usize, f32)>> {
     proptest::collection::vec((0..n, 0..n, 0.1f32..10.0), 0..3 * n)
+}
+
+/// Feature widths around the kernel's 8-lane vectors and 32-column blocks,
+/// plus STSM's T·H = 192.
+const SPMM_WIDTHS: [usize; 7] = [1, 7, 8, 31, 32, 33, 192];
+
+/// Random CSR matrices whose stored values include explicit +0.0 / -0.0
+/// (`from_triplets` keeps them) and which often have empty rows.
+fn sparse_strategy() -> impl Strategy<Value = CsrMatrix> {
+    (1usize..12, 1usize..12).prop_flat_map(|(rows, cols)| {
+        let value = (0u32..6, -4.0f32..4.0).prop_map(|(pick, v)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            _ => v,
+        });
+        proptest::collection::vec((0..rows, 0..cols, value), 0..2 * rows)
+            .prop_map(move |t: Vec<(usize, usize, f32)>| CsrMatrix::from_triplets(rows, cols, &t))
+    })
+}
+
+/// Deterministic fill in [-2, 2).
+fn fill(n: usize, seed: u64) -> Vec<f32> {
+    let mut z = seed ^ 0x9e37_79b9_7f4a_7c15;
+    (0..n)
+        .map(|_| {
+            z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            ((z >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
+        })
+        .collect()
+}
+
+/// The row loop `matmul_dense` ran before the blocked kernel — one
+/// `out_row += v · x_row` pass per stored entry — kept as the reference.
+fn spmm_reference(m: &CsrMatrix, x: &[f32], feat: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m.rows() * feat];
+    for r in 0..m.rows() {
+        let orow = &mut out[r * feat..(r + 1) * feat];
+        for (c, v) in m.row(r) {
+            for (o, &xv) in orow.iter_mut().zip(&x[c * feat..(c + 1) * feat]) {
+                *o += v * xv;
+            }
+        }
+    }
+    out
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// Every SIMD level this host can actually execute.
+fn levels() -> Vec<SimdLevel> {
+    let mut ls = vec![SimdLevel::Scalar];
+    if simd::level() != SimdLevel::Scalar {
+        ls.push(simd::level());
+    }
+    ls
+}
+
+#[test]
+fn spmm_nan_propagates_through_an_explicit_zero() {
+    // Row 1 stores an explicit 0.0 against column 2, whose x row is NaN.
+    let m = CsrMatrix::from_triplets(3, 3, &[(0, 0, 1.0), (1, 1, 2.0), (1, 2, 0.0)]);
+    for feat in SPMM_WIDTHS {
+        let mut xd = fill(3 * feat, feat as u64);
+        xd[2 * feat..].fill(f32::NAN);
+        let x = Tensor::from_vec([3, feat], xd);
+        for lvl in levels() {
+            let y = simd::with_level(lvl, || m.matmul_dense(&x));
+            assert!(y.data()[..feat].iter().all(|v| v.is_finite()), "row 0 @ {lvl:?}");
+            assert!(y.data()[feat..2 * feat].iter().all(|v| v.is_nan()), "row 1 @ {lvl:?}");
+            assert!(y.data()[2 * feat..].iter().all(|&v| v == 0.0), "empty row 2 @ {lvl:?}");
+        }
+    }
+}
+
+#[test]
+fn spmm_bitwise_identical_for_one_and_three_threads() {
+    // Large enough (400 rows × ~8 entries × 192) to split over the pool.
+    let (n, feat) = (400, 192);
+    let cols = fill(8 * n, 3);
+    let vals = fill(8 * n, 4);
+    let triplets: Vec<(usize, usize, f32)> =
+        (0..8 * n).map(|e| (e / 8, ((cols[e] + 2.0) * 100.0) as usize % n, vals[e])).collect();
+    let m = CsrMatrix::from_triplets(n, n, &triplets);
+    let x = Tensor::from_vec([n, feat], fill(n * feat, 5));
+    let reference = bits(&spmm_reference(&m, x.data(), feat));
+    for lvl in levels() {
+        simd::with_level(lvl, || {
+            let one = pool::with_max_threads(1, || m.matmul_dense(&x));
+            let three = pool::with_max_threads(3, || m.matmul_dense(&x));
+            assert_eq!(bits(one.data()), reference, "1 thread @ {lvl:?}");
+            assert_eq!(bits(three.data()), reference, "3 threads @ {lvl:?}");
+        });
+    }
 }
 
 proptest! {
@@ -43,6 +143,26 @@ proptest! {
         let sparse = m.matmul_dense(&x);
         let dense = stsm_tensor::matmul(&m.to_dense(), &x);
         prop_assert!(sparse.allclose(&dense, 1e-3));
+    }
+
+    #[test]
+    fn spmm_bitwise_equal_across_levels_and_to_the_row_loop(
+        m in sparse_strategy(),
+        feat in (0..SPMM_WIDTHS.len()).prop_map(|i| SPMM_WIDTHS[i]),
+        seed in 0u64..u64::MAX,
+        nan_at in (0u32..3, 0usize..12, 0usize..192),
+    ) {
+        // One case in three puts a NaN somewhere in x.
+        let mut xd = fill(m.cols() * feat, seed);
+        if let (0, c, j) = nan_at {
+            xd[(c % m.cols()) * feat + j % feat] = f32::NAN;
+        }
+        let x = Tensor::from_vec([m.cols(), feat], xd);
+        let reference = bits(&spmm_reference(&m, x.data(), feat));
+        let detected = m.matmul_dense(&x);
+        let scalar = simd::with_level(SimdLevel::Scalar, || m.matmul_dense(&x));
+        prop_assert_eq!(bits(detected.data()), reference.clone());
+        prop_assert_eq!(bits(scalar.data()), reference);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl InferSession {
         self.push(out)
     }
 
-    pub(crate) fn conv1d(
+    pub(crate) fn conv1d_ntc(
         &mut self,
         input: Var,
         weight: Var,
@@ -189,7 +189,7 @@ impl InferSession {
     ) -> Var {
         let out = {
             let tb = bias.map(|b| self.val(b));
-            kernels::conv1d_dilated(self.val(input), self.val(weight), tb, dilation)
+            kernels::conv1d_ntc(self.val(input), self.val(weight), tb, dilation)
         };
         self.push(out)
     }

@@ -1,6 +1,7 @@
-//! Raw numeric kernels: matrix multiplication, dilated 1-D convolution, and
-//! row-wise softmax. These are the hot paths of model training; everything
-//! else composes out of elementwise maps.
+//! Raw numeric kernels: matrix multiplication, dilated 1-D convolution (as
+//! one GEMM over a tap unfold), CSR sparse × dense products, and row-wise
+//! softmax. These are the hot paths of model training; everything else
+//! composes out of elementwise maps.
 //!
 //! Matrix products route by size: at or above [`PACK_THRESHOLD`] multiply-
 //! adds they take the cache-blocked packed SIMD path ([`crate::gemm`]);
@@ -21,12 +22,14 @@
 //! tensor, never rescanned per call — and is consulted *lazily*, only when a
 //! product actually routes to the naive path. The packed path needs no
 //! verdict at all: its dense FMA loop never skips a term, so non-finite
-//! values propagate by construction.
+//! values propagate by construction. The conv and the spmm never skip: the
+//! conv's products pass no verdict, and the spmm uses every stored entry.
 
 use crate::alloc;
 use crate::dtype::{self, DType};
 use crate::gemm::{self, AnyMatRef, BatchedMatRef, HalfMatRef, MatRef};
 use crate::pool::{self, SliceWriter};
+use crate::simd;
 use crate::telemetry;
 use crate::tensor::Tensor;
 
@@ -362,152 +365,281 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec([bs, k, n], out)
 }
 
-/// Dilated causal-padded 1-D convolution over the last axis.
+/// Dilated causal 1-D convolution in the channels-last layout the model
+/// keeps its activations in, computed as one GEMM.
 ///
-/// * `input`:  (N, C_in, T)
+/// * `input`:  (N, T, C_in)
 /// * `weight`: (C_out, C_in, K)
 /// * `bias`:   optional (C_out)
-/// * output:   (N, C_out, T) — "same" length via left zero-padding of
-///   `(K-1) * dilation` (causal: output at t only sees inputs ≤ t).
+/// * output:   (N, T, C_out) — `out[n, t] = b + Σ_kk input[n, t − s_kk] · W[:, :, kk]ᵀ`
+///   with tap shift `s_kk = (K − 1 − kk) · dilation`; taps before `t = 0`
+///   read zeros (causal "same"-length padding).
 ///
-/// Parallel over (N, C_out) output rows.
+/// The K taps unfold into a transient (N·T, K·C_in) matrix ([`unfold_taps`])
+/// that multiplies the (K·C_in, C_out) permuted weight through the
+/// size-routed product core — the packed SIMD path at STSM's shapes — and
+/// the bias row is added last. The unfold goes straight back to the buffer
+/// pool. The product is dense: padding taps are explicit zeros and no term
+/// is skipped, so non-finite values propagate like any dense product.
+pub fn conv1d_ntc(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    dilation: usize,
+) -> Tensor {
+    // Half operands (quantized conv weights/bias) are upcast whole, once:
+    // the weight is permuted anyway, and the f32 route stays the only one.
+    if input.dtype().is_half()
+        || weight.dtype().is_half()
+        || bias.is_some_and(|b| b.dtype().is_half())
+    {
+        let up = |t: &Tensor| t.to_dtype(DType::F32);
+        return conv1d_ntc(&up(input), &up(weight), bias.map(up).as_ref(), dilation);
+    }
+    let _t = telemetry::span("kernel.conv1d");
+    let (n, t, cin, cout, k) = conv_dims(input, weight, dilation);
+    if let Some(b) = bias {
+        assert_eq!(b.numel(), cout, "conv1d bias size mismatch");
+    }
+    let (rows, kc) = (n * t, k * cin);
+    let unfold = unfold_taps(input.data(), n, t, cin, k, dilation);
+    let wp = taps_weight(weight.data(), cout, cin, k);
+    let mut out = alloc::buf_zeroed(rows * cout);
+    mm_into(
+        MatRef::contiguous(&unfold, 0, kc),
+        AnyMatRef::F32(MatRef::contiguous(&wp, 0, cout)),
+        &mut out,
+        rows,
+        kc,
+        cout,
+        || false,
+    );
+    alloc::recycle(unfold);
+    alloc::recycle(wp);
+    if let Some(b) = bias {
+        add_bias_rows(&mut out, b.data());
+    }
+    Tensor::from_vec([n, t, cout], out)
+}
+
+/// Backward pass of [`conv1d_ntc`]: `(grad_input, grad_weight, grad_bias)`
+/// for output gradient `grad_out` (N, T, C_out).
+///
+/// Rebuilds the tap unfold `U` from the saved input and takes both products
+/// of the affine backward on the size-routed core: `G·Wpᵀ` (the unfold's
+/// gradient) and `Uᵀ·G` (the permuted weight's). The unfold gradient folds
+/// back onto the input rows with adds in ascending tap order, and the
+/// weight gradient is permuted back to (C_out, C_in, K). Every step is an
+/// output-partitioned product or a serial loop, so the result is bitwise
+/// identical for any thread count.
+pub fn conv1d_ntc_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    dilation: usize,
+) -> (Tensor, Tensor, Tensor) {
+    if input.dtype().is_half() || weight.dtype().is_half() {
+        let up = |t: &Tensor| t.to_dtype(DType::F32);
+        return conv1d_ntc_backward(&up(input), &up(weight), grad_out, dilation);
+    }
+    let _t = telemetry::span("kernel.conv1d_bwd");
+    let (n, t, cin, cout, k) = conv_dims(input, weight, dilation);
+    assert_eq!(grad_out.dims(), &[n, t, cout], "conv1d grad_out shape mismatch");
+    let (rows, kc) = (n * t, k * cin);
+    let g = grad_out.data();
+    let unfold = unfold_taps(input.data(), n, t, cin, k, dilation);
+    let wp = taps_weight(weight.data(), cout, cin, k);
+    let mut gu = alloc::buf_zeroed(rows * kc);
+    mm_into(
+        MatRef::contiguous(g, 0, cout),
+        AnyMatRef::F32(MatRef::contiguous(&wp, 0, cout).transposed()),
+        &mut gu,
+        rows,
+        cout,
+        kc,
+        || false,
+    );
+    let mut gwp = alloc::buf_zeroed(kc * cout);
+    mm_into(
+        MatRef::contiguous(&unfold, 0, kc).transposed(),
+        AnyMatRef::F32(MatRef::contiguous(g, 0, cout)),
+        &mut gwp,
+        kc,
+        rows,
+        cout,
+        || false,
+    );
+    alloc::recycle(unfold);
+    alloc::recycle(wp);
+    let mut gi = alloc::buf_zeroed(n * t * cin);
+    for b in 0..n {
+        for kk in 0..k {
+            let shift = (k - 1 - kk) * dilation;
+            for tt in shift..t {
+                let src = &gu[(b * t + tt) * kc + kk * cin..][..cin];
+                let dst = &mut gi[(b * t + tt - shift) * cin..][..cin];
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o += v;
+                }
+            }
+        }
+    }
+    alloc::recycle(gu);
+    let mut gw = alloc::buf_zeroed(cout * cin * k);
+    for co in 0..cout {
+        for ci in 0..cin {
+            for kk in 0..k {
+                gw[(co * cin + ci) * k + kk] = gwp[(kk * cin + ci) * cout + co];
+            }
+        }
+    }
+    alloc::recycle(gwp);
+    (
+        Tensor::from_vec([n, t, cin], gi),
+        Tensor::from_vec([cout, cin, k], gw),
+        Tensor::from_vec([cout], col_sums(g, cout)),
+    )
+}
+
+/// Dilated causal 1-D convolution over (N, C_in, T) inputs, producing
+/// (N, C_out, T): the channels-first entry to [`conv1d_ntc`], which it
+/// wraps between two axis permutes (same arithmetic, same values).
 pub fn conv1d_dilated(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     dilation: usize,
 ) -> Tensor {
-    // Half operands (quantized conv weights/bias) are upcast whole: the
-    // conv taps read weights repeatedly, so a one-time dequantization is
-    // cheaper than per-tap decoding and keeps the f32 loop untouched.
-    if input.dtype().is_half()
-        || weight.dtype().is_half()
-        || bias.is_some_and(|b| b.dtype().is_half())
-    {
-        let up = |t: &Tensor| t.to_dtype(DType::F32);
-        return conv1d_dilated(&up(input), &up(weight), bias.map(up).as_ref(), dilation);
-    }
-    let _t = telemetry::span("kernel.conv1d");
     assert_eq!(input.rank(), 3, "conv1d input must be (N, C_in, T)");
-    assert_eq!(weight.rank(), 3, "conv1d weight must be (C_out, C_in, K)");
-    let (n, cin, t) = (input.dim(0), input.dim(1), input.dim(2));
-    let (cout, cin2, k) = (weight.dim(0), weight.dim(1), weight.dim(2));
-    assert_eq!(cin, cin2, "conv1d channel mismatch");
-    assert!(dilation >= 1, "dilation must be >= 1");
-    if let Some(b) = bias {
-        assert_eq!(b.numel(), cout, "conv1d bias size mismatch");
-    }
-    let idata = input.data();
-    let wdata = weight.data();
-    let bias_data = bias.map(|b| b.data());
-    // The zero-weight skip drops `0 · input[..]` terms, which is only sound
-    // when the input carries no NaN/Inf (verdict cached on the tensor).
-    let skip_zeros = input.all_finite();
-    let mut out = alloc::buf_zeroed(n * cout * t);
-    let pair_work = cin * k * t;
-    let writer = SliceWriter::new(&mut out);
-    pool::par_chunks_weighted(n * cout, pair_work, |pairs| {
-        // Safety: (batch, channel) row ranges are disjoint output rows.
-        let chunk = unsafe { writer.slice(pairs.start * t..pairs.end * t) };
-        for (pi, p) in pairs.enumerate() {
-            let (b_i, co) = (p / cout, p % cout);
-            let orow = &mut chunk[pi * t..(pi + 1) * t];
-            if let Some(bias) = bias_data {
-                let bv = bias[co];
-                for o in orow.iter_mut() {
-                    *o = bv;
-                }
-            }
-            for ci in 0..cin {
-                let ibase = (b_i * cin + ci) * t;
-                let wbase = (co * cin + ci) * k;
-                for kk in 0..k {
-                    let w = wdata[wbase + kk];
-                    if skip_zeros && w == 0.0 {
-                        continue;
-                    }
-                    // tap offset relative to output index: t_in = t_out - (k-1-kk)*dilation
-                    let shift = (k - 1 - kk) * dilation;
-                    for tt in shift..t {
-                        orow[tt] += w * idata[ibase + tt - shift];
-                    }
-                }
-            }
-        }
-    });
-    Tensor::from_vec([n, cout, t], out)
+    conv1d_ntc(&input.permute(&[0, 2, 1]), weight, bias, dilation).permute(&[0, 2, 1])
 }
 
-/// Backward pass of [`conv1d_dilated`]: returns (grad_input, grad_weight, grad_bias).
-///
-/// Parallel over the batch axis: each batch sample owns its `grad_input`
-/// rows, and contributes per-sample `grad_weight`/`grad_bias` partials that
-/// are merged in ascending sample order — the exact floating-point addition
-/// sequence of the serial loop, for any thread count.
+/// Backward pass of [`conv1d_dilated`]: `(grad_input, grad_weight,
+/// grad_bias)` through [`conv1d_ntc_backward`].
 pub fn conv1d_dilated_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     dilation: usize,
 ) -> (Tensor, Tensor, Tensor) {
-    let _t = telemetry::span("kernel.conv1d_bwd");
-    let (n, cin, t) = (input.dim(0), input.dim(1), input.dim(2));
-    let (cout, _, k) = (weight.dim(0), weight.dim(1), weight.dim(2));
-    assert_eq!(grad_out.dims(), &[n, cout, t], "conv1d grad_out shape mismatch");
-    let idata = input.data();
-    let wdata = weight.data();
-    let gdata = grad_out.data();
-    let mut gi = alloc::buf_zeroed(n * cin * t);
-    let partials = {
-        let gi_writer = SliceWriter::new(&mut gi);
-        // Chunk size 1 is fixed (thread-count independent): one partial per
-        // batch sample, merged below in sample order.
-        pool::par_map_chunks(n, 1, |batches| {
-            let mut gw = vec![0.0f32; cout * cin * k];
-            let mut gb = vec![0.0f32; cout];
-            for b_i in batches {
-                // Safety: each batch sample owns a disjoint grad_input block.
-                let gi_rows = unsafe { gi_writer.slice(b_i * cin * t..(b_i + 1) * cin * t) };
-                for (co, gb_co) in gb.iter_mut().enumerate() {
-                    let obase = (b_i * cout + co) * t;
-                    let go = &gdata[obase..obase + t];
-                    *gb_co += go.iter().sum::<f32>();
-                    for ci in 0..cin {
-                        let ibase = (b_i * cin + ci) * t;
-                        let wbase = (co * cin + ci) * k;
-                        let gibase = ci * t;
-                        for kk in 0..k {
-                            let shift = (k - 1 - kk) * dilation;
-                            let w = wdata[wbase + kk];
-                            let mut gw_acc = 0.0f32;
-                            for tt in shift..t {
-                                let g = go[tt];
-                                gw_acc += g * idata[ibase + tt - shift];
-                                gi_rows[gibase + tt - shift] += g * w;
-                            }
-                            gw[wbase + kk] += gw_acc;
-                        }
-                    }
-                }
+    let (gi, gw, gb) = conv1d_ntc_backward(
+        &input.permute(&[0, 2, 1]),
+        weight,
+        &grad_out.permute(&[0, 2, 1]),
+        dilation,
+    );
+    (gi.permute(&[0, 2, 1]), gw, gb)
+}
+
+/// Checked sizes `(N, T, C_in, C_out, K)` of a channels-last conv: input
+/// (N, T, C_in), weight (C_out, C_in, K).
+fn conv_dims(
+    input: &Tensor,
+    weight: &Tensor,
+    dilation: usize,
+) -> (usize, usize, usize, usize, usize) {
+    assert_eq!(input.rank(), 3, "conv1d input must be (N, T, C_in)");
+    assert_eq!(weight.rank(), 3, "conv1d weight must be (C_out, C_in, K)");
+    let (n, t, cin) = (input.dim(0), input.dim(1), input.dim(2));
+    let (cout, cin2, k) = (weight.dim(0), weight.dim(1), weight.dim(2));
+    assert_eq!(cin, cin2, "conv1d channel mismatch");
+    assert!(dilation >= 1, "dilation must be >= 1");
+    (n, t, cin, cout, k)
+}
+
+/// The causal tap unfold of a (N, T, C_in) input: row `(b, t)` of the
+/// (N·T, K·C_in) result holds the K input rows `x[b, t − s_kk]`, kk
+/// ascending, and zeros where `t < s_kk` (a shift ≥ T leaves its tap all
+/// zeros).
+fn unfold_taps(x: &[f32], n: usize, t: usize, cin: usize, k: usize, dilation: usize) -> Vec<f32> {
+    let kc = k * cin;
+    let mut u = alloc::buf_zeroed(n * t * kc);
+    for b in 0..n {
+        for kk in 0..k {
+            let shift = (k - 1 - kk) * dilation;
+            for tt in shift..t {
+                let src = (b * t + tt - shift) * cin;
+                let dst = (b * t + tt) * kc + kk * cin;
+                u[dst..dst + cin].copy_from_slice(&x[src..src + cin]);
             }
-            (gw, gb)
-        })
-    };
-    let mut gw = vec![0.0f32; cout * cin * k];
-    let mut gb = vec![0.0f32; cout];
-    for (pgw, pgb) in &partials {
-        for (o, v) in gw.iter_mut().zip(pgw) {
-            *o += v;
         }
-        for (o, v) in gb.iter_mut().zip(pgb) {
+    }
+    u
+}
+
+/// Permutes a (C_out, C_in, K) conv weight into the (K·C_in, C_out) matrix
+/// the unfold multiplies: row `kk·C_in + ci` holds `W[:, ci, kk]`.
+fn taps_weight(w: &[f32], cout: usize, cin: usize, k: usize) -> Vec<f32> {
+    let mut wp = alloc::buf_zeroed(k * cin * cout);
+    for co in 0..cout {
+        for ci in 0..cin {
+            for kk in 0..k {
+                wp[(kk * cin + ci) * cout + co] = w[(co * cin + ci) * k + kk];
+            }
+        }
+    }
+    wp
+}
+
+/// Adds the bias row to every row of a row-major `out`.
+fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
+    for orow in out.chunks_exact_mut(bias.len()) {
+        for (o, &bv) in orow.iter_mut().zip(bias) {
+            *o += bv;
+        }
+    }
+}
+
+/// Column sums of a row-major matrix with `n` columns, rows added in order
+/// (the addition sequence of `Tensor::reduce_to` onto a bias row).
+fn col_sums(g: &[f32], n: usize) -> Vec<f32> {
+    let mut sums = alloc::buf_zeroed(n);
+    for row in g.chunks_exact(n) {
+        for (o, &v) in sums.iter_mut().zip(row) {
             *o += v;
         }
     }
-    (
-        Tensor::from_vec([n, cin, t], gi),
-        Tensor::from_vec([cout, cin, k], gw),
-        Tensor::from_vec([cout], gb),
-    )
+    sums
+}
+
+/// Sparse × dense product `A·x` for a CSR matrix `A` given by its raw
+/// slices (`row_ptr` of length rows + 1, `col_idx`/`values` per stored
+/// entry) and a row-major `x` of `feat` columns; returns the row-major
+/// (rows, feat) result.
+///
+/// Each output row is one `simd::spmm_row` call: every stored entry is
+/// used (explicit zeros too, so a NaN in `x` propagates through them), in
+/// stored order, as a separate multiply then add from 0.0 — the same IEEE
+/// operations as the plain row loop at every SIMD level, so the result is
+/// bitwise equal across levels. Rows are chunked over the pool; output
+/// rows are disjoint, so it is bitwise equal for any thread count too.
+pub fn csr_spmm(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[f32],
+    x: &[f32],
+    feat: usize,
+) -> Vec<f32> {
+    let _t = telemetry::span("kernel.spmm");
+    let rows = row_ptr.len().checked_sub(1).expect("spmm: row_ptr holds rows + 1 offsets");
+    assert_eq!(col_idx.len(), values.len(), "spmm: one column index per value");
+    assert_eq!(row_ptr[rows], values.len(), "spmm: row_ptr must end at nnz");
+    let mut out = alloc::buf_zeroed(rows * feat);
+    if feat == 0 {
+        return out;
+    }
+    let lvl = simd::level();
+    let row_work = values.len().div_ceil(rows.max(1)).max(1) * feat;
+    let writer = SliceWriter::new(&mut out);
+    pool::par_chunks_weighted(rows, row_work, |rs| {
+        // Safety: row ranges are disjoint output rows.
+        let chunk = unsafe { writer.slice(rs.start * feat..rs.end * feat) };
+        for (orow, r) in chunk.chunks_exact_mut(feat).zip(rs) {
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+            simd::spmm_row(lvl, &col_idx[lo..hi], &values[lo..hi], x, feat, orow);
+        }
+    });
+    out
 }
 
 /// Numerically-stable softmax over the last axis. Parallel over rows.
@@ -604,11 +736,7 @@ pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     } else {
         b.data()
     };
-    for orow in out.chunks_exact_mut(n) {
-        for (o, &bv) in orow.iter_mut().zip(bd) {
-            *o += bv;
-        }
-    }
+    add_bias_rows(&mut out, bd);
     Tensor::from_vec([m, n], out)
 }
 
@@ -622,13 +750,7 @@ pub fn addmm_backward(x: &Tensor, w: &Tensor, g: &Tensor) -> (Tensor, Tensor, Te
     let gx = matmul_nt(g, w);
     let gw = matmul_tn(x, g);
     let n = g.dim(1);
-    let mut gb = alloc::buf_zeroed(n);
-    for row in g.data().chunks_exact(n) {
-        for (o, &v) in gb.iter_mut().zip(row) {
-            *o += v;
-        }
-    }
-    (gx, gw, Tensor::from_vec([n], gb))
+    (gx, gw, Tensor::from_vec([n], col_sums(g.data(), n)))
 }
 
 /// Fused GRU reset gate: `r = sigmoid(ar)`, `rh = r ⊙ h` in one pass.

@@ -62,8 +62,8 @@ mod tensor;
 pub use dtype::DType;
 pub use infer::InferSession;
 pub use kernels::{
-    addmm, bmm, bmm_nt, bmm_tn, conv1d_dilated, log_softmax_lastdim, matmul, matmul_nt, matmul_raw,
-    matmul_tn, softmax_lastdim,
+    addmm, bmm, bmm_nt, bmm_tn, conv1d_dilated, conv1d_ntc, csr_spmm, log_softmax_lastdim, matmul,
+    matmul_nt, matmul_raw, matmul_tn, softmax_lastdim,
 };
 pub use linmap::{DenseLinMap, LinMap};
 pub use params::{ParamBinder, ParamId, ParamLayoutError, ParamStore};

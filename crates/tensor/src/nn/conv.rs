@@ -7,7 +7,8 @@ use crate::tape::Var;
 use crate::tensor::Tensor;
 use rand::Rng;
 
-/// Dilated causal 1-D convolution over `(N, C_in, T)` inputs.
+/// Dilated causal 1-D convolution over channels-last `(N, T, C_in)` inputs,
+/// the `(N, T, H)` layout the model keeps its activations in.
 pub struct Conv1d {
     w: ParamId,
     b: ParamId,
@@ -53,15 +54,15 @@ impl Conv1d {
         self.out_channels
     }
 
-    /// Applies the convolution to `x` of shape `(N, C_in, T)`, producing
-    /// `(N, C_out, T)` (same length, causal left padding).
+    /// Applies the convolution to `x` of shape `(N, T, C_in)`, producing
+    /// `(N, T, C_out)` (same length, causal left padding).
     pub fn forward(&self, fwd: &mut Fwd, x: Var) -> Var {
         let shape = fwd.shape_of(x);
-        assert_eq!(shape.rank(), 3, "Conv1d input must be (N, C_in, T)");
-        assert_eq!(shape.dim(1), self.in_channels, "Conv1d channel mismatch: {shape}");
+        assert_eq!(shape.rank(), 3, "Conv1d input must be (N, T, C_in)");
+        assert_eq!(shape.dim(2), self.in_channels, "Conv1d channel mismatch: {shape}");
         let w = fwd.p(self.w);
         let b = fwd.p(self.b);
-        fwd.conv1d(x, w, Some(b), self.dilation)
+        fwd.conv1d_ntc(x, w, Some(b), self.dilation)
     }
 }
 
@@ -83,9 +84,9 @@ mod tests {
         let tape = Tape::new();
         let mut binder = ParamBinder::new(&tape);
         let mut fwd = Fwd::new(&store, &mut binder);
-        let x = tape.constant(Tensor::zeros([2, 3, 12]));
+        let x = tape.constant(Tensor::zeros([2, 12, 3]));
         let y = conv.forward(&mut fwd, x);
-        assert_eq!(tape.shape_of(y).dims(), &[2, 5, 12]);
+        assert_eq!(tape.shape_of(y).dims(), &[2, 12, 5]);
     }
 
     #[test]
@@ -101,8 +102,8 @@ mod tests {
             y[i] = x[i] - x[i - 1];
         }
         y[0] = x[0];
-        let xs = Tensor::from_vec([1, 1, t], x);
-        let ys = Tensor::from_vec([1, 1, t], y);
+        let xs = Tensor::from_vec([1, t, 1], x);
+        let ys = Tensor::from_vec([1, t, 1], y);
         let mut opt = Adam::new(0.05);
         let mut loss_v = f32::INFINITY;
         for _ in 0..300 {

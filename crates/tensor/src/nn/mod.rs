@@ -136,8 +136,8 @@ impl<'a, 't> Fwd<'a, 't> {
         fn gru_rh(ar: Var, h: Var) -> Var;
         /// Fused GRU output stage: `(1 - z) * n + z * h`.
         fn gru_out(az: Var, s: Var, h: Var) -> Var;
-        /// Dilated causal 1-d convolution over `(B, C, T)`.
-        fn conv1d(input: Var, weight: Var, bias: Option<Var>, dilation: usize) -> Var;
+        /// Dilated causal 1-d convolution over channels-last `(B, T, C)`.
+        fn conv1d_ntc(input: Var, weight: Var, bias: Option<Var>, dilation: usize) -> Var;
         /// Rectified linear unit.
         fn relu(x: Var) -> Var;
         /// Logistic sigmoid.

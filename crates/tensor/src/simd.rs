@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD micro-kernels for the packed matmul path.
+//! Runtime-dispatched SIMD micro-kernels for the packed matmul path, plus
+//! the row kernel of the CSR spmm (`spmm_row`).
 //!
 //! The unit of work is an `MR × NR` register tile: up to `MR` rows of `A`
 //! (read through arbitrary strides) against one packed `B` panel (`k × NR`
@@ -16,9 +17,11 @@
 //!   multiply-then-add, used when the CPU lacks AVX2/FMA or when
 //!   `STSM_SIMD=off|0|false|scalar` forces it.
 //!
-//! The two paths may differ in the last ulp (FMA does not round the
+//! The two tile paths may differ in the last ulp (FMA does not round the
 //! intermediate product); each is individually deterministic, and both stay
 //! within the `kernel_tiling_equivalence` tolerance of the naive reference.
+//! The spmm row kernel uses a separate multiply and add at both levels, so
+//! its two paths are bitwise equal.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -190,9 +193,55 @@ fn scalar_tile(args: TileArgs<'_>, out: &mut [f32]) {
     }
 }
 
+/// Columns per register block of [`spmm_row`]'s SIMD body: four `f32x8`
+/// accumulators.
+const SPMM_BLOCK: usize = 32;
+
+/// One output row of a CSR × dense product: `out[j] += Σ_e values[e] ·
+/// x[cols[e]·feat + j]` over a zeroed `out` of length `feat`, the entries
+/// taken in stored order, each as a separate multiply then add.
+///
+/// Both levels perform exactly these IEEE operations per element, in this
+/// order, from 0.0, so they are bitwise equal. The AVX2 body keeps each
+/// [`SPMM_BLOCK`]-column block in registers across all of the row's entries
+/// and stores it once, then runs single-vector blocks and a scalar tail.
+/// It deliberately uses `mul` + `add`, not FMA: a fused multiply-add skips
+/// the product's rounding and would break that equality.
+#[inline]
+pub(crate) fn spmm_row(
+    level: SimdLevel,
+    cols: &[usize],
+    values: &[f32],
+    x: &[f32],
+    feat: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), feat, "spmm row length mismatch");
+    assert_eq!(cols.len(), values.len(), "spmm entry count mismatch");
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `level` is only Avx2Fma when the CPU reported AVX2 (or a
+        // test forced it on a machine that has it); every load and store is
+        // inside a bounds-checked slice of `x` or `out`.
+        SimdLevel::Avx2Fma => unsafe { avx2::spmm_row(cols, values, x, feat, out) },
+        _ => spmm_tail(cols, values, x, feat, 0, out),
+    }
+}
+
+/// The plain row loop over columns `[from, feat)`: one pass of
+/// `out += v · x_row` per stored entry.
+fn spmm_tail(cols: &[usize], values: &[f32], x: &[f32], feat: usize, from: usize, out: &mut [f32]) {
+    for (&c, &v) in cols.iter().zip(values) {
+        let xrow = &x[c * feat + from..(c + 1) * feat];
+        for (o, &xv) in out[from..].iter_mut().zip(xrow) {
+            *o += v * xv;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{TileArgs, MR, NR};
+    use super::{spmm_tail, TileArgs, MR, NR, SPMM_BLOCK};
     use std::arch::x86_64::*;
 
     /// Generates a fixed-row-count AVX2 tile body. The row count is a
@@ -238,6 +287,51 @@ mod avx2 {
     avx2_tile_rows!(tile_r6, 6);
     avx2_tile_rows!(tile_r7, 7);
     avx2_tile_rows!(tile_r8, 8);
+
+    /// AVX2 body of [`super::spmm_row`]: register-blocked columns, mul +
+    /// add per entry in stored order, a scalar tail past the last vector.
+    ///
+    /// # Safety
+    /// Requires AVX2 at runtime. `out.len() == feat` (asserted by the
+    /// caller); every `x` access goes through a bounds-checked slice.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn spmm_row(
+        cols: &[usize],
+        values: &[f32],
+        x: &[f32],
+        feat: usize,
+        out: &mut [f32],
+    ) {
+        const LANES: usize = SPMM_BLOCK / 8;
+        let mut j = 0;
+        while j + SPMM_BLOCK <= feat {
+            let mut acc = [_mm256_setzero_ps(); LANES];
+            for (&c, &v) in cols.iter().zip(values) {
+                let xb = x[c * feat + j..c * feat + j + SPMM_BLOCK].as_ptr();
+                let vv = _mm256_set1_ps(v);
+                for (q, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(vv, _mm256_loadu_ps(xb.add(8 * q))));
+                }
+            }
+            let ob = out[j..j + SPMM_BLOCK].as_mut_ptr();
+            for (q, a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(ob.add(8 * q), *a);
+            }
+            j += SPMM_BLOCK;
+        }
+        while j + 8 <= feat {
+            let mut acc = _mm256_setzero_ps();
+            for (&c, &v) in cols.iter().zip(values) {
+                let xv = _mm256_loadu_ps(x[c * feat + j..c * feat + j + 8].as_ptr());
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(v), xv));
+            }
+            _mm256_storeu_ps(out[j..j + 8].as_mut_ptr(), acc);
+            j += 8;
+        }
+        if j < feat {
+            spmm_tail(cols, values, x, feat, j, out);
+        }
+    }
 
     /// Dispatches on the (dynamic) row count to a fixed-row tile body.
     ///

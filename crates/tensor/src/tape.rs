@@ -241,8 +241,8 @@ impl Tape {
 
     /// Fused affine `x·W + b` for 2-D `x` with a broadcast bias row;
     /// bit-identical to `add(matmul(x, w), b)` in forward and backward (see
-    /// [`kernels::addmm`]). Used by `nn::Linear` when [`crate::alloc`] is
-    /// enabled; one tape node instead of two, no broadcast intermediate.
+    /// [`kernels::addmm`]). Used by `nn::Linear`: one tape node instead of
+    /// two, no broadcast intermediate.
     pub fn addmm(&self, x: Var, w: Var, b: Var) -> Var {
         let (tx, tw, tb) = (self.value(x), self.value(w), self.value(b));
         let out = kernels::addmm(&tx, &tw, &tb);
@@ -257,7 +257,7 @@ impl Tape {
 
     /// Fused GRU reset gate `rh = sigmoid(ar) ⊙ h`; bit-identical to
     /// `mul(sigmoid(ar), h)` (see [`kernels::gru_rh`]). Used by
-    /// `nn::GruCell` when [`crate::alloc`] is enabled.
+    /// `nn::GruCell`.
     pub fn gru_rh(&self, ar: Var, h: Var) -> Var {
         let (tar, th) = (self.value(ar), self.value(h));
         let (rh, r) = kernels::gru_rh(&tar, &th);
@@ -273,7 +273,7 @@ impl Tape {
     /// Fused GRU output gate
     /// `h' = (1 - sigmoid(az)) ⊙ tanh(s) + sigmoid(az) ⊙ h`; bit-identical
     /// to the composed five-node chain (see [`kernels::gru_out`]). Used by
-    /// `nn::GruCell` when [`crate::alloc`] is enabled.
+    /// `nn::GruCell`.
     pub fn gru_out(&self, az: Var, s: Var, h: Var) -> Var {
         let (taz, ts, th) = (self.value(az), self.value(s), self.value(h));
         let (out, z, n) = kernels::gru_out(&taz, &ts, &th);
@@ -286,7 +286,29 @@ impl Tape {
         )
     }
 
-    /// Dilated causal 1-D convolution; see [`kernels::conv1d_dilated`].
+    /// Dilated causal 1-D convolution over channels-last (N, T, C_in)
+    /// input; see [`kernels::conv1d_ntc`]. One node that saves only the
+    /// input, weight and bias: the backward rebuilds the tap unfold.
+    pub fn conv1d_ntc(&self, input: Var, weight: Var, bias: Option<Var>, dilation: usize) -> Var {
+        let ti = self.value(input);
+        let tw = self.value(weight);
+        let tb = bias.map(|b| self.value(b));
+        let out = kernels::conv1d_ntc(&ti, &tw, tb.as_ref(), dilation);
+        self.push(
+            out,
+            Some(Box::new(move |g| {
+                let (gi, gw, gb) = kernels::conv1d_ntc_backward(&ti, &tw, g, dilation);
+                let mut grads = vec![(input.0, gi), (weight.0, gw)];
+                if let Some(b) = bias {
+                    grads.push((b.0, gb));
+                }
+                grads
+            })),
+        )
+    }
+
+    /// Dilated causal 1-D convolution over channels-first (N, C_in, T)
+    /// input; see [`kernels::conv1d_dilated`].
     pub fn conv1d(&self, input: Var, weight: Var, bias: Option<Var>, dilation: usize) -> Var {
         let ti = self.value(input);
         let tw = self.value(weight);

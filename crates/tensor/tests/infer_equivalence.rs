@@ -87,7 +87,7 @@ fn conv1d_matches() {
     let mut rng = StdRng::seed_from_u64(17);
     let mut store = ParamStore::new();
     let conv = Conv1d::new(&mut store, "c", 2, 4, 3, 2, &mut rng);
-    let x = uniform([3, 2, 8], -1.0, 1.0, &mut rng);
+    let x = uniform([3, 8, 2], -1.0, 1.0, &mut rng);
     train_vs_infer(&store, |fwd, v| conv.forward(fwd, v[0]), &[x]);
 }
 

@@ -15,8 +15,8 @@ use rand::SeedableRng;
 use stsm_tensor::nn::{uniform, Fwd, GruCell, Linear};
 use stsm_tensor::optim::{clip_grad_norm, Adam, Optimizer};
 use stsm_tensor::{
-    bmm, conv1d_dilated, log_softmax_lastdim, matmul, softmax_lastdim, telemetry, ParamBinder,
-    ParamStore, Tape, Tensor,
+    bmm, conv1d_dilated, csr_spmm, log_softmax_lastdim, matmul, softmax_lastdim, telemetry,
+    ParamBinder, ParamStore, Tape, Tensor,
 };
 
 /// Serializes tests that toggle the process-wide telemetry gate.
@@ -40,12 +40,18 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
     let x = uniform([2, 3, 9], -1.0, 1.0, &mut rng);
     let w = uniform([4, 3, 2], -1.0, 1.0, &mut rng);
     let logits = uniform([6, 8], -4.0, 4.0, &mut rng);
+    // A 3×4 CSR matrix (row 1 empty) against a (4, 35) dense operand.
+    let (row_ptr, col_idx) = ([0, 2, 2, 5], [0, 3, 1, 2, 3]);
+    let values = uniform([5], -1.0, 1.0, &mut rng);
+    let feats = uniform([4, 35], -1.0, 1.0, &mut rng);
+    let spmm = csr_spmm(&row_ptr, &col_idx, values.data(), feats.data(), 35);
     vec![
         bits(&matmul(&a, &b)),
         bits(&bmm(&ba, &bb)),
         bits(&conv1d_dilated(&x, &w, None, 2)),
         bits(&softmax_lastdim(&logits)),
         bits(&log_softmax_lastdim(&logits)),
+        spmm.iter().map(|v| v.to_bits()).collect(),
     ]
 }
 
@@ -119,9 +125,14 @@ fn enabled_probes_capture_kernel_and_tape_activity() {
         kernel_sweep();
         train_trajectory();
         let report = telemetry::snapshot();
-        for span in
-            ["kernel.matmul", "kernel.bmm", "kernel.conv1d", "kernel.softmax", "tape.backward"]
-        {
+        for span in [
+            "kernel.matmul",
+            "kernel.bmm",
+            "kernel.conv1d",
+            "kernel.softmax",
+            "kernel.spmm",
+            "tape.backward",
+        ] {
             let s = report.spans.get(span).unwrap_or_else(|| panic!("missing span {span}"));
             assert!(s.calls > 0, "span {span} recorded no calls");
         }

@@ -48,7 +48,13 @@ cargo test -q -p stsm-baselines --test baseline_training
 # run-to-run determinism, view-route equality — at every SIMD level the
 # host supports (the suite forces Scalar internally; STSM_SIMD=off is the
 # process-wide switch). Pinned by name, plus a bench-binary wiring smoke.
+# Also the conv-as-GEMM contract (the channels-last core within 1e-5 of the
+# scalar conv loop, 1-vs-3-thread and half-upcast bit-identity) and the
+# spmm contract (bitwise equal across SIMD levels, to the plain row loop and
+# across thread counts, NaN through explicit zeros).
 cargo test -q -p stsm-tensor --test kernel_tiling_equivalence
+cargo test -q -p stsm-tensor --test conv_equivalence
+cargo test -q -p stsm-graph --test graph_properties
 # The precision/quantization contract (DESIGN.md, "Precision &
 # quantization"): exhaustive f16/bf16 round-trip + RNE rounding +
 # scalar-vs-F16C bitwise equivalence, and quantize→save→load→predict
