@@ -22,7 +22,7 @@ use std::time::Instant;
 use stsm_core::{DistanceMode, ProblemInstance, StsmConfig};
 use stsm_graph::normalize_gcn;
 use stsm_synth::{presets, space_split, SplitAxis};
-use stsm_tensor::{bmm, conv1d_ntc, matmul, pool, Tensor};
+use stsm_tensor::{bmm, conv1d_ntc, matmul, pool, sigmoid, Tensor};
 use stsm_timeseries::dtw_all_pairs;
 
 /// Deterministic pseudo-random fill in [-0.5, 0.5) — no RNG state needed.
@@ -187,15 +187,29 @@ fn main() {
         let x = Tensor::from_vec([sensors, feat], fill(sensors * feat, 53, 999953));
         let flops = 2.0 * (adj.nnz() * feat) as f64;
         let reps = if smoke { 1 } else { 200 };
+        let groups = adj.row_groups().groups();
         cases.push(bench_case(
             "spmm",
-            &format!("{sensors}x{sensors} nnz{} f{feat}", adj.nnz()),
+            &format!("{sensors}x{sensors} nnz{} f{feat} groups{groups}", adj.nnz()),
             reps,
             Some(flops),
             || {
                 adj.matmul_dense(&x);
             },
         ));
+    }
+
+    // The gated GCN's sigmoid over one PEMS-08 window: N·T·H = 400×12×16.
+    {
+        let (n, t, h) = if smoke { (40usize, 12usize, 16usize) } else { (400, 12, 16) };
+        let x = Tensor::from_vec(
+            [n, t, h],
+            fill(n * t * h, 2654435761, 1000003).iter().map(|v| 16.0 * v).collect(),
+        );
+        let reps = if smoke { 1 } else { 500 };
+        cases.push(bench_case("sigmoid", &format!("{n}x{t}x{h}"), reps, None, || {
+            sigmoid(&x);
+        }));
     }
 
     // All-pairs DTW at the paper's daily-profile scale (band 16), pair-chunk

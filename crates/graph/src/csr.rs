@@ -2,7 +2,8 @@
 //! implementation — the storage format for all adjacency matrices.
 
 use serde::{Deserialize, Serialize};
-use stsm_tensor::{csr_spmm, LinMap, Tensor};
+use std::sync::OnceLock;
+use stsm_tensor::{csr_spmm, CsrRowGroups, LinMap, Tensor};
 
 /// A sparse matrix in compressed sparse row format.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -12,6 +13,11 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f32>,
+    /// The row-grouped layout of the spmm kernel, built on the first
+    /// product and shared by every later one (and by every thread holding
+    /// the matrix). Not serialized; a deserialized matrix rebuilds it.
+    #[serde(skip)]
+    groups: OnceLock<CsrRowGroups>,
 }
 
 impl CsrMatrix {
@@ -40,7 +46,7 @@ impl CsrMatrix {
         for r in 0..rows {
             row_ptr[r + 1] += row_ptr[r];
         }
-        CsrMatrix { rows, cols, row_ptr, col_idx, values }
+        CsrMatrix { rows, cols, row_ptr, col_idx, values, groups: OnceLock::new() }
     }
 
     /// Builds a CSR matrix from a dense row-major buffer, keeping entries with
@@ -126,18 +132,28 @@ impl CsrMatrix {
 
     /// Scales every stored value by `s`.
     pub fn scale(&self, s: f32) -> CsrMatrix {
-        let mut out = self.clone();
-        for v in &mut out.values {
-            *v *= s;
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values: self.values.iter().map(|v| v * s).collect(),
+            groups: OnceLock::new(),
         }
-        out
+    }
+
+    /// The row-grouped layout the spmm runs on, built on first use.
+    #[doc(hidden)]
+    pub fn row_groups(&self) -> &CsrRowGroups {
+        self.groups.get_or_init(|| CsrRowGroups::new(&self.row_ptr, &self.col_idx, &self.values))
     }
 
     /// Sparse-matrix × dense-matrix product. `x` is `(cols, features...)`;
-    /// the result is `(rows, features...)`. Runs the register-blocked
-    /// [`stsm_tensor::csr_spmm`] kernel: every stored entry is used in
-    /// stored order, so the result is bitwise equal at every SIMD level and
-    /// thread count.
+    /// the result is `(rows, features...)`. Runs the row-grouped
+    /// [`stsm_tensor::csr_spmm`] kernel on the cached layout: every stored
+    /// entry is used by its own row in stored order, so the result is
+    /// bitwise equal to the plain row loop at every SIMD level and thread
+    /// count.
     pub fn matmul_dense(&self, x: &Tensor) -> Tensor {
         assert!(x.rank() >= 1, "spmm input must have at least one dim");
         assert_eq!(
@@ -148,10 +164,10 @@ impl CsrMatrix {
             self.cols,
             x.shape()
         );
-        let feat = x.numel() / x.dim(0);
+        let feat = x.dims()[1..].iter().product();
         let mut out_dims = x.dims().to_vec();
         out_dims[0] = self.rows;
-        let out = csr_spmm(&self.row_ptr, &self.col_idx, &self.values, x.data(), feat);
+        let out = csr_spmm(self.row_groups(), x.data(), feat);
         Tensor::from_vec(out_dims, out)
     }
 
@@ -162,7 +178,9 @@ impl CsrMatrix {
 }
 
 /// A CSR matrix paired with its transpose so it can serve as an autograd
-/// [`LinMap`] (forward applies `A`, backward applies `Aᵀ`).
+/// [`LinMap`] (forward applies `A`, backward applies `Aᵀ`). Each side
+/// builds its spmm layout on its first product, so a forward-only map
+/// never builds the transpose's.
 pub struct CsrLinMap {
     forward: CsrMatrix,
     transpose: CsrMatrix,
@@ -285,6 +303,17 @@ mod tests {
         let g = tape.grad(x).unwrap();
         // grad = A^T @ 1 = column sums of A.
         assert_eq!(g.data(), &[4.0, 4.0, 2.0]);
+    }
+
+    #[test]
+    fn spmm_over_empty_inputs() {
+        // 3×0 against a 0-row x: three zero rows of width 5.
+        let m = CsrMatrix::from_triplets(3, 0, &[]);
+        let y = m.matmul_dense(&Tensor::zeros([0, 5]));
+        assert_eq!(y.dims(), &[3, 5]);
+        assert!(y.data().iter().all(|&v| v == 0.0));
+        let e = CsrMatrix::from_triplets(0, 0, &[]);
+        assert_eq!(e.matmul_dense(&Tensor::zeros([0, 5])).dims(), &[0, 5]);
     }
 
     #[test]

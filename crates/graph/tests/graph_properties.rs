@@ -2,23 +2,25 @@
 //! invariants, shortest-path metric properties, and the spmm kernel
 //! contract (pinned by name in `scripts/check.sh`): `matmul_dense` is
 //! bitwise equal at every SIMD level, to the plain row loop, and for any
-//! thread count — explicit zeros included, so NaN in `x` propagates.
+//! thread count — explicit zeros included, so NaN in `x` propagates, and
+//! on matrices dense enough to form multi-row groups a NaN stays in the
+//! rows that store its column.
 
 use proptest::prelude::*;
 use stsm_graph::{
-    all_pairs_shortest_paths, bfs_hops, connected_components, dijkstra, normalize_gcn,
-    normalize_row, CsrMatrix,
+    all_pairs_shortest_paths, bfs_hops, connected_components, dijkstra,
+    gaussian_threshold_adjacency, normalize_gcn, normalize_row, CsrMatrix,
 };
 use stsm_tensor::simd::{self, SimdLevel};
-use stsm_tensor::{pool, Tensor};
+use stsm_tensor::{csr_spmm, pool, CsrRowGroups, Tensor};
 
 fn triplet_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, usize, f32)>> {
     proptest::collection::vec((0..n, 0..n, 0.1f32..10.0), 0..3 * n)
 }
 
-/// Feature widths around the kernel's 8-lane vectors and 32-column blocks,
-/// plus STSM's T·H = 192.
-const SPMM_WIDTHS: [usize; 7] = [1, 7, 8, 31, 32, 33, 192];
+/// Feature widths around the kernel's 8-lane vectors and its 24- and
+/// 32-column blocks, plus STSM's T·H = 192.
+const SPMM_WIDTHS: [usize; 10] = [1, 7, 8, 23, 24, 25, 31, 32, 33, 192];
 
 /// Random CSR matrices whose stored values include explicit +0.0 / -0.0
 /// (`from_triplets` keeps them) and which often have empty rows.
@@ -108,6 +110,173 @@ fn spmm_bitwise_identical_for_one_and_three_threads() {
             assert_eq!(bits(one.data()), reference, "1 thread @ {lvl:?}");
             assert_eq!(bits(three.data()), reference, "3 threads @ {lvl:?}");
         });
+    }
+}
+
+/// A stored value that is sometimes an explicit +0.0 or -0.0.
+fn signed_zero_or(r: usize, c: usize, v: f32) -> f32 {
+    match (r * 7 + c * 3) % 11 {
+        0 => 0.0,
+        1 => -0.0,
+        _ => v,
+    }
+}
+
+/// Matrices dense enough that consecutive rows share most columns, so the
+/// row-grouped layout forms multi-row groups: a dense block, a band of
+/// width 11, and Eq. 2's Gaussian threshold over random coordinates sorted
+/// along one axis (neighbouring sensors share neighbours, as in `A_s`).
+fn grouped_matrices() -> Vec<(&'static str, CsrMatrix)> {
+    let n = 13;
+    let vals = fill(n * n, 11);
+    let dense: Vec<_> =
+        (0..n * n).map(|e| (e / n, e % n, signed_zero_or(e / n, e % n, vals[e]))).collect();
+    let n_band: usize = 60;
+    let band: Vec<_> = (0..n_band)
+        .flat_map(|r| (r.saturating_sub(5)..(r + 6).min(n_band)).map(move |c| (r, c)))
+        .map(|(r, c)| (r, c, signed_zero_or(r, c, 0.25 + (r * n_band + c) as f32 * 1e-3)))
+        .collect();
+    // Sensors along a thin strip, numbered in order along it.
+    let n_geo = 300;
+    let xs = fill(n_geo, 12);
+    let ys = fill(n_geo, 13).into_iter().map(|y| 0.05 * y);
+    let mut coords: Vec<(f32, f32)> = xs.into_iter().zip(ys).collect();
+    coords.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let dist: Vec<f32> = (0..n_geo * n_geo)
+        .map(|e| {
+            let (a, b) = (coords[e / n_geo], coords[e % n_geo]);
+            ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt()
+        })
+        .collect();
+    let geo = normalize_gcn(&gaussian_threshold_adjacency(&dist, n_geo, 0.7));
+    vec![
+        ("dense block", CsrMatrix::from_triplets(n, n, &dense)),
+        ("band", CsrMatrix::from_triplets(n_band, n_band, &band)),
+        ("gaussian", geo),
+    ]
+}
+
+#[test]
+fn grouped_spmm_bitwise_equal_to_the_row_loop() {
+    for (name, m) in grouped_matrices() {
+        assert!(m.row_groups().max_group_rows() > 1, "{name}: no multi-row group formed");
+        for feat in SPMM_WIDTHS {
+            let x = Tensor::from_vec([m.cols(), feat], fill(m.cols() * feat, feat as u64 + 7));
+            let reference = bits(&spmm_reference(&m, x.data(), feat));
+            for lvl in levels() {
+                let y = simd::with_level(lvl, || m.matmul_dense(&x));
+                assert_eq!(bits(y.data()), reference, "{name} f{feat} @ {lvl:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_spmm_keeps_nan_out_of_rows_without_its_column() {
+    let mut checked = 0;
+    for (name, m) in grouped_matrices() {
+        // Columns stored by row r but not by row r + 1: inside a group they
+        // are union slots the group's other rows must skip.
+        let stores = |r: usize, c: usize| m.row(r).any(|(rc, _)| rc == c);
+        let partial: Vec<usize> = (0..m.rows() - 1)
+            .filter_map(|r| m.row(r).map(|(c, _)| c).find(|&c| !stores(r + 1, c)))
+            .collect();
+        if partial.is_empty() {
+            continue; // the dense block stores every column in every row
+        }
+        checked += 1;
+        // One NaN column per product, so the rows that skip it stay finite.
+        for &c in partial.iter().step_by(partial.len().div_ceil(4)) {
+            for feat in SPMM_WIDTHS {
+                let mut xd = fill(m.cols() * feat, feat as u64);
+                xd[c * feat..(c + 1) * feat].fill(f32::NAN);
+                let x = Tensor::from_vec([m.cols(), feat], xd);
+                let reference = bits(&spmm_reference(&m, x.data(), feat));
+                for lvl in levels() {
+                    let y = simd::with_level(lvl, || m.matmul_dense(&x));
+                    for r in 0..m.rows() {
+                        let row = &y.data()[r * feat..(r + 1) * feat];
+                        let want = if stores(r, c) { f32::is_nan } else { f32::is_finite };
+                        assert!(
+                            row.iter().all(|&v| want(v)),
+                            "{name} col {c} row {r} f{feat} @ {lvl:?}"
+                        );
+                    }
+                    assert_eq!(bits(y.data()), reference, "{name} col {c} f{feat} @ {lvl:?}");
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 2, "band and gaussian must both have partially stored columns");
+}
+
+#[test]
+fn grouped_spmm_bitwise_identical_for_one_and_three_threads() {
+    let (_, m) = grouped_matrices().pop().expect("gaussian matrix");
+    let feat = 192;
+    // Large enough to split over the pool.
+    assert!(m.nnz() * feat > 1 << 19, "nnz {} too small to go parallel", m.nnz());
+    let x = Tensor::from_vec([m.cols(), feat], fill(m.cols() * feat, 21));
+    let reference = bits(&spmm_reference(&m, x.data(), feat));
+    for lvl in levels() {
+        simd::with_level(lvl, || {
+            let one = pool::with_max_threads(1, || m.matmul_dense(&x));
+            let three = pool::with_max_threads(3, || m.matmul_dense(&x));
+            assert_eq!(bits(one.data()), reference, "1 thread @ {lvl:?}");
+            assert_eq!(bits(three.data()), reference, "3 threads @ {lvl:?}");
+        });
+    }
+}
+
+#[test]
+fn raw_layout_keeps_an_unsorted_row_in_stored_order() {
+    // Rows 0, 2, 3 and 4 are ascending; row 1 is not (though its column set
+    // would fit row 0's group), and row 5 repeats a column. Each of those
+    // two must stay a group of one: {0} {1} {2, 3, 4} {5} {6}.
+    let rows: [&[usize]; 7] =
+        [&[0, 1, 2, 3], &[0, 1, 3, 2], &[0, 1, 2, 3], &[0, 1, 2, 3], &[0, 1, 2], &[2, 2, 1], &[]];
+    let mut row_ptr = vec![0];
+    let mut col_idx = Vec::new();
+    for r in rows {
+        col_idx.extend_from_slice(r);
+        row_ptr.push(col_idx.len());
+    }
+    let values: Vec<f32> = fill(col_idx.len(), 31).iter().map(|v| v * 1e3).collect();
+    let layout = CsrRowGroups::new(&row_ptr, &col_idx, &values);
+    assert_eq!((layout.groups(), layout.max_group_rows()), (5, 3));
+    for feat in SPMM_WIDTHS {
+        let x = fill(4 * feat, feat as u64 + 3);
+        let mut want = vec![0.0f32; rows.len() * feat];
+        for r in 0..rows.len() {
+            for e in row_ptr[r]..row_ptr[r + 1] {
+                let c = col_idx[e];
+                for j in 0..feat {
+                    want[r * feat + j] += values[e] * x[c * feat + j];
+                }
+            }
+        }
+        for lvl in levels() {
+            let got = simd::with_level(lvl, || csr_spmm(&layout, &x, feat));
+            assert_eq!(bits(&got), bits(&want), "f{feat} @ {lvl:?}");
+        }
+    }
+}
+
+#[test]
+fn scale_and_serde_after_a_product() {
+    for (name, m) in grouped_matrices() {
+        let feat = 24;
+        let x = Tensor::from_vec([m.cols(), feat], fill(m.cols() * feat, 5));
+        let json = serde_json::to_string(&m).expect("serialize");
+        let _ = m.matmul_dense(&x);
+        // The cached layout is not part of the serialized form.
+        assert_eq!(serde_json::to_string(&m).expect("serialize"), json, "{name}");
+        let back: CsrMatrix = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(bits(back.matmul_dense(&x).data()), bits(m.matmul_dense(&x).data()), "{name}");
+        // scale() must not reuse the unscaled layout.
+        let half = m.scale(0.5);
+        let reference = bits(&spmm_reference(&half, x.data(), feat));
+        assert_eq!(bits(half.matmul_dense(&x).data()), reference, "{name}");
     }
 }
 

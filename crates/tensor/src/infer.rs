@@ -204,7 +204,8 @@ impl InferSession {
     }
 
     pub(crate) fn sigmoid(&mut self, x: Var) -> Var {
-        self.unary(x, |v| 1.0 / (1.0 + (-v).exp()))
+        let out = kernels::sigmoid(self.val(x));
+        self.push(out)
     }
 
     pub(crate) fn tanh(&mut self, x: Var) -> Var {

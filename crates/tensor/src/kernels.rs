@@ -1,7 +1,7 @@
 //! Raw numeric kernels: matrix multiplication, dilated 1-D convolution (as
-//! one GEMM over a tap unfold), CSR sparse × dense products, and row-wise
-//! softmax. These are the hot paths of model training; everything else
-//! composes out of elementwise maps.
+//! one GEMM over a tap unfold), CSR sparse × dense products, row-wise
+//! softmax, and the shared polynomial sigmoid. These are the hot paths of
+//! model training; everything else composes out of elementwise maps.
 //!
 //! Matrix products route by size: at or above [`PACK_THRESHOLD`] multiply-
 //! adds they take the cache-blocked packed SIMD path ([`crate::gemm`]);
@@ -30,6 +30,7 @@ use crate::dtype::{self, DType};
 use crate::gemm::{self, AnyMatRef, BatchedMatRef, HalfMatRef, MatRef};
 use crate::pool::{self, SliceWriter};
 use crate::simd;
+use crate::sparse::CsrRowGroups;
 use crate::telemetry;
 use crate::tensor::Tensor;
 
@@ -602,44 +603,65 @@ fn col_sums(g: &[f32], n: usize) -> Vec<f32> {
     sums
 }
 
-/// Sparse × dense product `A·x` for a CSR matrix `A` given by its raw
-/// slices (`row_ptr` of length rows + 1, `col_idx`/`values` per stored
-/// entry) and a row-major `x` of `feat` columns; returns the row-major
+/// Sparse × dense product `A·x` for a CSR matrix `A` in its row-grouped
+/// layout and a row-major `x` of `feat` columns; returns the row-major
 /// (rows, feat) result.
 ///
-/// Each output row is one `simd::spmm_row` call: every stored entry is
-/// used (explicit zeros too, so a NaN in `x` propagates through them), in
-/// stored order, as a separate multiply then add from 0.0 — the same IEEE
-/// operations as the plain row loop at every SIMD level, so the result is
-/// bitwise equal across levels. Rows are chunked over the pool; output
-/// rows are disjoint, so it is bitwise equal for any thread count too.
-pub fn csr_spmm(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f32],
-    x: &[f32],
-    feat: usize,
-) -> Vec<f32> {
+/// Each group of up to four consecutive rows is one `simd::spmm_group`
+/// call, which loads every union column's `x` block once for all rows that
+/// store it. Every stored entry is used (explicit zeros too, so a NaN in
+/// `x` propagates through them) by its own row only — the presence masks,
+/// never zero padding, pick the rows — in stored order, as a separate
+/// multiply then add from 0.0: the same IEEE operations as the plain row
+/// loop at every SIMD level, so the result is bitwise equal across levels.
+/// Groups are chunked over the pool; they own disjoint output rows, so it
+/// is bitwise equal for any thread count too.
+pub fn csr_spmm(a: &CsrRowGroups, x: &[f32], feat: usize) -> Vec<f32> {
     let _t = telemetry::span("kernel.spmm");
-    let rows = row_ptr.len().checked_sub(1).expect("spmm: row_ptr holds rows + 1 offsets");
-    assert_eq!(col_idx.len(), values.len(), "spmm: one column index per value");
-    assert_eq!(row_ptr[rows], values.len(), "spmm: row_ptr must end at nnz");
+    let rows = a.rows();
     let mut out = alloc::buf_zeroed(rows * feat);
     if feat == 0 {
         return out;
     }
+    assert!(
+        a.col_bound() * feat <= x.len(),
+        "spmm: x holds {} rows of {feat}, the matrix reads row {}",
+        x.len() / feat,
+        a.col_bound().saturating_sub(1)
+    );
     let lvl = simd::level();
-    let row_work = values.len().div_ceil(rows.max(1)).max(1) * feat;
+    let group_work = a.walked_slots().div_ceil(a.groups().max(1)).max(1) * feat;
     let writer = SliceWriter::new(&mut out);
-    pool::par_chunks_weighted(rows, row_work, |rs| {
-        // Safety: row ranges are disjoint output rows.
+    pool::par_chunks_weighted(a.groups(), group_work, |gs| {
+        let rs = a.row_range(gs.clone());
+        // Safety: groups own disjoint, consecutive output rows.
         let chunk = unsafe { writer.slice(rs.start * feat..rs.end * feat) };
-        for (orow, r) in chunk.chunks_exact_mut(feat).zip(rs) {
-            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-            simd::spmm_row(lvl, &col_idx[lo..hi], &values[lo..hi], x, feat, orow);
+        let mut off = 0;
+        for g in gs {
+            let group = a.group(g);
+            let len = group.rows * feat;
+            // Safety: every union column is below `col_bound`, and
+            // `col_bound · feat <= x.len()` was asserted above.
+            unsafe { simd::spmm_group(lvl, group, x, feat, &mut chunk[off..off + len]) };
+            off += len;
         }
     });
     out
+}
+
+/// Elementwise logistic sigmoid `1 / (1 + exp(-x))` through the shared
+/// polynomial `exp` ([`simd::sigmoid_slice`]): within 3 ulp of the exact
+/// value, bitwise equal at every SIMD level. Every sigmoid of the model —
+/// the tape op, the Infer op and the fused GRU gates — runs through it, so
+/// the fused and composed paths stay bitwise equal.
+pub fn sigmoid(x: &Tensor) -> Tensor {
+    let _t = telemetry::span("kernel.sigmoid");
+    if x.dtype().is_half() {
+        return sigmoid(&x.to_dtype(DType::F32));
+    }
+    let mut out = alloc::buf_zeroed(x.numel());
+    simd::sigmoid_slice(x.data(), &mut out);
+    Tensor::from_vec(x.shape().clone(), out)
 }
 
 /// Numerically-stable softmax over the last axis. Parallel over rows.
@@ -753,20 +775,15 @@ pub fn addmm_backward(x: &Tensor, w: &Tensor, g: &Tensor) -> (Tensor, Tensor, Te
     (gx, gw, Tensor::from_vec([n], col_sums(g.data(), n)))
 }
 
-/// Fused GRU reset gate: `r = sigmoid(ar)`, `rh = r ⊙ h` in one pass.
+/// Fused GRU reset gate: `r = sigmoid(ar)`, `rh = r ⊙ h` in one node.
 /// Returns `(rh, r)`; `r` is saved for the backward pass. Bit-identical to
 /// `mul(sigmoid(ar), h)`.
 pub fn gru_rh(ar: &Tensor, h: &Tensor) -> (Tensor, Tensor) {
     assert_eq!(ar.shape(), h.shape(), "gru_rh shape mismatch");
-    let len = ar.numel();
-    let mut r = alloc::buf_with_capacity(len);
-    let mut rh = alloc::buf_with_capacity(len);
-    for (&av, &hv) in ar.data().iter().zip(h.data()) {
-        let rv = 1.0 / (1.0 + (-av).exp());
-        r.push(rv);
-        rh.push(rv * hv);
-    }
-    (Tensor::from_vec(ar.shape().clone(), rh), Tensor::from_vec(ar.shape().clone(), r))
+    let r = sigmoid(ar);
+    let mut rh = alloc::buf_with_capacity(ar.numel());
+    rh.extend(r.data().iter().zip(h.data()).map(|(&rv, &hv)| rv * hv));
+    (Tensor::from_vec(ar.shape().clone(), rh), r)
 }
 
 /// Backward pass of [`gru_rh`] given the saved gate `r`, the hidden state
@@ -785,28 +802,22 @@ pub fn gru_rh_backward(r: &Tensor, h: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
 }
 
 /// Fused GRU output gate: `z = sigmoid(az)`, `n = tanh(s)`,
-/// `h' = (1-z)⊙n + z⊙h` in one pass. Returns `(h', z, n)` with the gate
+/// `h' = (1-z)⊙n + z⊙h` in one node. Returns `(h', z, n)` with the gate
 /// activations saved for the backward pass. Bit-identical to the composed
 /// chain `add(mul(sub(1, z), n), mul(z, h))`.
 pub fn gru_out(az: &Tensor, s: &Tensor, h: &Tensor) -> (Tensor, Tensor, Tensor) {
     assert_eq!(az.shape(), h.shape(), "gru_out shape mismatch");
     assert_eq!(s.shape(), h.shape(), "gru_out shape mismatch");
     let len = az.numel();
-    let mut z = alloc::buf_with_capacity(len);
+    let z = sigmoid(az);
     let mut n = alloc::buf_with_capacity(len);
     let mut out = alloc::buf_with_capacity(len);
-    for ((&av, &sv), &hv) in az.data().iter().zip(s.data()).zip(h.data()) {
-        let zv = 1.0 / (1.0 + (-av).exp());
+    for ((&zv, &sv), &hv) in z.data().iter().zip(s.data()).zip(h.data()) {
         let nv = sv.tanh();
-        z.push(zv);
         n.push(nv);
         out.push((1.0 - zv) * nv + zv * hv);
     }
-    (
-        Tensor::from_vec(az.shape().clone(), out),
-        Tensor::from_vec(az.shape().clone(), z),
-        Tensor::from_vec(az.shape().clone(), n),
-    )
+    (Tensor::from_vec(az.shape().clone(), out), z, Tensor::from_vec(az.shape().clone(), n))
 }
 
 /// Backward pass of [`gru_out`] given the saved gates and output gradient:
@@ -996,7 +1007,6 @@ mod tests {
         let s = Tensor::from_vec([8, 8], pseudo_fill(len, 19, 401, 199.0));
         let h = Tensor::from_vec([8, 8], pseudo_fill(len, 23, 307, 151.0));
         let g = Tensor::from_vec([8, 8], pseudo_fill(len, 29, 203, 101.0));
-        let sigmoid = |t: &Tensor| t.map(|v| 1.0 / (1.0 + (-v).exp()));
         let (rh, r) = gru_rh(&ar, &h);
         assert_eq!(r, sigmoid(&ar));
         assert_eq!(rh, r.zip(&h, |a, b| a * b));

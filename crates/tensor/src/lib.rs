@@ -54,6 +54,7 @@ mod params;
 pub mod pool;
 mod shape;
 pub mod simd;
+mod sparse;
 mod tape;
 mod tape_ext;
 pub mod telemetry;
@@ -63,10 +64,11 @@ pub use dtype::DType;
 pub use infer::InferSession;
 pub use kernels::{
     addmm, bmm, bmm_nt, bmm_tn, conv1d_dilated, conv1d_ntc, csr_spmm, log_softmax_lastdim, matmul,
-    matmul_nt, matmul_raw, matmul_tn, softmax_lastdim,
+    matmul_nt, matmul_raw, matmul_tn, sigmoid, softmax_lastdim,
 };
 pub use linmap::{DenseLinMap, LinMap};
 pub use params::{ParamBinder, ParamId, ParamLayoutError, ParamStore};
 pub use shape::{Layout, Shape};
+pub use sparse::CsrRowGroups;
 pub use tape::{Tape, Var};
 pub use tensor::{Tensor, TensorView};

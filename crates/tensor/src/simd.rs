@@ -1,5 +1,6 @@
-//! Runtime-dispatched SIMD micro-kernels for the packed matmul path, plus
-//! the row kernel of the CSR spmm (`spmm_row`).
+//! Runtime-dispatched SIMD micro-kernels for the packed matmul path, the
+//! row-group kernel of the CSR spmm (`spmm_group`), and the polynomial
+//! `exp`/sigmoid ([`exp_slice`], [`sigmoid_slice`]).
 //!
 //! The unit of work is an `MR × NR` register tile: up to `MR` rows of `A`
 //! (read through arbitrary strides) against one packed `B` panel (`k × NR`
@@ -20,8 +21,8 @@
 //! The two tile paths may differ in the last ulp (FMA does not round the
 //! intermediate product); each is individually deterministic, and both stay
 //! within the `kernel_tiling_equivalence` tolerance of the naive reference.
-//! The spmm row kernel uses a separate multiply and add at both levels, so
-//! its two paths are bitwise equal.
+//! The spmm group kernel and the polynomial `exp` use separate multiplies
+//! and adds at both levels, so their two paths are bitwise equal.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -193,55 +194,160 @@ fn scalar_tile(args: TileArgs<'_>, out: &mut [f32]) {
     }
 }
 
-/// Columns per register block of [`spmm_row`]'s SIMD body: four `f32x8`
-/// accumulators.
-const SPMM_BLOCK: usize = 32;
+/// One group of consecutive CSR rows in the row-grouped layout
+/// ([`crate::CsrRowGroups`]): `rows` output rows (1..=4) over the ascending
+/// union of their columns.
+#[derive(Clone, Copy)]
+pub(crate) struct RowGroup<'a> {
+    /// Output rows of the group.
+    pub rows: usize,
+    /// Union columns, one `x` row each.
+    pub cols: &'a [u32],
+    /// Bit `r` set when row `r` stores that union column.
+    pub masks: &'a [u8],
+    /// Row `r`'s value of union entry `u` at `u · rows + r`.
+    pub values: &'a [f32],
+}
 
-/// One output row of a CSR × dense product: `out[j] += Σ_e values[e] ·
-/// x[cols[e]·feat + j]` over a zeroed `out` of length `feat`, the entries
-/// taken in stored order, each as a separate multiply then add.
+/// One group of the row-grouped CSR × dense product into the zeroed
+/// `rows × feat` block `out`: each row accumulates `v · x[c, ·]` over the
+/// union entries whose mask bit it owns, in ascending union order, as a
+/// separate multiply then add from 0.0.
 ///
-/// Both levels perform exactly these IEEE operations per element, in this
-/// order, from 0.0, so they are bitwise equal. The AVX2 body keeps each
-/// [`SPMM_BLOCK`]-column block in registers across all of the row's entries
-/// and stores it once, then runs single-vector blocks and a scalar tail.
-/// It deliberately uses `mul` + `add`, not FMA: a fused multiply-add skips
-/// the product's rounding and would break that equality.
+/// That is the plain row loop's sequence of IEEE operations for every
+/// output element, so both levels are bitwise equal to it. The AVX2 body
+/// loads each `x` block once per union entry for all rows of the group,
+/// keeps `rows × block` accumulators in registers (32 columns for 1–2 rows,
+/// 24 for 3–4), then runs 8-column blocks and a scalar tail. It uses `mul`
+/// + `add`, not FMA: a fused multiply-add skips the product's rounding.
+///
+/// # Safety
+/// Every union column `c` of `g` must address a full `x` row:
+/// `(c + 1) · feat <= x.len()` (the AVX2 body loads without bounds checks).
 #[inline]
-pub(crate) fn spmm_row(
+pub(crate) unsafe fn spmm_group(
     level: SimdLevel,
-    cols: &[usize],
-    values: &[f32],
+    g: RowGroup<'_>,
     x: &[f32],
     feat: usize,
     out: &mut [f32],
 ) {
-    assert_eq!(out.len(), feat, "spmm row length mismatch");
-    assert_eq!(cols.len(), values.len(), "spmm entry count mismatch");
+    debug_assert!((1..=4).contains(&g.rows));
+    debug_assert_eq!(out.len(), g.rows * feat, "spmm group output length mismatch");
+    debug_assert_eq!(g.values.len(), g.cols.len() * g.rows);
+    debug_assert!(g.cols.iter().all(|&c| (c as usize + 1) * feat <= x.len()));
     match level {
         #[cfg(target_arch = "x86_64")]
         // Safety: `level` is only Avx2Fma when the CPU reported AVX2 (or a
-        // test forced it on a machine that has it); every load and store is
-        // inside a bounds-checked slice of `x` or `out`.
-        SimdLevel::Avx2Fma => unsafe { avx2::spmm_row(cols, values, x, feat, out) },
-        _ => spmm_tail(cols, values, x, feat, 0, out),
+        // test forced it on a machine that has it); the caller guarantees
+        // every union column addresses a full `x` row.
+        SimdLevel::Avx2Fma => unsafe { avx2::spmm_group(g, x, feat, out) },
+        _ => spmm_group_tail(g, x, feat, 0, out),
     }
 }
 
-/// The plain row loop over columns `[from, feat)`: one pass of
-/// `out += v · x_row` per stored entry.
-fn spmm_tail(cols: &[usize], values: &[f32], x: &[f32], feat: usize, from: usize, out: &mut [f32]) {
-    for (&c, &v) in cols.iter().zip(values) {
+/// The masked walk over columns `[from, feat)`: one pass of
+/// `out_row += v · x_row` per union entry and owning row.
+fn spmm_group_tail(g: RowGroup<'_>, x: &[f32], feat: usize, from: usize, out: &mut [f32]) {
+    let RowGroup { rows, cols, masks, values } = g;
+    for ((&c, &m), vals) in cols.iter().zip(masks).zip(values.chunks_exact(rows)) {
+        let c = c as usize;
         let xrow = &x[c * feat + from..(c + 1) * feat];
-        for (o, &xv) in out[from..].iter_mut().zip(xrow) {
-            *o += v * xv;
+        for (r, &v) in vals.iter().enumerate() {
+            if m & (1 << r) != 0 {
+                for (o, &xv) in out[r * feat + from..(r + 1) * feat].iter_mut().zip(xrow) {
+                    *o += v * xv;
+                }
+            }
         }
+    }
+}
+
+// ------------------------------------------------------ exp and sigmoid
+//
+// One polynomial `exp` (Cephes `expf`: reduce by `n = round(t·log2e)` with a
+// two-part ln 2, a degree-5 polynomial on |r| ≤ ln2/2, scale by 2ⁿ through
+// the exponent bits) evaluated with the same multiplies and adds at both
+// levels, so the scalar mirror and the AVX2 body are bitwise equal.
+
+/// Above this `exp` returns +∞ (2ⁿ would leave the exponent range; true
+/// overflow is at 88.72).
+const EXP_HI: f32 = 88.37;
+/// Below this `exp` returns 0.0 (the result would be subnormal).
+const EXP_LO: f32 = -87.33;
+const LOG2E: f32 = std::f32::consts::LOG2_E;
+/// `ln 2` split so `n · LN2_HI` is exact for |n| ≤ 128.
+const LN2_HI: f32 = 355.0 / 512.0;
+const LN2_LO: f32 = -2.121_944_4e-4;
+const EXP_P: [f32; 6] =
+    [1.987_569_1e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_5e-1, 0.5];
+
+/// Scalar mirror of the vector `exp`: within 1 ulp of the exact value on
+/// `[EXP_LO, EXP_HI]`; +∞ above, 0.0 below, NaN for NaN.
+#[inline]
+fn exp_scalar(t: f32) -> f32 {
+    // Operand order of the vector max/min: a NaN `t` survives both clamps.
+    let lo = if EXP_LO > t { EXP_LO } else { t };
+    let c = if EXP_HI < lo { EXP_HI } else { lo };
+    let n = (c * LOG2E).round_ties_even();
+    let r = c - n * LN2_HI;
+    let r = r - n * LN2_LO;
+    let z = r * r;
+    let mut y = EXP_P[0];
+    for &p in &EXP_P[1..] {
+        y = y * r + p;
+    }
+    let y = y * z + r + 1.0;
+    let scale = f32::from_bits(((n as i32 + 127) as u32) << 23);
+    let e = y * scale;
+    if t > EXP_HI {
+        f32::INFINITY
+    } else if t < EXP_LO {
+        0.0
+    } else {
+        e
+    }
+}
+
+/// Scalar mirror of the vector sigmoid `1 / (1 + exp(-v))`.
+#[inline]
+fn sigmoid_scalar(v: f32) -> f32 {
+    1.0 / (1.0 + exp_scalar(-v))
+}
+
+/// `out[i] = exp(x[i])` through the shared polynomial: within 1 ulp of the
+/// exact value on `[-87.33, 88.37]`, +∞ above, 0.0 below, NaN for NaN;
+/// bitwise equal at both levels.
+pub fn exp_slice(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len(), "exp length mismatch");
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: Avx2Fma implies AVX2 at runtime; lengths checked above.
+        SimdLevel::Avx2Fma => unsafe { avx2::map8::<false>(x, out) },
+        _ => out.iter_mut().zip(x).for_each(|(o, &v)| *o = exp_scalar(v)),
+    }
+}
+
+/// `out[i] = 1 / (1 + exp(-x[i]))` through the shared polynomial `exp`:
+/// within 3 ulp of the exact logistic function wherever it is a normal
+/// float, σ(±0) = 0.5, σ(+∞) = 1, σ(−∞) = 0 exactly, NaN for NaN; bitwise
+/// equal at both levels.
+pub fn sigmoid_slice(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len(), "sigmoid length mismatch");
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: Avx2Fma implies AVX2 at runtime; lengths checked above.
+        SimdLevel::Avx2Fma => unsafe { avx2::map8::<true>(x, out) },
+        _ => out.iter_mut().zip(x).for_each(|(o, &v)| *o = sigmoid_scalar(v)),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{spmm_tail, TileArgs, MR, NR, SPMM_BLOCK};
+    use super::{
+        exp_scalar, sigmoid_scalar, spmm_group_tail, RowGroup, TileArgs, EXP_HI, EXP_LO, EXP_P,
+        LN2_HI, LN2_LO, LOG2E, MR, NR,
+    };
     use std::arch::x86_64::*;
 
     /// Generates a fixed-row-count AVX2 tile body. The row count is a
@@ -288,49 +394,164 @@ mod avx2 {
     avx2_tile_rows!(tile_r7, 7);
     avx2_tile_rows!(tile_r8, 8);
 
-    /// AVX2 body of [`super::spmm_row`]: register-blocked columns, mul +
-    /// add per entry in stored order, a scalar tail past the last vector.
+    /// AVX2 body of [`super::spmm_group`]: dispatches on the group's row
+    /// count to a fixed-shape kernel.
     ///
     /// # Safety
-    /// Requires AVX2 at runtime. `out.len() == feat` (asserted by the
-    /// caller); every `x` access goes through a bounds-checked slice.
+    /// Requires AVX2 at runtime; every union column must address a full
+    /// `x` row and `out` must hold `rows × feat` floats.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn spmm_row(
-        cols: &[usize],
-        values: &[f32],
+    pub(super) unsafe fn spmm_group(g: RowGroup<'_>, x: &[f32], feat: usize, out: &mut [f32]) {
+        match g.rows {
+            1 => spmm_group_rows::<1, 4>(g, x, feat, out),
+            2 => spmm_group_rows::<2, 4>(g, x, feat, out),
+            3 => spmm_group_rows::<3, 3>(g, x, feat, out),
+            _ => spmm_group_rows::<4, 3>(g, x, feat, out),
+        }
+    }
+
+    /// `R` rows in `L`-vector column blocks, then single-vector blocks,
+    /// then the scalar masked walk past the last vector.
+    ///
+    /// # Safety
+    /// As [`spmm_group`]: AVX2 at runtime, union columns address full `x`
+    /// rows.
+    #[target_feature(enable = "avx2")]
+    unsafe fn spmm_group_rows<const R: usize, const L: usize>(
+        g: RowGroup<'_>,
         x: &[f32],
         feat: usize,
         out: &mut [f32],
     ) {
-        const LANES: usize = SPMM_BLOCK / 8;
+        assert!(out.len() >= R * feat && g.values.len() >= g.cols.len() * R);
         let mut j = 0;
-        while j + SPMM_BLOCK <= feat {
-            let mut acc = [_mm256_setzero_ps(); LANES];
-            for (&c, &v) in cols.iter().zip(values) {
-                let xb = x[c * feat + j..c * feat + j + SPMM_BLOCK].as_ptr();
-                let vv = _mm256_set1_ps(v);
-                for (q, a) in acc.iter_mut().enumerate() {
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(vv, _mm256_loadu_ps(xb.add(8 * q))));
-                }
-            }
-            let ob = out[j..j + SPMM_BLOCK].as_mut_ptr();
-            for (q, a) in acc.iter().enumerate() {
-                _mm256_storeu_ps(ob.add(8 * q), *a);
-            }
-            j += SPMM_BLOCK;
+        while j + 8 * L <= feat {
+            spmm_block::<R, L>(g, x, feat, j, out);
+            j += 8 * L;
         }
         while j + 8 <= feat {
-            let mut acc = _mm256_setzero_ps();
-            for (&c, &v) in cols.iter().zip(values) {
-                let xv = _mm256_loadu_ps(x[c * feat + j..c * feat + j + 8].as_ptr());
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(v), xv));
-            }
-            _mm256_storeu_ps(out[j..j + 8].as_mut_ptr(), acc);
+            spmm_block::<R, 1>(g, x, feat, j, out);
             j += 8;
         }
         if j < feat {
-            spmm_tail(cols, values, x, feat, j, out);
+            spmm_group_tail(g, x, feat, j, out);
         }
+    }
+
+    /// Columns `[j, j + 8L)` of all `R` rows: each union entry's `x` block
+    /// is loaded once and added, as `mul` then `add`, to every row whose
+    /// mask bit is set; the accumulators are stored once at the end.
+    ///
+    /// # Safety
+    /// AVX2 at runtime; `j + 8L <= feat`, `out` holds `R × feat` floats and
+    /// every union column addresses a full `x` row.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn spmm_block<const R: usize, const L: usize>(
+        g: RowGroup<'_>,
+        x: &[f32],
+        feat: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        let full = (1u8 << R) - 1;
+        let (xp, vp) = (x.as_ptr(), g.values.as_ptr());
+        let mut acc = [[_mm256_setzero_ps(); L]; R];
+        for (u, (&c, &m)) in g.cols.iter().zip(g.masks).enumerate() {
+            let xb = xp.add(c as usize * feat + j);
+            let mut xv = [_mm256_setzero_ps(); L];
+            for (q, v) in xv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(xb.add(8 * q));
+            }
+            let vals = vp.add(u * R);
+            if m == full {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let vv = _mm256_set1_ps(*vals.add(r));
+                    for q in 0..L {
+                        a[q] = _mm256_add_ps(a[q], _mm256_mul_ps(vv, xv[q]));
+                    }
+                }
+            } else {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    if m & (1 << r) != 0 {
+                        let vv = _mm256_set1_ps(*vals.add(r));
+                        for q in 0..L {
+                            a[q] = _mm256_add_ps(a[q], _mm256_mul_ps(vv, xv[q]));
+                        }
+                    }
+                }
+            }
+        }
+        let op = out.as_mut_ptr();
+        for (r, a) in acc.iter().enumerate() {
+            for (q, v) in a.iter().enumerate() {
+                _mm256_storeu_ps(op.add(r * feat + j + 8 * q), *v);
+            }
+        }
+    }
+
+    /// `out = exp(x)`, or `out = sigmoid(x)` when `SIGMOID`: eight lanes at
+    /// a time, the scalar mirror on the remainder.
+    ///
+    /// # Safety
+    /// Requires AVX2 at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn map8<const SIGMOID: bool>(x: &[f32], out: &mut [f32]) {
+        let n = x.len().min(out.len());
+        let mut i = 0;
+        while i + 8 <= n {
+            let v = _mm256_loadu_ps(x.as_ptr().add(i));
+            let y = if SIGMOID { sigmoid8(v) } else { exp8(v) };
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), y);
+            i += 8;
+        }
+        for (o, &v) in out[i..n].iter_mut().zip(&x[i..n]) {
+            *o = if SIGMOID { sigmoid_scalar(v) } else { exp_scalar(v) };
+        }
+    }
+
+    /// Eight lanes of [`super::exp_scalar`], operation for operation.
+    ///
+    /// # Safety
+    /// Requires AVX2 at runtime.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn exp8(t: __m256) -> __m256 {
+        let set = _mm256_set1_ps;
+        // max/min return their second operand when either is NaN.
+        let c = _mm256_min_ps(set(EXP_HI), _mm256_max_ps(set(EXP_LO), t));
+        let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm256_mul_ps(c, set(LOG2E)),
+        );
+        let r = _mm256_sub_ps(c, _mm256_mul_ps(n, set(LN2_HI)));
+        let r = _mm256_sub_ps(r, _mm256_mul_ps(n, set(LN2_LO)));
+        let z = _mm256_mul_ps(r, r);
+        let mut y = set(EXP_P[0]);
+        for &p in &EXP_P[1..] {
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), set(p));
+        }
+        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), set(1.0));
+        let bits = _mm256_slli_epi32::<23>(_mm256_add_epi32(
+            _mm256_cvtps_epi32(n),
+            _mm256_set1_epi32(127),
+        ));
+        let e = _mm256_mul_ps(y, _mm256_castsi256_ps(bits));
+        let over = _mm256_cmp_ps::<_CMP_GT_OQ>(t, set(EXP_HI));
+        let under = _mm256_cmp_ps::<_CMP_LT_OQ>(t, set(EXP_LO));
+        let e = _mm256_blendv_ps(e, set(f32::INFINITY), over);
+        _mm256_blendv_ps(e, _mm256_setzero_ps(), under)
+    }
+
+    /// Eight lanes of [`super::sigmoid_scalar`].
+    ///
+    /// # Safety
+    /// Requires AVX2 at runtime.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn sigmoid8(v: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let neg = _mm256_xor_ps(v, _mm256_set1_ps(-0.0));
+        _mm256_div_ps(one, _mm256_add_ps(one, exp8(neg)))
     }
 
     /// Dispatches on the (dynamic) row count to a fixed-row tile body.

@@ -330,8 +330,14 @@ impl Tape {
     // ----------------------------------------------------------- elementwise
 
     fn unary(&self, x: Var, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
+        let out = self.value(x).map(f);
+        self.unary_out(x, out, df)
+    }
+
+    /// Pushes `out = f(x)`, already computed, with the elementwise
+    /// derivative `df(x, out)`.
+    fn unary_out(&self, x: Var, out: Tensor, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
         let tx = self.value(x);
-        let out = tx.map(f);
         let saved_out = out.clone();
         self.push(
             out,
@@ -354,9 +360,10 @@ impl Tape {
         self.unary(x, |v| v.max(0.0), |v, _| if v > 0.0 { 1.0 } else { 0.0 })
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid (the shared polynomial [`crate::sigmoid`]).
     pub fn sigmoid(&self, x: Var) -> Var {
-        self.unary(x, |v| 1.0 / (1.0 + (-v).exp()), |_, y| y * (1.0 - y))
+        let out = kernels::sigmoid(&self.value(x));
+        self.unary_out(x, out, |_, y| y * (1.0 - y))
     }
 
     /// Hyperbolic tangent.

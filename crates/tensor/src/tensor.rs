@@ -400,31 +400,50 @@ impl Tensor {
         let r = target.rank();
         let pad = r - self.shape.rank();
         let src_strides = self.shape.strides();
-        // Effective strides in the target frame: 0 where the source dim is 1 or absent.
-        let mut eff = vec![0usize; r];
-        for i in 0..r {
-            if i >= pad {
-                let sd = self.shape.dim(i - pad);
-                eff[i] = if sd == 1 { 0 } else { src_strides[i - pad] };
-            }
+        let tdims = target.dims();
+        // Effective strides in the target frame: 0 where the source dim is 1
+        // or absent.
+        let eff: Vec<usize> = (0..r)
+            .map(|i| match i.checked_sub(pad) {
+                Some(s) if self.shape.dim(s) != 1 => src_strides[s],
+                _ => 0,
+            })
+            .collect();
+        // Dims `[inner..]` match the source exactly, so each outer index
+        // copies one contiguous source run; dims `[bcast..inner]` are all
+        // broadcast, so that run repeats `reps` times back to back; an
+        // odometer walks the remaining dims `[..bcast]`.
+        let mut inner = r;
+        while inner > 0 && inner > pad && self.shape.dim(inner - 1 - pad) == tdims[inner - 1] {
+            inner -= 1;
         }
+        let mut bcast = inner;
+        while bcast > 0 && eff[bcast - 1] == 0 {
+            bcast -= 1;
+        }
+        let run: usize = tdims[inner..].iter().product();
+        let reps: usize = tdims[bcast..inner].iter().product();
+        let outer: usize = tdims[..bcast].iter().product();
         let n = target.numel();
         let mut out = alloc::buf_with_capacity(n);
-        let tdims = target.dims();
-        let mut idx = vec![0usize; r];
-        let mut src_off = 0usize;
         let data = self.data();
-        for _ in 0..n {
-            out.push(data[src_off]);
-            // Increment the multi-index, updating the source offset incrementally.
-            for i in (0..r).rev() {
-                idx[i] += 1;
-                src_off += eff[i];
-                if idx[i] < tdims[i] {
-                    break;
+        if n > 0 {
+            let mut idx = vec![0usize; bcast];
+            let mut src_off = 0usize;
+            for _ in 0..outer {
+                let block = &data[src_off..src_off + run];
+                for _ in 0..reps {
+                    out.extend_from_slice(block);
                 }
-                src_off -= eff[i] * tdims[i];
-                idx[i] = 0;
+                for i in (0..bcast).rev() {
+                    idx[i] += 1;
+                    src_off += eff[i];
+                    if idx[i] < tdims[i] {
+                        break;
+                    }
+                    src_off -= eff[i] * tdims[i];
+                    idx[i] = 0;
+                }
             }
         }
         Tensor {
@@ -1020,6 +1039,83 @@ mod tests {
         assert_eq!(c.data(), &[10., 10., 10., 20., 20., 20.]);
         let s = Tensor::scalar(7.0).broadcast_to(&Shape::new(&[2, 2]));
         assert_eq!(s.data(), &[7., 7., 7., 7.]);
+    }
+
+    /// The per-element odometer `broadcast_to` ran before it copied
+    /// contiguous runs, kept as the reference.
+    fn broadcast_reference(src: &Tensor, target: &Shape) -> Vec<f32> {
+        let src = src.to_dtype(DType::F32);
+        let r = target.rank();
+        let pad = r - src.shape.rank();
+        let strides = src.shape.strides();
+        let eff: Vec<usize> = (0..r)
+            .map(|i| if i < pad || src.shape.dim(i - pad) == 1 { 0 } else { strides[i - pad] })
+            .collect();
+        let tdims = target.dims();
+        let mut out = Vec::with_capacity(target.numel());
+        let mut idx = vec![0usize; r];
+        let mut off = 0usize;
+        for _ in 0..target.numel() {
+            out.push(src.data()[off]);
+            for i in (0..r).rev() {
+                idx[i] += 1;
+                off += eff[i];
+                if idx[i] < tdims[i] {
+                    break;
+                }
+                off -= eff[i] * tdims[i];
+                idx[i] = 0;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn broadcast_runs_match_the_odometer() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let fixed: [(&[usize], &[usize]); 6] = [
+            (&[1, 12, 16], &[400, 12, 16]), // Eq. 4's (1, T, H) → (N, T, H)
+            (&[5, 1, 4], &[5, 3, 4]),       // middle
+            (&[4], &[2, 3, 4]),             // rank-padded
+            (&[3, 1], &[3, 5]),             // trailing
+            (&[1, 1, 1], &[2, 3, 4]),       // all broadcast
+            (&[2, 1, 3, 1], &[2, 4, 3, 5]), // interleaved
+        ];
+        let mut pairs: Vec<(Vec<usize>, Vec<usize>)> =
+            fixed.iter().map(|(a, b)| (a.to_vec(), b.to_vec())).collect();
+        for _ in 0..200 {
+            let rank: usize = rng.random_range(1..=4);
+            let target: Vec<usize> = (0..rank).map(|_| rng.random_range(1..=5)).collect();
+            let keep: usize = rng.random_range(0..=rank);
+            let src: Vec<usize> = target[rank - keep..]
+                .iter()
+                .map(|&d| if rng.random::<f32>() < 0.4 { 1 } else { d })
+                .collect();
+            pairs.push((src, target));
+        }
+        for (i, (src_dims, target_dims)) in pairs.iter().enumerate() {
+            let src_shape = Shape::new(src_dims);
+            let vals: Vec<f32> =
+                (0..src_shape.numel()).map(|_| rng.random_range(-2.0..2.0)).collect();
+            let t = Tensor::from_vec(src_shape, vals);
+            let target = Shape::new(target_dims);
+            let want: Vec<u32> =
+                broadcast_reference(&t, &target).iter().map(|v| v.to_bits()).collect();
+            let got = t.broadcast_to(&target);
+            assert_eq!(got.shape(), &target);
+            let bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, want, "{src_dims:?} -> {target_dims:?}");
+            if i % 4 == 0 {
+                // A half tensor upcasts, then broadcasts the decoded values.
+                let h = t.to_dtype(DType::F16);
+                let hb = h.broadcast_to(&target).to_dtype(DType::F32);
+                let hb: Vec<u32> = hb.data().iter().map(|v| v.to_bits()).collect();
+                let hw: Vec<u32> =
+                    broadcast_reference(&h, &target).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(hb, hw, "f16 {src_dims:?} -> {target_dims:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ use rand::SeedableRng;
 use stsm_tensor::nn::{uniform, Fwd, GruCell, Linear};
 use stsm_tensor::optim::{clip_grad_norm, Adam, Optimizer};
 use stsm_tensor::{
-    bmm, conv1d_dilated, csr_spmm, log_softmax_lastdim, matmul, softmax_lastdim, telemetry,
-    ParamBinder, ParamStore, Tape, Tensor,
+    bmm, conv1d_dilated, csr_spmm, log_softmax_lastdim, matmul, sigmoid, softmax_lastdim,
+    telemetry, CsrRowGroups, ParamBinder, ParamStore, Tape, Tensor,
 };
 
 /// Serializes tests that toggle the process-wide telemetry gate.
@@ -44,7 +44,8 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
     let (row_ptr, col_idx) = ([0, 2, 2, 5], [0, 3, 1, 2, 3]);
     let values = uniform([5], -1.0, 1.0, &mut rng);
     let feats = uniform([4, 35], -1.0, 1.0, &mut rng);
-    let spmm = csr_spmm(&row_ptr, &col_idx, values.data(), feats.data(), 35);
+    let groups = CsrRowGroups::new(&row_ptr, &col_idx, values.data());
+    let spmm = csr_spmm(&groups, feats.data(), 35);
     vec![
         bits(&matmul(&a, &b)),
         bits(&bmm(&ba, &bb)),
@@ -52,6 +53,7 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
         bits(&softmax_lastdim(&logits)),
         bits(&log_softmax_lastdim(&logits)),
         spmm.iter().map(|v| v.to_bits()).collect(),
+        bits(&sigmoid(&logits)),
     ]
 }
 
@@ -131,6 +133,7 @@ fn enabled_probes_capture_kernel_and_tape_activity() {
             "kernel.conv1d",
             "kernel.softmax",
             "kernel.spmm",
+            "kernel.sigmoid",
             "tape.backward",
         ] {
             let s = report.spans.get(span).unwrap_or_else(|| panic!("missing span {span}"));

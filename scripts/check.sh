@@ -51,10 +51,15 @@ cargo test -q -p stsm-baselines --test baseline_training
 # Also the conv-as-GEMM contract (the channels-last core within 1e-5 of the
 # scalar conv loop, 1-vs-3-thread and half-upcast bit-identity) and the
 # spmm contract (bitwise equal across SIMD levels, to the plain row loop and
-# across thread counts, NaN through explicit zeros).
+# across thread counts, NaN through explicit zeros; on matrices that form
+# multi-row groups a NaN stays in the rows that store its column), and the
+# polynomial sigmoid contract (scalar == AVX2 bitwise over a bit-pattern
+# sweep, exp within 1 ulp and sigmoid within 3 ulp of f64, every caller on
+# the one kernel).
 cargo test -q -p stsm-tensor --test kernel_tiling_equivalence
 cargo test -q -p stsm-tensor --test conv_equivalence
 cargo test -q -p stsm-graph --test graph_properties
+cargo test -q -p stsm-tensor --test sigmoid_kernel
 # The precision/quantization contract (DESIGN.md, "Precision &
 # quantization"): exhaustive f16/bf16 round-trip + RNE rounding +
 # scalar-vs-F16C bitwise equivalence, and quantize→save→load→predict
