@@ -6,7 +6,10 @@
 //! measures both sides. Results are bit-identical by the pool's determinism
 //! contract; this binary only compares wall-clock. Cases with a known
 //! floating-op count also report GFLOP/s so kernel changes can be judged
-//! against machine peak, not just against the previous run.
+//! against machine peak, not just against the previous run. The kernels
+//! with a body per SIMD level (matmul, bmm, conv, spmm, sigmoid) are timed
+//! at every level the host supports, so one run shows what each tier buys
+//! and what a host without the top one gets.
 //!
 //! ```bash
 //! cargo run -p stsm-bench --release --bin bench_kernels            # full run
@@ -22,6 +25,7 @@ use std::time::Instant;
 use stsm_core::{DistanceMode, ProblemInstance, StsmConfig};
 use stsm_graph::normalize_gcn;
 use stsm_synth::{presets, space_split, SplitAxis};
+use stsm_tensor::simd::{self, SimdLevel};
 use stsm_tensor::{bmm, conv1d_ntc, matmul, pool, sigmoid, Tensor};
 use stsm_timeseries::dtw_all_pairs;
 
@@ -45,25 +49,30 @@ fn gflops(flops: Option<f64>, ms: f64) -> Option<f64> {
     flops.map(|fl| fl / (ms * 1e-3) / 1e9)
 }
 
-/// One serial-vs-pool case. `flops` is the floating-op count of a single
-/// call (2·m·k·n for a matmul) when one is meaningful.
+/// One serial-vs-pool case, run at SIMD `level` when one is given. `flops`
+/// is the floating-op count of a single call (2·m·k·n for a matmul) when
+/// one is meaningful.
 fn bench_case(
     name: &str,
+    level: Option<SimdLevel>,
     size: &str,
     reps: usize,
     flops: Option<f64>,
     mut f: impl FnMut(),
 ) -> serde_json::Value {
-    let serial_ms = pool::with_max_threads(1, || best_ms(reps, &mut f));
-    let parallel_ms = best_ms(reps, &mut f);
+    let (serial_ms, parallel_ms) = simd::with_level(level.unwrap_or_else(simd::level), || {
+        (pool::with_max_threads(1, || best_ms(reps, &mut f)), best_ms(reps, &mut f))
+    });
     let speedup = serial_ms / parallel_ms;
     let gf = gflops(flops, parallel_ms);
     let gf_col = gf.map_or(String::from("        -"), |g| format!("{g:>7.2} GF/s"));
+    let label = level.map_or(name.to_string(), |l| format!("{name} [{l:?}]"));
     println!(
-        "{name:<28} {size:<24} serial {serial_ms:>9.2} ms   pool {parallel_ms:>9.2} ms   speedup {speedup:>5.2}x   {gf_col}"
+        "{label:<28} {size:<24} serial {serial_ms:>9.2} ms   pool {parallel_ms:>9.2} ms   speedup {speedup:>5.2}x   {gf_col}"
     );
     json!({
         "name": name,
+        "level": level.map(|l| format!("{l:?}")),
         "size": size,
         "serial_ms": serial_ms,
         "parallel_ms": parallel_ms,
@@ -71,6 +80,20 @@ fn bench_case(
         "gflops_serial": gflops(flops, serial_ms),
         "gflops_parallel": gf,
     })
+}
+
+/// [`bench_case`] once per SIMD level the host supports.
+fn bench_levels(
+    cases: &mut Vec<serde_json::Value>,
+    name: &str,
+    size: &str,
+    reps: usize,
+    flops: Option<f64>,
+    mut f: impl FnMut(),
+) {
+    for lvl in simd::supported_levels() {
+        cases.push(bench_case(name, Some(lvl), size, reps, flops, &mut f));
+    }
 }
 
 /// Two named routes to the same result (no serial/pool split): used for the
@@ -103,6 +126,7 @@ fn bench_pair(
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let threads = pool::num_threads();
+    println!("SIMD levels timed: {:?}", simd::supported_levels());
     println!("pool threads: {threads} (STSM_NUM_THREADS overrides){}\n", {
         if smoke {
             "   [smoke: tiny sizes, JSON not written]"
@@ -125,9 +149,16 @@ fn main() {
             5
         };
         let flops = 2.0 * (dim * dim * dim) as f64;
-        cases.push(bench_case("matmul", &format!("{dim}x{dim}x{dim}"), reps, Some(flops), || {
-            matmul(&a, &b);
-        }));
+        bench_levels(
+            &mut cases,
+            "matmul",
+            &format!("{dim}x{dim}x{dim}"),
+            reps,
+            Some(flops),
+            || {
+                matmul(&a, &b);
+            },
+        );
     }
 
     // Batched matmul: packing shared across batch entries when possible.
@@ -138,9 +169,9 @@ fn main() {
         let b = Tensor::from_vec([bs, k, n], fill(bs * k * n, 89, 999961));
         let flops = 2.0 * (bs * m * k * n) as f64;
         let reps = if smoke { 1 } else { 5 };
-        cases.push(bench_case("bmm", &format!("{bs}x{m}x{k}x{n}"), reps, Some(flops), || {
+        bench_levels(&mut cases, "bmm", &format!("{bs}x{m}x{k}x{n}"), reps, Some(flops), || {
             bmm(&a, &b);
-        }));
+        });
     }
 
     // The TCN conv as the model runs it, channels-last (N, T, C) with bias:
@@ -163,7 +194,8 @@ fn main() {
         } else {
             50
         };
-        cases.push(bench_case(
+        bench_levels(
+            &mut cases,
             "conv1d_ntc",
             &format!("{n}x{t}x{c}->{c} k{k} d{d}"),
             reps,
@@ -171,7 +203,7 @@ fn main() {
             || {
                 conv1d_ntc(&x, &w, Some(&b), d);
             },
-        ));
+        );
     }
 
     // A_s propagation: the PEMS-08 preset's normalized spatial adjacency
@@ -188,7 +220,8 @@ fn main() {
         let flops = 2.0 * (adj.nnz() * feat) as f64;
         let reps = if smoke { 1 } else { 200 };
         let groups = adj.row_groups().groups();
-        cases.push(bench_case(
+        bench_levels(
+            &mut cases,
             "spmm",
             &format!("{sensors}x{sensors} nnz{} f{feat} groups{groups}", adj.nnz()),
             reps,
@@ -196,7 +229,7 @@ fn main() {
             || {
                 adj.matmul_dense(&x);
             },
-        ));
+        );
     }
 
     // The gated GCN's sigmoid over one PEMS-08 window: N·T·H = 400×12×16.
@@ -207,9 +240,9 @@ fn main() {
             fill(n * t * h, 2654435761, 1000003).iter().map(|v| 16.0 * v).collect(),
         );
         let reps = if smoke { 1 } else { 500 };
-        cases.push(bench_case("sigmoid", &format!("{n}x{t}x{h}"), reps, None, || {
+        bench_levels(&mut cases, "sigmoid", &format!("{n}x{t}x{h}"), reps, None, || {
             sigmoid(&x);
-        }));
+        });
     }
 
     // All-pairs DTW at the paper's daily-profile scale (band 16), pair-chunk
@@ -233,6 +266,7 @@ fn main() {
         };
         cases.push(bench_case(
             "dtw_all_pairs",
+            None,
             &format!("{n_series}x{steps} band16"),
             reps,
             None,
@@ -284,6 +318,7 @@ fn main() {
     let report = json!({
         "threads": threads,
         "host_cpus": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        "simd_level": format!("{:?}", simd::level()),
         "note": "serial = pool::with_max_threads(1); results bit-identical, only wall-clock differs; gflops from 2mkn-style op counts",
         "cases": cases,
     });

@@ -11,16 +11,16 @@ use stsm_graph::{
     all_pairs_shortest_paths, bfs_hops, connected_components, dijkstra,
     gaussian_threshold_adjacency, normalize_gcn, normalize_row, CsrMatrix,
 };
-use stsm_tensor::simd::{self, SimdLevel};
+use stsm_tensor::simd;
 use stsm_tensor::{csr_spmm, pool, CsrRowGroups, Tensor};
 
 fn triplet_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, usize, f32)>> {
     proptest::collection::vec((0..n, 0..n, 0.1f32..10.0), 0..3 * n)
 }
 
-/// Feature widths around the kernel's 8-lane vectors and its 24- and
-/// 32-column blocks, plus STSM's T·H = 192.
-const SPMM_WIDTHS: [usize; 10] = [1, 7, 8, 23, 24, 25, 31, 32, 33, 192];
+/// Feature widths around the kernels' 8- and 16-lane vectors and their
+/// 24-, 32- and 64-column blocks, plus STSM's T·H = 192.
+const SPMM_WIDTHS: [usize; 16] = [1, 7, 8, 15, 16, 17, 23, 24, 25, 31, 32, 33, 63, 64, 65, 192];
 
 /// Random CSR matrices whose stored values include explicit +0.0 / -0.0
 /// (`from_triplets` keeps them) and which often have empty rows.
@@ -66,15 +66,6 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
 }
 
-/// Every SIMD level this host can actually execute.
-fn levels() -> Vec<SimdLevel> {
-    let mut ls = vec![SimdLevel::Scalar];
-    if simd::level() != SimdLevel::Scalar {
-        ls.push(simd::level());
-    }
-    ls
-}
-
 #[test]
 fn spmm_nan_propagates_through_an_explicit_zero() {
     // Row 1 stores an explicit 0.0 against column 2, whose x row is NaN.
@@ -83,7 +74,7 @@ fn spmm_nan_propagates_through_an_explicit_zero() {
         let mut xd = fill(3 * feat, feat as u64);
         xd[2 * feat..].fill(f32::NAN);
         let x = Tensor::from_vec([3, feat], xd);
-        for lvl in levels() {
+        for lvl in simd::supported_levels() {
             let y = simd::with_level(lvl, || m.matmul_dense(&x));
             assert!(y.data()[..feat].iter().all(|v| v.is_finite()), "row 0 @ {lvl:?}");
             assert!(y.data()[feat..2 * feat].iter().all(|v| v.is_nan()), "row 1 @ {lvl:?}");
@@ -103,7 +94,7 @@ fn spmm_bitwise_identical_for_one_and_three_threads() {
     let m = CsrMatrix::from_triplets(n, n, &triplets);
     let x = Tensor::from_vec([n, feat], fill(n * feat, 5));
     let reference = bits(&spmm_reference(&m, x.data(), feat));
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             let one = pool::with_max_threads(1, || m.matmul_dense(&x));
             let three = pool::with_max_threads(3, || m.matmul_dense(&x));
@@ -163,7 +154,7 @@ fn grouped_spmm_bitwise_equal_to_the_row_loop() {
         for feat in SPMM_WIDTHS {
             let x = Tensor::from_vec([m.cols(), feat], fill(m.cols() * feat, feat as u64 + 7));
             let reference = bits(&spmm_reference(&m, x.data(), feat));
-            for lvl in levels() {
+            for lvl in simd::supported_levels() {
                 let y = simd::with_level(lvl, || m.matmul_dense(&x));
                 assert_eq!(bits(y.data()), reference, "{name} f{feat} @ {lvl:?}");
             }
@@ -192,7 +183,7 @@ fn grouped_spmm_keeps_nan_out_of_rows_without_its_column() {
                 xd[c * feat..(c + 1) * feat].fill(f32::NAN);
                 let x = Tensor::from_vec([m.cols(), feat], xd);
                 let reference = bits(&spmm_reference(&m, x.data(), feat));
-                for lvl in levels() {
+                for lvl in simd::supported_levels() {
                     let y = simd::with_level(lvl, || m.matmul_dense(&x));
                     for r in 0..m.rows() {
                         let row = &y.data()[r * feat..(r + 1) * feat];
@@ -218,7 +209,7 @@ fn grouped_spmm_bitwise_identical_for_one_and_three_threads() {
     assert!(m.nnz() * feat > 1 << 19, "nnz {} too small to go parallel", m.nnz());
     let x = Tensor::from_vec([m.cols(), feat], fill(m.cols() * feat, 21));
     let reference = bits(&spmm_reference(&m, x.data(), feat));
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             let one = pool::with_max_threads(1, || m.matmul_dense(&x));
             let three = pool::with_max_threads(3, || m.matmul_dense(&x));
@@ -255,7 +246,7 @@ fn raw_layout_keeps_an_unsorted_row_in_stored_order() {
                 }
             }
         }
-        for lvl in levels() {
+        for lvl in simd::supported_levels() {
             let got = simd::with_level(lvl, || csr_spmm(&layout, &x, feat));
             assert_eq!(bits(&got), bits(&want), "f{feat} @ {lvl:?}");
         }
@@ -328,10 +319,11 @@ proptest! {
         }
         let x = Tensor::from_vec([m.cols(), feat], xd);
         let reference = bits(&spmm_reference(&m, x.data(), feat));
-        let detected = m.matmul_dense(&x);
-        let scalar = simd::with_level(SimdLevel::Scalar, || m.matmul_dense(&x));
-        prop_assert_eq!(bits(detected.data()), reference.clone());
-        prop_assert_eq!(bits(scalar.data()), reference);
+        prop_assert_eq!(bits(m.matmul_dense(&x).data()), reference.clone());
+        for lvl in simd::supported_levels() {
+            let y = simd::with_level(lvl, || m.matmul_dense(&x));
+            prop_assert_eq!(bits(y.data()), reference.clone(), "{:?}", lvl);
+        }
     }
 
     #[test]

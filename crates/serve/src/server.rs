@@ -545,6 +545,8 @@ fn serve_loop(inner: &Arc<Inner>) {
                 let compute = picked_up.elapsed();
                 inner.counters.bump(&inner.counters.completed);
                 telemetry::record_duration("serve.request", job.enqueued.elapsed());
+                telemetry::record_duration("serve.queue_wait", queued);
+                telemetry::record_duration("serve.compute", compute);
                 let _ = job.tx.send(Ok(ForecastResponse {
                     prediction,
                     quality,

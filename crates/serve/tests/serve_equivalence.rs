@@ -2,7 +2,9 @@
 //! never *what* they are.
 //!
 //! * The telemetry gate is bitwise invisible: a served forecast with
-//!   `STSM_TELEMETRY` on equals one with it off, bit for bit.
+//!   `STSM_TELEMETRY` on equals one with it off, bit for bit; with it on,
+//!   each served request records `serve.request`, `serve.queue_wait` and
+//!   `serve.compute`.
 //! * A served window forecast equals the direct batch-path
 //!   [`Predictor`](stsm_core::Predictor) forecast, bit for bit — for the
 //!   f32 pool, the quantized pool, and across hot-swaps in both directions.
@@ -84,9 +86,16 @@ fn telemetry_gate_and_drain_are_output_invisible() {
 
     // The zero-overhead telemetry contract extends to the serving layer:
     // identical output bits with the registry on and off.
+    let count = |name: &str| telemetry::snapshot().histograms.get(name).map_or(0, |h| h.count);
+    let tail_names = ["serve.request", "serve.queue_wait", "serve.compute"];
+    let before = tail_names.map(count);
     let on = telemetry::with_telemetry(true, || serve_once(&p, model.clone(), cfg.t_in));
     let off = telemetry::with_telemetry(false, || serve_once(&p, model.clone(), cfg.t_in));
     assert_eq!(on, off, "telemetry gate must be bitwise invisible to served forecasts");
+    // Both served requests split their latency into queue wait and compute.
+    for (name, was) in tail_names.into_iter().zip(before) {
+        assert!(count(name) >= was + 2, "{name}: {} recorded, want >= {}", count(name), was + 2);
+    }
 
     // Graceful drain: queued work completes, new work is rejected typed.
     let server =

@@ -184,12 +184,12 @@ pub fn bits_finite(dt: DType, bits: u16) -> bool {
     }
 }
 
-/// True when the F16C vector conversions may be used: the dispatch level
-/// allows SIMD (env override and [`simd::with_level`] respected) and the CPU
-/// actually has F16C.
+/// True when the F16C vector conversions may be used: the dispatch level is
+/// any vector level (env override and [`simd::with_level`] respected) and
+/// the CPU actually has F16C.
 #[inline]
 fn use_f16c() -> bool {
-    simd::level() == SimdLevel::Avx2Fma && simd::f16c_available()
+    simd::level() != SimdLevel::Scalar && simd::f16c_available()
 }
 
 /// Quantizes `src` into `dst` element by element (RNE). Slices must have
@@ -287,6 +287,14 @@ mod f16c {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_vector_level_uses_f16c() {
+        for lvl in simd::supported_levels() {
+            let want = lvl != SimdLevel::Scalar && simd::f16c_available();
+            assert_eq!(simd::with_level(lvl, use_f16c), want, "{lvl:?}");
+        }
+    }
 
     #[test]
     fn metadata() {

@@ -528,7 +528,7 @@ mod tests {
         let (m, k, n) = (13, 21, 19);
         let a = fill(m * k, 7);
         let b = fill(k * n, 8);
-        for lvl in [SimdLevel::Scalar, simd::level()] {
+        for lvl in simd::supported_levels() {
             let run = || {
                 simd::with_level(lvl, || {
                     let mut out = vec![0.0f32; m * n];

@@ -10,45 +10,55 @@
 //! what makes the blocked kernel bit-deterministic for any thread count and
 //! any strip/panel partitioning (see [`crate::gemm`]).
 //!
-//! Two implementations are provided and selected once per process:
+//! Three implementations are provided; the process runs the highest level
+//! the CPU has:
 //!
-//! * **Avx2Fma** — explicit `std::arch` AVX2+FMA intrinsics, one `f32x8`
-//!   accumulator per row, fused multiply-add.
+//! * **Avx512** — AVX-512F intrinsics: one 16-lane `f32` vector per tile
+//!   row, fused multiply-add; 16-lane spmm blocks and `exp`.
+//! * **Avx2Fma** — AVX2+FMA intrinsics: the 16-column panel as two 8-lane
+//!   halves, each over the full `k`, fused multiply-add.
 //! * **Scalar** — a portable mirror of the same blocking with plain
 //!   multiply-then-add, used when the CPU lacks AVX2/FMA or when
 //!   `STSM_SIMD=off|0|false|scalar` forces it.
 //!
-//! The two tile paths may differ in the last ulp (FMA does not round the
-//! intermediate product); each is individually deterministic, and both stay
-//! within the `kernel_tiling_equivalence` tolerance of the naive reference.
-//! The spmm group kernel and the polynomial `exp` use separate multiplies
-//! and adds at both levels, so their two paths are bitwise equal.
+//! Every body performs, per output element, one fixed sequence of IEEE
+//! operations, so the levels agree bit for bit wherever they share that
+//! sequence: the Avx512 and Avx2Fma tiles both accumulate one FMA per `k`
+//! from 0.0 in ascending order and are bitwise equal; the scalar tile may
+//! differ from them in the last ulp (FMA does not round the intermediate
+//! product), and stays within the `kernel_tiling_equivalence` tolerance of
+//! the naive reference. The spmm group kernel and the polynomial `exp` use
+//! separate multiplies and adds at every level, so all three are bitwise
+//! equal there.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Rows per micro-tile.
 pub const MR: usize = 8;
-/// Columns per micro-tile (one AVX2 `f32` vector).
-pub const NR: usize = 8;
+/// Columns per micro-tile: one AVX-512 `f32` vector, or two AVX2 halves.
+pub const NR: usize = 16;
 
-/// Which micro-kernel implementation the process dispatches to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Which micro-kernel implementation the process dispatches to, ordered by
+/// capability (`Scalar < Avx2Fma < Avx512`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum SimdLevel {
     /// Portable scalar blocking (also the `STSM_SIMD=off` path).
     Scalar,
     /// AVX2 + FMA intrinsics (x86-64, runtime-detected).
     Avx2Fma,
+    /// AVX-512F intrinsics (x86-64, runtime-detected; implies AVX2 + FMA).
+    Avx512,
 }
 
 thread_local! {
-    /// Per-thread override used by tests to exercise both paths in-process;
+    /// Per-thread override used by tests to exercise every path in-process;
     /// see [`with_level`].
     static LEVEL_OVERRIDE: Cell<Option<SimdLevel>> = const { Cell::new(None) };
 }
 
 /// The process-wide dispatch level: `STSM_SIMD=off|0|false|scalar` forces
-/// [`SimdLevel::Scalar`]; otherwise the CPU is probed once for AVX2+FMA.
+/// [`SimdLevel::Scalar`]; otherwise the highest level the CPU has.
 pub fn level() -> SimdLevel {
     if let Some(l) = LEVEL_OVERRIDE.with(|c| c.get()) {
         return l;
@@ -60,22 +70,41 @@ pub fn level() -> SimdLevel {
                 return SimdLevel::Scalar;
             }
         }
-        detect()
+        detected()
     })
+}
+
+/// The highest level this CPU can execute, probed once.
+fn detected() -> SimdLevel {
+    static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
+    *DETECTED.get_or_init(detect)
 }
 
 #[cfg(target_arch = "x86_64")]
 fn detect() -> SimdLevel {
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        SimdLevel::Avx2Fma
-    } else {
+    use std::arch::is_x86_feature_detected as has;
+    if !(has!("avx2") && has!("fma")) {
         SimdLevel::Scalar
+    } else if has!("avx512f") {
+        SimdLevel::Avx512
+    } else {
+        SimdLevel::Avx2Fma
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 fn detect() -> SimdLevel {
     SimdLevel::Scalar
+}
+
+/// Every level this CPU can execute, in ascending order, whatever
+/// `STSM_SIMD` says: the levels the equivalence suites compare.
+#[doc(hidden)]
+pub fn supported_levels() -> Vec<SimdLevel> {
+    [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&l| l <= detected())
+        .collect()
 }
 
 /// True when the CPU has the F16C half-precision conversion instructions.
@@ -94,9 +123,10 @@ pub fn f16c_available() -> bool {
 
 /// Runs `f` with this thread's micro-kernel dispatch forced to `level`,
 /// restoring the previous override on exit (including on panic). Exists so
-/// the equivalence tests can compare the SIMD and scalar paths in one
-/// process without touching the environment. On non-x86 targets a forced
-/// `Avx2Fma` silently falls back to the scalar tile.
+/// the equivalence tests can compare the levels in one process without
+/// touching the environment. A level the CPU lacks is clamped to the
+/// highest one it has, so forcing never executes an unsupported
+/// instruction.
 pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<SimdLevel>);
     impl Drop for Restore {
@@ -104,7 +134,7 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
             LEVEL_OVERRIDE.with(|c| c.set(self.0));
         }
     }
-    let prev = LEVEL_OVERRIDE.with(|c| c.replace(Some(level)));
+    let prev = LEVEL_OVERRIDE.with(|c| c.replace(Some(level.min(detected()))));
     let _restore = Restore(prev);
     f()
 }
@@ -157,25 +187,24 @@ impl TileArgs<'_> {
     }
 }
 
-/// Computes one micro-tile with the given dispatch level.
+/// Computes one micro-tile with the given dispatch level (clamped to the
+/// levels the CPU has).
 #[inline]
 pub fn tile(level: SimdLevel, args: TileArgs<'_>, out: &mut [f32]) {
     args.debug_check(out.len());
-    match level {
+    match level.min(detected()) {
+        // Safety (both arms): the clamp above leaves only levels the CPU
+        // reported; bounds were debug-checked above and are guaranteed by
+        // the gemm driver.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => {
-            // Safety: `level` is only Avx2Fma when the CPU reported AVX2+FMA
-            // (or a test forced it on a machine that has them); bounds were
-            // debug-checked above and are guaranteed by the gemm driver.
-            unsafe { avx2::tile(args, out) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2Fma => scalar_tile(args, out),
-        SimdLevel::Scalar => scalar_tile(args, out),
+        SimdLevel::Avx512 => unsafe { avx512::tile(args, out) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => unsafe { avx2::tile(args, out) },
+        _ => scalar_tile(args, out),
     }
 }
 
-/// Portable mirror of the AVX2 tile: same blocking, same ascending-`k`
+/// Portable mirror of the vector tiles: same blocking, same ascending-`k`
 /// accumulation order, plain multiply-then-add arithmetic.
 fn scalar_tile(args: TileArgs<'_>, out: &mut [f32]) {
     let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, rows, cols } = args;
@@ -215,15 +244,19 @@ pub(crate) struct RowGroup<'a> {
 /// separate multiply then add from 0.0.
 ///
 /// That is the plain row loop's sequence of IEEE operations for every
-/// output element, so both levels are bitwise equal to it. The AVX2 body
-/// loads each `x` block once per union entry for all rows of the group,
-/// keeps `rows × block` accumulators in registers (32 columns for 1–2 rows,
-/// 24 for 3–4), then runs 8-column blocks and a scalar tail. It uses `mul`
-/// + `add`, not FMA: a fused multiply-add skips the product's rounding.
+/// output element, so every level is bitwise equal to it. The vector
+/// bodies load each `x` block once per union entry for all rows of the
+/// group and keep `rows × block` accumulators in registers, then run
+/// one-vector blocks and a scalar tail: AVX-512 in 64-column blocks (4
+/// ZMM per row), AVX2 in 32 columns for 1–2 rows and 24 for 3–4. They use
+/// `mul` + `add`, not FMA: a fused multiply-add skips the product's
+/// rounding.
 ///
 /// # Safety
-/// Every union column `c` of `g` must address a full `x` row:
-/// `(c + 1) · feat <= x.len()` (the AVX2 body loads without bounds checks).
+/// `level` must be one the CPU has (any value [`level`] returns). Every
+/// union column `c` of `g` must address a full `x` row:
+/// `(c + 1) · feat <= x.len()` (the vector bodies load without bounds
+/// checks).
 #[inline]
 pub(crate) unsafe fn spmm_group(
     level: SimdLevel,
@@ -237,10 +270,11 @@ pub(crate) unsafe fn spmm_group(
     debug_assert_eq!(g.values.len(), g.cols.len() * g.rows);
     debug_assert!(g.cols.iter().all(|&c| (c as usize + 1) * feat <= x.len()));
     match level {
+        // Safety (both arms): the caller guarantees the CPU has `level` and
+        // that every union column addresses a full `x` row.
         #[cfg(target_arch = "x86_64")]
-        // Safety: `level` is only Avx2Fma when the CPU reported AVX2 (or a
-        // test forced it on a machine that has it); the caller guarantees
-        // every union column addresses a full `x` row.
+        SimdLevel::Avx512 => unsafe { avx512::spmm_group(g, x, feat, out) },
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma => unsafe { avx2::spmm_group(g, x, feat, out) },
         _ => spmm_group_tail(g, x, feat, 0, out),
     }
@@ -267,8 +301,9 @@ fn spmm_group_tail(g: RowGroup<'_>, x: &[f32], feat: usize, from: usize, out: &m
 //
 // One polynomial `exp` (Cephes `expf`: reduce by `n = round(t·log2e)` with a
 // two-part ln 2, a degree-5 polynomial on |r| ≤ ln2/2, scale by 2ⁿ through
-// the exponent bits) evaluated with the same multiplies and adds at both
-// levels, so the scalar mirror and the AVX2 body are bitwise equal.
+// the exponent bits) evaluated with the same multiplies and adds at every
+// level, so the scalar mirror and the AVX2 and AVX-512 bodies are bitwise
+// equal.
 
 /// Above this `exp` returns +∞ (2ⁿ would leave the exponent range; true
 /// overflow is at 88.72).
@@ -317,12 +352,15 @@ fn sigmoid_scalar(v: f32) -> f32 {
 
 /// `out[i] = exp(x[i])` through the shared polynomial: within 1 ulp of the
 /// exact value on `[-87.33, 88.37]`, +∞ above, 0.0 below, NaN for NaN;
-/// bitwise equal at both levels.
+/// bitwise equal at every level.
 pub fn exp_slice(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "exp length mismatch");
     match level() {
+        // Safety (both arms): `level()` returns only levels the CPU has;
+        // lengths checked above.
         #[cfg(target_arch = "x86_64")]
-        // Safety: Avx2Fma implies AVX2 at runtime; lengths checked above.
+        SimdLevel::Avx512 => unsafe { avx512::map16::<false>(x, out) },
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma => unsafe { avx2::map8::<false>(x, out) },
         _ => out.iter_mut().zip(x).for_each(|(o, &v)| *o = exp_scalar(v)),
     }
@@ -331,12 +369,15 @@ pub fn exp_slice(x: &[f32], out: &mut [f32]) {
 /// `out[i] = 1 / (1 + exp(-x[i]))` through the shared polynomial `exp`:
 /// within 3 ulp of the exact logistic function wherever it is a normal
 /// float, σ(±0) = 0.5, σ(+∞) = 1, σ(−∞) = 0 exactly, NaN for NaN; bitwise
-/// equal at both levels.
+/// equal at every level.
 pub fn sigmoid_slice(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "sigmoid length mismatch");
     match level() {
+        // Safety (both arms): `level()` returns only levels the CPU has;
+        // lengths checked above.
         #[cfg(target_arch = "x86_64")]
-        // Safety: Avx2Fma implies AVX2 at runtime; lengths checked above.
+        SimdLevel::Avx512 => unsafe { avx512::map16::<true>(x, out) },
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2Fma => unsafe { avx2::map8::<true>(x, out) },
         _ => out.iter_mut().zip(x).for_each(|(o, &v)| *o = sigmoid_scalar(v)),
     }
@@ -352,7 +393,9 @@ mod avx2 {
 
     /// Generates a fixed-row-count AVX2 tile body. The row count is a
     /// constant so the accumulator array stays in registers and the
-    /// per-`k` row loop fully unrolls.
+    /// per-`k` row loop fully unrolls. The 16-column panel runs as two
+    /// 8-lane halves, each over the full `k`, so only `R` accumulators are
+    /// live (two halves at once would need 2R + 2 of the 16 YMM registers).
     macro_rules! avx2_tile_rows {
         ($name:ident, $rows:expr) => {
             #[target_feature(enable = "avx2", enable = "fma")]
@@ -360,25 +403,28 @@ mod avx2 {
                 const R: usize = $rows;
                 let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, .. } = args;
                 let ap = a.as_ptr().add(a_base);
-                let bptr = bp.as_ptr();
-                let mut acc = [_mm256_setzero_ps(); R];
-                for kk in 0..k {
-                    let bv = _mm256_loadu_ps(bptr.add(kk * NR));
-                    for r in 0..R {
-                        let av = _mm256_set1_ps(*ap.add(r * a_rs + kk * a_cs));
-                        acc[r] = _mm256_fmadd_ps(av, bv, acc[r]);
+                for c0 in (0..cols).step_by(8) {
+                    let bptr = bp.as_ptr().add(c0);
+                    let mut acc = [_mm256_setzero_ps(); R];
+                    for kk in 0..k {
+                        let bv = _mm256_loadu_ps(bptr.add(kk * NR));
+                        for r in 0..R {
+                            let av = _mm256_set1_ps(*ap.add(r * a_rs + kk * a_cs));
+                            acc[r] = _mm256_fmadd_ps(av, bv, acc[r]);
+                        }
                     }
-                }
-                if cols == NR {
-                    for r in 0..R {
-                        _mm256_storeu_ps(out.as_mut_ptr().add(o_base + r * o_rs), acc[r]);
-                    }
-                } else {
-                    let mut lane = [0.0f32; NR];
-                    for r in 0..R {
-                        _mm256_storeu_ps(lane.as_mut_ptr(), acc[r]);
-                        out[o_base + r * o_rs..o_base + r * o_rs + cols]
-                            .copy_from_slice(&lane[..cols]);
+                    let n = (cols - c0).min(8);
+                    if n == 8 {
+                        for r in 0..R {
+                            _mm256_storeu_ps(out.as_mut_ptr().add(o_base + r * o_rs + c0), acc[r]);
+                        }
+                    } else {
+                        let mut lane = [0.0f32; 8];
+                        for r in 0..R {
+                            _mm256_storeu_ps(lane.as_mut_ptr(), acc[r]);
+                            let o = o_base + r * o_rs + c0;
+                            out[o..o + n].copy_from_slice(&lane[..n]);
+                        }
                     }
                 }
             }
@@ -574,6 +620,236 @@ mod avx2 {
     }
 }
 
+/// The AVX-512F bodies: the AVX2 bodies' operation sequences on 16 lanes.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{
+        exp_scalar, sigmoid_scalar, spmm_group_tail, RowGroup, TileArgs, EXP_HI, EXP_LO, EXP_P,
+        LN2_HI, LN2_LO, LOG2E, MR, NR,
+    };
+    use std::arch::x86_64::*;
+
+    /// Generates a fixed-row-count AVX-512 tile body: one ZMM accumulator
+    /// per row over the whole 16-column panel, stored through a lane mask
+    /// when the panel is partial.
+    macro_rules! avx512_tile_rows {
+        ($name:ident, $rows:expr) => {
+            #[target_feature(enable = "avx512f")]
+            unsafe fn $name(args: TileArgs<'_>, out: &mut [f32]) {
+                const R: usize = $rows;
+                let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, .. } = args;
+                let ap = a.as_ptr().add(a_base);
+                let bptr = bp.as_ptr();
+                let mut acc = [_mm512_setzero_ps(); R];
+                for kk in 0..k {
+                    let bv = _mm512_loadu_ps(bptr.add(kk * NR));
+                    for r in 0..R {
+                        let av = _mm512_set1_ps(*ap.add(r * a_rs + kk * a_cs));
+                        acc[r] = _mm512_fmadd_ps(av, bv, acc[r]);
+                    }
+                }
+                let mask: __mmask16 = u16::MAX >> (NR - cols);
+                for r in 0..R {
+                    _mm512_mask_storeu_ps(out.as_mut_ptr().add(o_base + r * o_rs), mask, acc[r]);
+                }
+            }
+        };
+    }
+
+    avx512_tile_rows!(tile_r1, 1);
+    avx512_tile_rows!(tile_r2, 2);
+    avx512_tile_rows!(tile_r3, 3);
+    avx512_tile_rows!(tile_r4, 4);
+    avx512_tile_rows!(tile_r5, 5);
+    avx512_tile_rows!(tile_r6, 6);
+    avx512_tile_rows!(tile_r7, 7);
+    avx512_tile_rows!(tile_r8, 8);
+
+    /// Dispatches on the (dynamic) row count to a fixed-row tile body.
+    ///
+    /// # Safety
+    /// Requires AVX-512F at runtime and in-bounds `args` (the gemm driver
+    /// guarantees both; bounds are additionally debug-asserted upstream).
+    pub(super) unsafe fn tile(args: TileArgs<'_>, out: &mut [f32]) {
+        debug_assert!(args.rows >= 1 && args.rows <= MR);
+        match args.rows {
+            1 => tile_r1(args, out),
+            2 => tile_r2(args, out),
+            3 => tile_r3(args, out),
+            4 => tile_r4(args, out),
+            5 => tile_r5(args, out),
+            6 => tile_r6(args, out),
+            7 => tile_r7(args, out),
+            _ => tile_r8(args, out),
+        }
+    }
+
+    /// AVX-512 body of [`super::spmm_group`]: dispatches on the group's
+    /// row count to a fixed-shape kernel.
+    ///
+    /// # Safety
+    /// Requires AVX-512F at runtime; every union column must address a full
+    /// `x` row and `out` must hold `rows × feat` floats.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn spmm_group(g: RowGroup<'_>, x: &[f32], feat: usize, out: &mut [f32]) {
+        match g.rows {
+            1 => spmm_group_rows::<1>(g, x, feat, out),
+            2 => spmm_group_rows::<2>(g, x, feat, out),
+            3 => spmm_group_rows::<3>(g, x, feat, out),
+            _ => spmm_group_rows::<4>(g, x, feat, out),
+        }
+    }
+
+    /// `R` rows in 64-column blocks (4 ZMM accumulators per row, at most 16
+    /// of the 32 registers), then 16-column blocks, then the scalar masked
+    /// walk past the last vector.
+    ///
+    /// # Safety
+    /// As [`spmm_group`]: AVX-512F at runtime, union columns address full
+    /// `x` rows.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn spmm_group_rows<const R: usize>(
+        g: RowGroup<'_>,
+        x: &[f32],
+        feat: usize,
+        out: &mut [f32],
+    ) {
+        assert!(out.len() >= R * feat && g.values.len() >= g.cols.len() * R);
+        let mut j = 0;
+        while j + 64 <= feat {
+            spmm_block::<R, 4>(g, x, feat, j, out);
+            j += 64;
+        }
+        while j + 16 <= feat {
+            spmm_block::<R, 1>(g, x, feat, j, out);
+            j += 16;
+        }
+        if j < feat {
+            spmm_group_tail(g, x, feat, j, out);
+        }
+    }
+
+    /// Columns `[j, j + 16L)` of all `R` rows: each union entry's `x` block
+    /// is loaded once and added, as `mul` then `add`, to every row whose
+    /// mask bit is set; the accumulators are stored once at the end.
+    ///
+    /// # Safety
+    /// AVX-512F at runtime; `j + 16L <= feat`, `out` holds `R × feat`
+    /// floats and every union column addresses a full `x` row.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn spmm_block<const R: usize, const L: usize>(
+        g: RowGroup<'_>,
+        x: &[f32],
+        feat: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        let full = (1u8 << R) - 1;
+        let (xp, vp) = (x.as_ptr(), g.values.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); L]; R];
+        for (u, (&c, &m)) in g.cols.iter().zip(g.masks).enumerate() {
+            let xb = xp.add(c as usize * feat + j);
+            let mut xv = [_mm512_setzero_ps(); L];
+            for (q, v) in xv.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(xb.add(16 * q));
+            }
+            let vals = vp.add(u * R);
+            if m == full {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let vv = _mm512_set1_ps(*vals.add(r));
+                    for q in 0..L {
+                        a[q] = _mm512_add_ps(a[q], _mm512_mul_ps(vv, xv[q]));
+                    }
+                }
+            } else {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    if m & (1 << r) != 0 {
+                        let vv = _mm512_set1_ps(*vals.add(r));
+                        for q in 0..L {
+                            a[q] = _mm512_add_ps(a[q], _mm512_mul_ps(vv, xv[q]));
+                        }
+                    }
+                }
+            }
+        }
+        let op = out.as_mut_ptr();
+        for (r, a) in acc.iter().enumerate() {
+            for (q, v) in a.iter().enumerate() {
+                _mm512_storeu_ps(op.add(r * feat + j + 16 * q), *v);
+            }
+        }
+    }
+
+    /// `out = exp(x)`, or `out = sigmoid(x)` when `SIGMOID`: sixteen lanes
+    /// at a time, the scalar mirror on the remainder.
+    ///
+    /// # Safety
+    /// Requires AVX-512F at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn map16<const SIGMOID: bool>(x: &[f32], out: &mut [f32]) {
+        let n = x.len().min(out.len());
+        let mut i = 0;
+        while i + 16 <= n {
+            let v = _mm512_loadu_ps(x.as_ptr().add(i));
+            let y = if SIGMOID { sigmoid16(v) } else { exp16(v) };
+            _mm512_storeu_ps(out.as_mut_ptr().add(i), y);
+            i += 16;
+        }
+        for (o, &v) in out[i..n].iter_mut().zip(&x[i..n]) {
+            *o = if SIGMOID { sigmoid_scalar(v) } else { exp_scalar(v) };
+        }
+    }
+
+    /// Sixteen lanes of [`super::exp_scalar`], operation for operation.
+    ///
+    /// # Safety
+    /// Requires AVX-512F at runtime.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn exp16(t: __m512) -> __m512 {
+        let set = _mm512_set1_ps;
+        // max/min return their second operand when either is NaN.
+        let c = _mm512_min_ps(set(EXP_HI), _mm512_max_ps(set(EXP_LO), t));
+        let n = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm512_mul_ps(c, set(LOG2E)),
+        );
+        let r = _mm512_sub_ps(c, _mm512_mul_ps(n, set(LN2_HI)));
+        let r = _mm512_sub_ps(r, _mm512_mul_ps(n, set(LN2_LO)));
+        let z = _mm512_mul_ps(r, r);
+        let mut y = set(EXP_P[0]);
+        for &p in &EXP_P[1..] {
+            y = _mm512_add_ps(_mm512_mul_ps(y, r), set(p));
+        }
+        let y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(y, z), r), set(1.0));
+        let bits = _mm512_slli_epi32::<23>(_mm512_add_epi32(
+            _mm512_cvtps_epi32(n),
+            _mm512_set1_epi32(127),
+        ));
+        let e = _mm512_mul_ps(y, _mm512_castsi512_ps(bits));
+        let over = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(t, set(EXP_HI));
+        let under = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(t, set(EXP_LO));
+        let e = _mm512_mask_blend_ps(over, e, set(f32::INFINITY));
+        _mm512_mask_blend_ps(under, e, _mm512_setzero_ps())
+    }
+
+    /// Sixteen lanes of [`super::sigmoid_scalar`]. The sign flips through
+    /// an integer xor: `_mm512_xor_ps` needs AVX512DQ.
+    ///
+    /// # Safety
+    /// Requires AVX-512F at runtime.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn sigmoid16(v: __m512) -> __m512 {
+        let one = _mm512_set1_ps(1.0);
+        let neg = _mm512_castsi512_ps(_mm512_xor_si512(
+            _mm512_castps_si512(v),
+            _mm512_set1_epi32(i32::MIN),
+        ));
+        _mm512_div_ps(one, _mm512_add_ps(one, exp16(neg)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,17 +891,22 @@ mod tests {
                     rows,
                     cols,
                 };
-                let mut want = vec![0.0f32; MR * NR];
+                // NaN marks the outputs the tile must leave untouched.
+                let mut want = vec![f32::NAN; MR * NR];
                 reference_tile(&args, &mut want);
-                for lvl in [SimdLevel::Scalar, level()] {
-                    let mut got = vec![0.0f32; MR * NR];
+                for lvl in supported_levels() {
+                    let mut got = vec![f32::NAN; MR * NR];
                     tile(lvl, args, &mut got);
                     for i in 0..MR * NR {
+                        let ok = if want[i].is_nan() {
+                            got[i].is_nan()
+                        } else {
+                            (got[i] - want[i]).abs() <= 1e-4 * want[i].abs().max(1.0)
+                        };
                         assert!(
-                            (got[i] - want[i]).abs() <= 1e-4 * want[i].abs().max(1.0),
+                            ok,
                             "{lvl:?} rows={rows} cols={cols} idx={i}: {} vs {}",
-                            got[i],
-                            want[i]
+                            got[i], want[i]
                         );
                     }
                 }
@@ -648,7 +929,7 @@ mod tests {
         let a_c: Vec<f32> =
             (0..m).flat_map(|r| (0..k).map(move |kk| (r * 10 + kk) as f32 * 0.3)).collect();
         let bp: Vec<f32> = (0..k * NR).map(|i| (i % 11) as f32 * 0.1).collect();
-        let run = |a: &[f32], rs: usize, cs: usize| {
+        let run = |lvl: SimdLevel, a: &[f32], rs: usize, cs: usize| {
             let mut out = vec![0.0f32; MR * NR];
             let args = TileArgs {
                 a,
@@ -662,10 +943,58 @@ mod tests {
                 rows: m,
                 cols: NR,
             };
-            tile(level(), args, &mut out);
+            tile(lvl, args, &mut out);
             out
         };
-        assert_eq!(run(&a_c, k, 1), run(&a_t, 1, m));
+        for lvl in supported_levels() {
+            assert_eq!(run(lvl, &a_c, k, 1), run(lvl, &a_t, 1, m), "{lvl:?}");
+        }
+    }
+
+    #[test]
+    fn vector_tiles_are_bitwise_equal_on_all_row_col_counts_and_strides() {
+        // Every vector level accumulates one FMA per k from 0.0 in
+        // ascending order, so their tiles agree bit for bit: row-major A,
+        // and a transposed A read at an offset.
+        let vector: Vec<SimdLevel> =
+            supported_levels().into_iter().filter(|&l| l != SimdLevel::Scalar).collect();
+        let (k, base) = (37, 5);
+        let a: Vec<f32> = (0..base + MR * k)
+            .map(|i| ((i * 2_654_435_761) % 1_000_003) as f32 * 1e-5 - 5.0)
+            .collect();
+        let bp: Vec<f32> =
+            (0..k * NR).map(|i| ((i * 40_503) % 999_983) as f32 * 1e-5 - 5.0).collect();
+        for (a_rs, a_cs) in [(k, 1), (1, MR)] {
+            for rows in 1..=MR {
+                for cols in 1..=NR {
+                    let args = TileArgs {
+                        a: &a,
+                        a_base: base,
+                        a_rs,
+                        a_cs,
+                        bp: &bp,
+                        k,
+                        o_base: 0,
+                        o_rs: NR,
+                        rows,
+                        cols,
+                    };
+                    let run = |lvl| {
+                        let mut out = vec![f32::NAN; MR * NR];
+                        tile(lvl, args, &mut out);
+                        out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+                    };
+                    for &lvl in vector.iter().skip(1) {
+                        assert_eq!(
+                            run(lvl),
+                            run(vector[0]),
+                            "{lvl:?} vs {:?}: rows={rows} cols={cols} a_cs={a_cs}",
+                            vector[0]
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -675,5 +1004,8 @@ mod tests {
             assert_eq!(level(), SimdLevel::Scalar);
         });
         assert_eq!(level(), base);
+        // A level the CPU lacks runs as the highest one it has.
+        let top = *supported_levels().last().expect("Scalar is always supported");
+        assert_eq!(with_level(SimdLevel::Avx512, level), top);
     }
 }

@@ -15,7 +15,7 @@
 //! per-sample backward that the GEMM form replaced; it stays here as the
 //! definition the core is checked against.
 
-use stsm_tensor::simd::{self, SimdLevel};
+use stsm_tensor::simd;
 use stsm_tensor::{conv1d_dilated, conv1d_ntc, pool, DType, Tape, Tensor};
 
 /// SplitMix64-based deterministic fill in roughly [-1, 1].
@@ -129,15 +129,6 @@ fn ntc(t: &Tensor) -> Tensor {
     t.permute(&[0, 2, 1])
 }
 
-/// Every SIMD level this host can actually execute.
-fn levels() -> Vec<SimdLevel> {
-    let mut ls = vec![SimdLevel::Scalar];
-    if simd::level() != SimdLevel::Scalar {
-        ls.push(simd::level());
-    }
-    ls
-}
-
 /// `(n, c_in, c_out, t, k, dilation)`: C_in ≠ C_out throughout; the first
 /// rows stay below the packed-GEMM threshold (2^15 multiply-adds), the
 /// later ones cross it, the last is STSM's TCN shape on PEMS-08.
@@ -156,7 +147,7 @@ const CASES: [(usize, usize, usize, usize, usize, usize); 10] = [
 
 #[test]
 fn gemm_conv_matches_scalar_loop_on_odd_shapes_at_every_level() {
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             for (i, &(n, cin, cout, t, k, d)) in CASES.iter().enumerate() {
                 let seed = 10 * i as u64;
@@ -225,7 +216,7 @@ fn channels_first_entries_are_the_channels_last_arithmetic() {
 
 #[test]
 fn conv_bitwise_identical_for_one_and_three_threads() {
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             for &(n, cin, cout, t, k, d) in &CASES {
                 let x = tensor3([n, t, cin], 31);

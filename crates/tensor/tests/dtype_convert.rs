@@ -7,9 +7,9 @@
 //!   covering ±0, subnormals and ±Inf);
 //! * encode rounds to nearest, ties to even (proptest against an
 //!   exhaustive-neighbor oracle), and is idempotent through a decode;
-//! * the AVX2 F16C vector conversions agree bit-for-bit with the portable
-//!   scalar mirror, including NaN payloads (so `STSM_SIMD=scalar` never
-//!   changes results).
+//! * the F16C vector conversions, which every vector SIMD level uses, agree
+//!   bit-for-bit with the portable scalar mirror, including NaN payloads (so
+//!   `STSM_SIMD=scalar` never changes results).
 
 use proptest::prelude::*;
 use stsm_tensor::dtype::{
@@ -190,13 +190,15 @@ fn scalar_and_f16c_paths_agree_bitwise() {
     let all_bits: Vec<u16> = (0..=u16::MAX).collect();
     for len in [all_bits.len(), 13] {
         let src = &all_bits[..len];
-        let mut simd_out = vec![0.0f32; len];
         let mut scalar_out = vec![0.0f32; len];
-        simd::with_level(SimdLevel::Avx2Fma, || decode_slice(DType::F16, src, &mut simd_out));
         simd::with_level(SimdLevel::Scalar, || decode_slice(DType::F16, src, &mut scalar_out));
-        let simd_bits: Vec<u32> = simd_out.iter().map(|v| v.to_bits()).collect();
         let scalar_bits: Vec<u32> = scalar_out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(simd_bits, scalar_bits, "decode paths diverge (len {len})");
+        for lvl in simd::supported_levels() {
+            let mut simd_out = vec![0.0f32; len];
+            simd::with_level(lvl, || decode_slice(DType::F16, src, &mut simd_out));
+            let simd_bits: Vec<u32> = simd_out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(simd_bits, scalar_bits, "decode paths diverge (len {len}, {lvl:?})");
+        }
     }
     // Encode: torture inputs spanning the interesting regions.
     let mut torture: Vec<f32> = vec![
@@ -226,10 +228,12 @@ fn scalar_and_f16c_paths_agree_bitwise() {
     }
     for len in [torture.len(), 9] {
         let src = &torture[..len];
-        let mut simd_out = vec![0u16; len];
         let mut scalar_out = vec![0u16; len];
-        simd::with_level(SimdLevel::Avx2Fma, || encode_slice(DType::F16, src, &mut simd_out));
         simd::with_level(SimdLevel::Scalar, || encode_slice(DType::F16, src, &mut scalar_out));
-        assert_eq!(simd_out, scalar_out, "encode paths diverge (len {len})");
+        for lvl in simd::supported_levels() {
+            let mut simd_out = vec![0u16; len];
+            simd::with_level(lvl, || encode_slice(DType::F16, src, &mut simd_out));
+            assert_eq!(simd_out, scalar_out, "encode paths diverge (len {len}, {lvl:?})");
+        }
     }
 }

@@ -45,23 +45,14 @@ fn assert_close(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Every SIMD level this host can actually execute.
-fn levels() -> Vec<SimdLevel> {
-    let mut ls = vec![SimdLevel::Scalar];
-    if simd::level() != SimdLevel::Scalar {
-        ls.push(simd::level());
-    }
-    ls
-}
-
-/// Odd shapes (no dimension a multiple of the 8×8 tile) big enough to take
+/// Odd shapes (no dimension a multiple of the 8×16 tile) big enough to take
 /// the packed route, plus tiny ones that stay on the naive route.
 const SHAPES: [(usize, usize, usize); 6] =
     [(33, 37, 41), (65, 9, 129), (129, 17, 31), (8, 513, 9), (3, 5, 7), (20, 1, 33)];
 
 #[test]
 fn packed_matches_naive_reference_on_odd_shapes_at_every_level() {
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             for (m, k, n) in SHAPES {
                 let a = tensor([m, k], 1 + m as u64);
@@ -76,7 +67,7 @@ fn packed_matches_naive_reference_on_odd_shapes_at_every_level() {
 
 #[test]
 fn matmul_bitwise_deterministic_across_thread_counts_and_runs() {
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             let a = tensor([161, 93], 7);
             let b = tensor([93, 117], 8);
@@ -93,7 +84,7 @@ fn matmul_bitwise_deterministic_across_thread_counts_and_runs() {
 
 #[test]
 fn bmm_bitwise_deterministic_across_thread_counts() {
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             let a = tensor3([6, 33, 29], 11);
             let b = tensor3([6, 29, 35], 12);
@@ -108,7 +99,7 @@ fn bmm_bitwise_deterministic_across_thread_counts() {
 
 #[test]
 fn view_routes_bitwise_match_materialized_transposes() {
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             // Sizes chosen so both the packed and the naive route are hit.
             for (m, k, n) in [(33, 37, 41), (5, 6, 7)] {
@@ -140,7 +131,7 @@ fn view_routes_bitwise_match_materialized_transposes() {
 fn non_finite_b_propagates_through_packed_path() {
     // Zeros in `a` must not swallow a NaN in `b` even on the packed route
     // (which never zero-skips) — m·k·n here is above the packing threshold.
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
             let a = Tensor::zeros([33, 37]);
             let mut bv = pseudo_random(37 * 41, 5);
@@ -153,6 +144,45 @@ fn non_finite_b_propagates_through_packed_path() {
             );
         });
     }
+}
+
+#[test]
+fn vector_levels_are_bitwise_equal() {
+    // Every vector tile accumulates one FMA per k from 0.0 in ascending
+    // order, whatever its lane width, so the vector levels agree bit for
+    // bit on every route: plain, transposed-view and batched.
+    let vector: Vec<SimdLevel> =
+        simd::supported_levels().into_iter().filter(|&l| l != SimdLevel::Scalar).collect();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    for (m, k, n) in SHAPES {
+        let a = tensor([m, k], 51 + m as u64);
+        let b = tensor([k, n], 52 + n as u64);
+        let bt = tensor([n, k], 53 + k as u64);
+        let at = tensor([k, m], 54 + k as u64);
+        let run = |lvl| {
+            simd::with_level(lvl, || {
+                [matmul(&a, &b), matmul_nt(&a, &bt), matmul_tn(&at, &b)].map(|t| bits(&t))
+            })
+        };
+        for &lvl in vector.iter().skip(1) {
+            assert_eq!(run(lvl), run(vector[0]), "{m}x{k}x{n}: {lvl:?} vs {:?}", vector[0]);
+        }
+    }
+    let (q, kk) = (tensor3([4, 18, 22], 55), tensor3([4, 22, 35], 56));
+    for &lvl in vector.iter().skip(1) {
+        let got = simd::with_level(lvl, || bmm(&q, &kk));
+        let want = simd::with_level(vector[0], || bmm(&q, &kk));
+        assert_eq!(bits(&got), bits(&want), "bmm: {lvl:?} vs {:?}", vector[0]);
+    }
+}
+
+/// Names the levels every suite here compares; `scripts/check.sh` runs
+/// this file with `--nocapture`, so a green log says which bodies ran.
+#[test]
+fn supported_levels_start_at_scalar() {
+    let levels = simd::supported_levels();
+    println!("SIMD levels compared on this host: {levels:?}");
+    assert_eq!(levels[0], SimdLevel::Scalar);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Contract of the shared polynomial `exp` and sigmoid (pinned by name in
-//! `scripts/check.sh`): the scalar mirror and the AVX2 body are bitwise
-//! equal on a sweep of every 2¹²-th f32 bit pattern and on the special
-//! values; `exp` stays within 1 ulp and σ within 3 ulp of an f64
+//! `scripts/check.sh`): the scalar mirror and the AVX2 and AVX-512 bodies
+//! are bitwise equal on a sweep of every 2¹²-th f32 bit pattern and on the
+//! special values; `exp` stays within 1 ulp and σ within 3 ulp of an f64
 //! reference; NaN, ±∞ and ±0 map as documented; and every caller (tape,
 //! Infer session, fused GRU gates) returns the kernel's bits.
 
@@ -9,21 +9,13 @@ use stsm_tensor::nn::Fwd;
 use stsm_tensor::simd::{self, SimdLevel};
 use stsm_tensor::{sigmoid, InferSession, ParamStore, Tape, Tensor};
 
-/// Every SIMD level this host can actually execute.
-fn levels() -> Vec<SimdLevel> {
-    let mut ls = vec![SimdLevel::Scalar];
-    if simd::level() != SimdLevel::Scalar {
-        ls.push(simd::level());
-    }
-    ls
-}
-
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
 }
 
 /// Every 2¹²-th bit pattern (all signs, exponents, NaN payloads) plus the
-/// special values and an odd tail length so the scalar remainder runs too.
+/// special values and a tail length that is odd, so the scalar remainder
+/// runs after both the 8- and 16-lane bodies.
 fn sweep() -> Vec<f32> {
     let mut xs: Vec<f32> = (0..1u64 << 20).map(|i| f32::from_bits((i << 12) as u32)).collect();
     xs.extend([
@@ -63,7 +55,7 @@ fn scalar_and_simd_are_bitwise_equal() {
     let xs = sweep();
     for f in [simd::exp_slice as fn(&[f32], &mut [f32]), simd::sigmoid_slice] {
         let scalar = bits(&run(SimdLevel::Scalar, f, &xs));
-        for lvl in levels() {
+        for lvl in simd::supported_levels() {
             let got = bits(&run(lvl, f, &xs));
             let diff = got.iter().zip(&scalar).position(|(a, b)| a != b);
             assert_eq!(diff, None, "{lvl:?} differs at x = {:e}", diff.map_or(0.0, |i| xs[i]));
@@ -88,7 +80,7 @@ fn range_points(lo: f32, hi: f32) -> Vec<f32> {
 #[test]
 fn exp_within_one_ulp_on_the_normal_range() {
     let xs = range_points(-87.0, 88.0);
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         let got = run(lvl, simd::exp_slice, &xs);
         let worst = xs
             .iter()
@@ -102,7 +94,7 @@ fn exp_within_one_ulp_on_the_normal_range() {
 #[test]
 fn sigmoid_within_three_ulp() {
     let xs = range_points(-87.0, 88.0);
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         let got = run(lvl, simd::sigmoid_slice, &xs);
         for (&x, &g) in xs.iter().zip(&got) {
             let want = 1.0 / (1.0 + (-(x as f64)).exp());
@@ -114,7 +106,7 @@ fn sigmoid_within_three_ulp() {
 
 #[test]
 fn special_values() {
-    for lvl in levels() {
+    for lvl in simd::supported_levels() {
         let xs = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 200.0, -200.0];
         let s = run(lvl, simd::sigmoid_slice, &xs);
         assert!(s[0].is_nan() && s[1].is_nan(), "{lvl:?}: NaN must stay NaN");

@@ -45,18 +45,20 @@ cargo test -q -p stsm-timeseries --test dtw_prune_properties
 cargo test -q -p stsm-baselines --test baseline_training
 # The blocked-SIMD kernel contract (DESIGN.md, "Kernel architecture"):
 # packed-vs-naive tolerance on odd shapes, bitwise thread-count and
-# run-to-run determinism, view-route equality — at every SIMD level the
-# host supports (the suite forces Scalar internally; STSM_SIMD=off is the
-# process-wide switch). Pinned by name, plus a bench-binary wiring smoke.
+# run-to-run determinism, view-route equality, AVX-512 == AVX2 bitwise — at
+# every SIMD level the host supports (the suites force each level
+# internally; STSM_SIMD=off is the process-wide switch). The first suite
+# prints those levels, so this log says which bodies ran. Pinned by name,
+# plus a bench-binary wiring smoke.
 # Also the conv-as-GEMM contract (the channels-last core within 1e-5 of the
 # scalar conv loop, 1-vs-3-thread and half-upcast bit-identity) and the
-# spmm contract (bitwise equal across SIMD levels, to the plain row loop and
-# across thread counts, NaN through explicit zeros; on matrices that form
-# multi-row groups a NaN stays in the rows that store its column), and the
-# polynomial sigmoid contract (scalar == AVX2 bitwise over a bit-pattern
-# sweep, exp within 1 ulp and sigmoid within 3 ulp of f64, every caller on
-# the one kernel).
-cargo test -q -p stsm-tensor --test kernel_tiling_equivalence
+# spmm contract (bitwise equal across every supported SIMD level, to the
+# plain row loop and across thread counts, NaN through explicit zeros; on
+# matrices that form multi-row groups a NaN stays in the rows that store
+# its column), and the polynomial sigmoid contract (every supported level
+# bitwise equal to scalar over a bit-pattern sweep, exp within 1 ulp and
+# sigmoid within 3 ulp of f64, every caller on the one kernel).
+cargo test -q -p stsm-tensor --test kernel_tiling_equivalence -- --nocapture
 cargo test -q -p stsm-tensor --test conv_equivalence
 cargo test -q -p stsm-graph --test graph_properties
 cargo test -q -p stsm-tensor --test sigmoid_kernel
