@@ -32,8 +32,18 @@ struct GcnLayer {
 }
 
 impl GcnLayer {
+    /// One fused node: aggregate neighbours once, then both feature maps,
+    /// the gate and the product in one GEMM pass ([`Fwd::gated_gcn`]).
     fn forward(&self, fwd: &mut Fwd, adj: &Arc<CsrLinMap>, z: Var) -> Var {
-        // Aggregate neighbours once, then two parallel feature maps.
+        let value = self.value.bind(fwd);
+        let gate = self.gate.bind(fwd);
+        fwd.gated_gcn(Arc::clone(adj) as Arc<dyn stsm_tensor::LinMap>, z, value, gate)
+    }
+
+    /// The composed chain the fused node replaces — `linmap`, two `addmm`,
+    /// `sigmoid`, `mul` — kept as the bitwise oracle for [`GcnLayer::forward`]
+    /// (reached through [`StModel::forward_reference`]).
+    fn forward_reference(&self, fwd: &mut Fwd, adj: &Arc<CsrLinMap>, z: Var) -> Var {
         let agg = fwd.linmap(Arc::clone(adj) as Arc<dyn stsm_tensor::LinMap>, z);
         let v = self.value.forward(fwd, agg);
         let g = self.gate.forward(fwd, agg);
@@ -167,6 +177,33 @@ impl StModel {
         a_s: &Arc<CsrLinMap>,
         a_dtw: &Arc<CsrLinMap>,
     ) -> ForwardOutput {
+        self.forward_with(fwd, x, time_feats, a_s, a_dtw, false)
+    }
+
+    /// [`StModel::forward`] with every gated GCN layer run as the composed
+    /// five-op chain instead of the fused node: the oracle the bitwise
+    /// equivalence suites compare the fused model against.
+    #[doc(hidden)]
+    pub fn forward_reference(
+        &self,
+        fwd: &mut Fwd,
+        x: &Tensor,
+        time_feats: &Tensor,
+        a_s: &Arc<CsrLinMap>,
+        a_dtw: &Arc<CsrLinMap>,
+    ) -> ForwardOutput {
+        self.forward_with(fwd, x, time_feats, a_s, a_dtw, true)
+    }
+
+    fn forward_with(
+        &self,
+        fwd: &mut Fwd,
+        x: &Tensor,
+        time_feats: &Tensor,
+        a_s: &Arc<CsrLinMap>,
+        a_dtw: &Arc<CsrLinMap>,
+        composed_gcn: bool,
+    ) -> ForwardOutput {
         let (n, t_len) = (x.dim(0), x.dim(1));
         assert_eq!(x.dims(), &[n, t_len, 1], "input must be (N, T, 1)");
         assert_eq!(t_len, self.t_in, "window length mismatch");
@@ -186,7 +223,7 @@ impl StModel {
         let ht = fwd.broadcast_to(ht, [n, t_len, self.hidden]);
         let mut h = fwd.mul(hx, ht);
         for block in &self.blocks {
-            h = self.block_forward(fwd, block, h, n, t_len, a_s, a_dtw);
+            h = self.block_forward(fwd, block, h, n, t_len, a_s, a_dtw, composed_gcn);
         }
         // Eq. 13 head: flatten time so each horizon sees the full window;
         // inner ReLU, linear output (scaled space can be negative, so no
@@ -217,6 +254,7 @@ impl StModel {
         t_len: usize,
         a_s: &Arc<CsrLinMap>,
         a_dtw: &Arc<CsrLinMap>,
+        composed_gcn: bool,
     ) -> Var {
         // GCN path, per adjacency: stack of gated layers, max over depth
         // (Eq. 9), then max over adjacencies (Eq. 11). The weights mix only
@@ -225,7 +263,11 @@ impl StModel {
             let mut z = h;
             let mut best: Option<Var> = None;
             for layer in layers {
-                z = layer.forward(fwd, adj, z);
+                z = if composed_gcn {
+                    layer.forward_reference(fwd, adj, z)
+                } else {
+                    layer.forward(fwd, adj, z)
+                };
                 best = Some(match best {
                     None => z,
                     Some(b) => fwd.max2(b, z),

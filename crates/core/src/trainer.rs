@@ -420,9 +420,8 @@ pub(crate) fn batch_loss_and_grads(
         let w = windows[wi];
         let abs_start = problem.train_time.start + w.input_start;
         let gather_t = telemetry::span("train.gather");
-        let xw = window_view(obs_rows, abs_start, cfg.t_in);
         let x_masked = mask_window(
-            &xw,
+            obs_rows,
             masked_locals,
             unmasked_rows,
             pseudo_weights,
@@ -432,7 +431,8 @@ pub(crate) fn batch_loss_and_grads(
         );
         // The unmasked full window is only materialized when the
         // contrastive branch actually feeds it to a second forward pass.
-        let x_full = cfg.contrastive.then(|| window_tensor(&xw));
+        let x_full =
+            cfg.contrastive.then(|| window_tensor(&window_view(obs_rows, abs_start, cfg.t_in)));
         let y = window_tensor(&window_view(obs_rows, abs_start + cfg.t_in, cfg.t_out));
         let tf = StModel::time_features(abs_start, cfg.t_in, spd);
         drop(gather_t);
@@ -479,12 +479,12 @@ fn window_tensor(w: &TensorView<'_>) -> Tensor {
     w.to_tensor().reshape([rows, len, 1])
 }
 
-/// Builds the masked `(N_o, len, 1)` input window: unmasked rows stream
-/// straight out of the window *view*, masked rows get pseudo-observations
-/// blended from strided views of the unmasked row matrix (Eq. 3) — the
-/// per-window source copy the old path made is gone.
+/// Builds the masked `(N_o, len, 1)` input window `[start, start + len)`
+/// of the contiguous `(N_o, T_total)` row matrix `obs_rows`: unmasked rows
+/// are copied straight out of it, masked rows get pseudo-observations
+/// blended from strided views of the unmasked row matrix (Eq. 3).
 fn mask_window(
-    x_window: &TensorView<'_>,
+    obs_rows: &Tensor,
     masked_locals: &[usize],
     unmasked_rows: &Tensor,
     pseudo_weights: &[f32],
@@ -492,12 +492,11 @@ fn mask_window(
     len: usize,
     pseudo_observations: bool,
 ) -> Tensor {
-    let n_obs = x_window.dim(0);
-    if masked_locals.is_empty() {
-        return window_tensor(x_window);
-    }
+    let (n_obs, t_total) = (obs_rows.dim(0), obs_rows.dim(1));
     let n_unmasked = unmasked_rows.dim(0);
-    let pseudo = if pseudo_observations && n_unmasked > 0 {
+    let pseudo = if masked_locals.is_empty() {
+        Vec::new()
+    } else if pseudo_observations && n_unmasked > 0 {
         blend_series_strided(
             pseudo_weights,
             unmasked_rows.data(),
@@ -509,16 +508,18 @@ fn mask_window(
     } else {
         vec![0.0f32; masked_locals.len() * len]
     };
+    let src = obs_rows.data();
     let mut data = stsm_tensor::alloc::buf_with_capacity(n_obs * len);
     // `masked_locals` is sorted ascending, so one pointer sweep interleaves
-    // pseudo rows with view rows in output order.
+    // pseudo rows with source rows in output order.
     let mut mi = 0usize;
     for r in 0..n_obs {
         if mi < masked_locals.len() && masked_locals[mi] == r {
             data.extend_from_slice(&pseudo[mi * len..(mi + 1) * len]);
             mi += 1;
         } else {
-            x_window.index(0, r).extend_into(&mut data);
+            let row = r * t_total + start;
+            data.extend_from_slice(&src[row..row + len]);
         }
     }
     Tensor::from_vec([n_obs, len, 1], data)

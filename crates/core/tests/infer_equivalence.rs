@@ -3,17 +3,19 @@
 //! For the same parameters, inputs and adjacencies, the tape-free Infer
 //! forward (`predict_once` / `Predictor`) must produce values bit-identical
 //! to the Train-mode forward (`tape.value(out.prediction)`), for both
-//! temporal variants.
+//! temporal variants. The fused gated-GCN node is held to the composed
+//! model (`StModel::forward_reference`) the same way: a full training
+//! batch's loss and gradients, and the forecast.
 
 use std::sync::Arc;
 use stsm_core::{
-    predict_once, pseudo_weights_for, DistanceMode, DtwContext, Predictor, ProblemInstance,
-    StModel, StsmConfig, TemporalModule,
+    nt_xent, predict_once, pseudo_weights_for, DistanceMode, DtwContext, ForwardOutput, Predictor,
+    ProblemInstance, StModel, StsmConfig, TemporalModule,
 };
 use stsm_graph::{normalize_gcn, CsrLinMap};
 use stsm_synth::{space_split, DatasetConfig, NetworkKind, SignalKind, SplitAxis};
 use stsm_tensor::nn::Fwd;
-use stsm_tensor::{ParamBinder, ParamStore, Tape, Tensor};
+use stsm_tensor::{pool, simd, InferSession, ParamBinder, ParamStore, Tape, Tensor};
 use stsm_timeseries::sliding_windows;
 
 fn tiny_problem(seed: u64) -> ProblemInstance {
@@ -160,4 +162,126 @@ fn build_input(problem: &ProblemInstance, pw: &[f32], start: usize, len: usize) 
         data[u * len..(u + 1) * len].copy_from_slice(&pseudo[row * len..(row + 1) * len]);
     }
     Tensor::from_vec([n, len, 1], data)
+}
+
+/// The `(N, len, 1)` scaled input of every sensor over `[start, start + len)`.
+fn full_input(problem: &ProblemInstance, start: usize, len: usize) -> Tensor {
+    let mut xv = Vec::with_capacity(problem.n() * len);
+    for i in 0..problem.n() {
+        xv.extend_from_slice(problem.scaled_range(i, start, start + len));
+    }
+    Tensor::from_vec([problem.n(), len, 1], xv)
+}
+
+fn bit_vec(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One STSM training batch on one tape — per window a masked and a full
+/// forward, the mean prediction loss plus the contrastive term — then the
+/// Infer forecast of the first window. Runs the fused GCN node, or the
+/// composed chain when `composed`. Returns the loss bits, every parameter
+/// gradient's bits and the forecast bits.
+fn stsm_batch(
+    problem: &ProblemInstance,
+    cfg: &StsmConfig,
+    model: &StModel,
+    store: &ParamStore,
+    composed: bool,
+) -> (u32, Vec<Vec<u32>>, Vec<u32>) {
+    let (a_s, a_dtw, _) = test_assets(problem, cfg);
+    let spd = problem.steps_per_day();
+    let forward = |fwd: &mut Fwd, x: &Tensor, tf: &Tensor| -> ForwardOutput {
+        if composed {
+            model.forward_reference(fwd, x, tf, &a_s, &a_dtw)
+        } else {
+            model.forward(fwd, x, tf, &a_s, &a_dtw)
+        }
+    };
+    let starts: Vec<usize> = (0..3).map(|w| problem.train_time.start + w * cfg.t_in).collect();
+    let tape = Tape::new();
+    let mut binder = ParamBinder::new(&tape);
+    let mut fwd = Fwd::new(store, &mut binder);
+    let (mut losses, mut z_orig, mut z_masked) = (Vec::new(), Vec::new(), Vec::new());
+    for &start in &starts {
+        let x = full_input(problem, start, cfg.t_in);
+        // Mask every third sensor to zero, the way a masked window hides
+        // its selected rows.
+        let mut xm = x.clone();
+        for (i, v) in xm.data_mut().iter_mut().enumerate() {
+            if (i / cfg.t_in).is_multiple_of(3) {
+                *v = 0.0;
+            }
+        }
+        let y = full_input(problem, start + cfg.t_in, cfg.t_out);
+        let tf = StModel::time_features(start, cfg.t_in, spd);
+        let out_m = forward(&mut fwd, &xm, &tf);
+        losses.push(tape.mse_loss(out_m.prediction, &y));
+        let out_f = forward(&mut fwd, &x, &tf);
+        z_orig.push(out_f.graph_repr);
+        z_masked.push(out_m.graph_repr);
+    }
+    let mut loss = losses[0];
+    for &l in &losses[1..] {
+        loss = tape.add(loss, l);
+    }
+    loss = tape.mul_scalar(loss, 1.0 / losses.len() as f32);
+    let zo = tape.concat(&z_orig, 0);
+    let zm = tape.concat(&z_masked, 0);
+    let lcl = nt_xent(&tape, zo, zm, cfg.tau);
+    let lcl = tape.mul_scalar(lcl, cfg.lambda);
+    loss = tape.add(loss, lcl);
+    tape.backward(loss);
+    let grads = binder.grads();
+    assert_eq!(grads.len(), store.len(), "every parameter must receive a gradient");
+    let grads = grads.iter().map(|(_, g)| bit_vec(g)).collect();
+    let loss_bits = tape.value(loss).item().to_bits();
+    let forecast = {
+        let mut session = InferSession::new(store);
+        let mut ifwd = Fwd::infer(store, &mut session);
+        let x = full_input(problem, starts[0], cfg.t_in);
+        let tf = StModel::time_features(starts[0], cfg.t_in, spd);
+        let out = forward(&mut ifwd, &x, &tf);
+        bit_vec(&ifwd.value(out.prediction))
+    };
+    (loss_bits, grads, forecast)
+}
+
+/// The fused gated-GCN node against the composed model, on a graph whose
+/// GCN products stay on the naive route (`hidden` 8, 6 steps) and on one
+/// that packs (`hidden` 16, 12 steps), at every SIMD level and at 1 and 3
+/// threads.
+#[test]
+fn fused_gcn_stsm_batch_bitwise_matches_composed_model() {
+    let problem = tiny_problem(57);
+    let packed = StsmConfig { t_in: 12, t_out: 12, hidden: 16, ..tiny_cfg() };
+    for cfg in [tiny_cfg(), packed] {
+        let (a_s, a_dtw, _) = test_assets(&problem, &cfg);
+        assert!(a_s.is_symmetric(), "the normalized A_s is its own transpose");
+        assert!(!a_dtw.is_symmetric(), "the directed A_dtw keeps its own transpose");
+        let mut store = ParamStore::new();
+        let model = StModel::new(&mut store, &cfg);
+        // Layers initialize their biases to zero; give every bias a value
+        // so a dropped or swapped bias shows.
+        let biases: Vec<_> =
+            store.iter().filter(|(_, name, _)| name.ends_with(".b")).map(|(id, _, _)| id).collect();
+        for (j, id) in biases.into_iter().enumerate() {
+            for (i, v) in store.data_mut(id).iter_mut().enumerate() {
+                *v = ((i * 7 + j * 13) % 17) as f32 * 0.02 - 0.16;
+            }
+        }
+        for lvl in simd::supported_levels() {
+            let reference =
+                simd::with_level(lvl, || stsm_batch(&problem, &cfg, &model, &store, true));
+            for threads in [1, 3] {
+                let fused = pool::with_max_threads(threads, || {
+                    simd::with_level(lvl, || stsm_batch(&problem, &cfg, &model, &store, false))
+                });
+                let what = format!("hidden {}, {lvl:?}, {threads} threads", cfg.hidden);
+                assert_eq!(fused.0, reference.0, "loss differs: {what}");
+                assert_eq!(fused.1, reference.1, "parameter gradients differ: {what}");
+                assert_eq!(fused.2, reference.2, "forecast differs: {what}");
+            }
+        }
+    }
 }

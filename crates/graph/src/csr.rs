@@ -130,6 +130,17 @@ impl CsrMatrix {
         CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
     }
 
+    /// True when both matrices store the same entries in the same order,
+    /// values compared bit for bit — so every product over them is equal
+    /// bit for bit too.
+    fn same_entries(&self, other: &CsrMatrix) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+            && self.values.iter().map(|v| v.to_bits()).eq(other.values.iter().map(|v| v.to_bits()))
+    }
+
     /// Scales every stored value by `s`.
     pub fn scale(&self, s: f32) -> CsrMatrix {
         CsrMatrix {
@@ -180,22 +191,31 @@ impl CsrMatrix {
 /// A CSR matrix paired with its transpose so it can serve as an autograd
 /// [`LinMap`] (forward applies `A`, backward applies `Aᵀ`). Each side
 /// builds its spmm layout on its first product, so a forward-only map
-/// never builds the transpose's.
+/// never builds the transpose's. A symmetric matrix (the GCN-normalized
+/// `A_s`) is its own transpose: the map keeps one matrix and one layout.
 pub struct CsrLinMap {
     forward: CsrMatrix,
-    transpose: CsrMatrix,
+    /// `Aᵀ`, or `None` when `A` equals it bit for bit.
+    transpose: Option<CsrMatrix>,
 }
 
 impl CsrLinMap {
-    /// Wraps a CSR matrix, precomputing its transpose.
+    /// Wraps a CSR matrix, precomputing its transpose unless the matrix is
+    /// symmetric.
     pub fn new(matrix: CsrMatrix) -> Self {
         let transpose = matrix.transpose();
+        let transpose = (!transpose.same_entries(&matrix)).then_some(transpose);
         CsrLinMap { forward: matrix, transpose }
     }
 
     /// The wrapped matrix.
     pub fn matrix(&self) -> &CsrMatrix {
         &self.forward
+    }
+
+    /// True when the map shares the forward matrix for its transpose.
+    pub fn is_symmetric(&self) -> bool {
+        self.transpose.is_none()
     }
 }
 
@@ -213,7 +233,7 @@ impl LinMap for CsrLinMap {
     }
 
     fn apply_transpose(&self, g: &Tensor) -> Tensor {
-        self.transpose.matmul_dense(g)
+        self.transpose.as_ref().unwrap_or(&self.forward).matmul_dense(g)
     }
 }
 
@@ -303,6 +323,43 @@ mod tests {
         let g = tape.grad(x).unwrap();
         // grad = A^T @ 1 = column sums of A.
         assert_eq!(g.data(), &[4.0, 4.0, 2.0]);
+    }
+
+    #[test]
+    fn symmetric_map_shares_its_transpose_bitwise() {
+        use crate::normalize_gcn;
+        // A symmetric binary graph, GCN-normalized: a_ij and a_ji are the
+        // same bits, so the map keeps one matrix.
+        let n = 9;
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            for j in [(i + 1) % n, (i + 4) % n] {
+                triplets.push((i, j, 1.0));
+                triplets.push((j, i, 1.0));
+            }
+        }
+        let a = normalize_gcn(&CsrMatrix::from_triplets(n, n, &triplets));
+        let map = CsrLinMap::new(a.clone());
+        assert!(map.is_symmetric());
+        let g = Tensor::from_vec(
+            [n, 3, 5],
+            (0..n * 15).map(|i| (i % 13) as f32 * 0.37 - 2.0).collect(),
+        );
+        let shared = map.apply_transpose(&g);
+        let materialized = a.transpose().matmul_dense(&g);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&shared), bits(&materialized));
+    }
+
+    #[test]
+    fn directed_map_keeps_its_own_transpose() {
+        // A directed (row-normalized, DTW-style) adjacency is not symmetric.
+        let m = sample();
+        let map = CsrLinMap::new(m.clone());
+        assert!(!map.is_symmetric());
+        let g = Tensor::from_vec([3, 2], vec![1., -2., 3., 0.5, -1., 4.]);
+        assert_eq!(map.apply_transpose(&g), m.transpose().matmul_dense(&g));
+        assert_ne!(map.apply_transpose(&g), m.matmul_dense(&g));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! `kernels.rs`).
 
 use crate::dtype::{self, DType};
-use crate::simd::{self, SimdLevel, TileArgs, MR, NR};
+use crate::simd::{self, GatedSaved, GatedTileArgs, SimdLevel, TileArgs, MR, NR};
 use crate::{alloc, pool};
 
 /// A rank-2 view into a flat buffer: element `(r, c)` lives at
@@ -174,35 +174,60 @@ fn pack_b_any(b: AnyMatRef<'_>, k: usize, n: usize, packed: &mut [f32]) {
     }
 }
 
+/// A bias row zero-padded to whole panels, so every panel's tile reads
+/// `NR` lanes.
+fn pad_bias(bias: &[f32], n: usize) -> Vec<f32> {
+    debug_assert_eq!(bias.len(), n, "bias row length mismatch");
+    let mut padded = alloc::buf_zeroed(n.div_ceil(NR) * NR);
+    padded[..n].copy_from_slice(bias);
+    padded
+}
+
+/// The tile of panel `p` for a strip of `rows <= MR` output rows whose `A`
+/// view `a` is already offset to the strip's row 0; `bias` is the padded
+/// bias row, if any.
+#[allow(clippy::too_many_arguments)]
+fn panel_tile<'a>(
+    a: MatRef<'a>,
+    packed: &'a [f32],
+    bias: Option<&'a [f32]>,
+    p: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) -> TileArgs<'a> {
+    let c0 = p * NR;
+    TileArgs {
+        a: a.data,
+        a_base: a.base,
+        a_rs: a.rs,
+        a_cs: a.cs,
+        bp: &packed[p * k * NR..(p + 1) * k * NR],
+        k,
+        o_base: c0,
+        o_rs: n,
+        rows,
+        cols: NR.min(n - c0),
+        bias: bias.map(|b| &b[c0..c0 + NR]),
+    }
+}
+
 /// One strip of `rows <= MR` output rows: walks every packed panel and fires
 /// one micro-tile per panel. `a` must already be offset to the strip's row 0;
 /// `out_rows` is the strip's `rows × n` contiguous output slice.
+#[allow(clippy::too_many_arguments)]
 fn compute_strip(
     lvl: SimdLevel,
     a: MatRef<'_>,
     packed: &[f32],
+    bias: Option<&[f32]>,
     out_rows: &mut [f32],
     rows: usize,
     k: usize,
     n: usize,
 ) {
-    let n_panels = n.div_ceil(NR);
-    for p in 0..n_panels {
-        let c0 = p * NR;
-        let cols = NR.min(n - c0);
-        let args = TileArgs {
-            a: a.data,
-            a_base: a.base,
-            a_rs: a.rs,
-            a_cs: a.cs,
-            bp: &packed[p * k * NR..(p + 1) * k * NR],
-            k,
-            o_base: c0,
-            o_rs: n,
-            rows,
-            cols,
-        };
-        simd::tile(lvl, args, out_rows);
+    for p in 0..n.div_ceil(NR) {
+        simd::tile(lvl, panel_tile(a, packed, bias, p, rows, k, n), out_rows);
     }
 }
 
@@ -212,16 +237,20 @@ fn compute_strip(
 /// one code path, so the f32 route stays bitwise unchanged.
 #[cfg_attr(not(test), allow(dead_code))] // production callers route through gemm_into_any
 pub fn gemm_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_into_any(a, AnyMatRef::F32(b), out, m, k, n)
+    gemm_into_any(a, AnyMatRef::F32(b), None, out, m, k, n)
 }
 
-/// [`gemm_into`] generalized over `B`'s storage precision: half `B` is
-/// dequantized panel-by-panel during packing, after which the strip loop and
-/// micro-kernels are byte-for-byte the f32 path (f32 accumulation, same
-/// determinism contract).
+/// [`gemm_into`] generalized over `B`'s storage precision, with an optional
+/// bias row: half `B` is dequantized panel-by-panel during packing, after
+/// which the strip loop and micro-kernels are byte-for-byte the f32 path
+/// (f32 accumulation, same determinism contract). A bias is added in the
+/// tile epilogue, `out = acc + b` stored once — the same add a separate
+/// bias pass over the stored product makes, so the result is bitwise equal
+/// to it.
 pub fn gemm_into_any(
     a: MatRef<'_>,
     b: AnyMatRef<'_>,
+    bias: Option<&[f32]>,
     out: &mut [f32],
     m: usize,
     k: usize,
@@ -231,16 +260,13 @@ pub fn gemm_into_any(
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
-        out[..m * n].fill(0.0);
-        return;
-    }
     let lvl = simd::level();
     let mut packed = alloc::buf_zeroed(packed_len(k, n));
     pack_b_any(b, k, n, &mut packed);
+    let bias = bias.map(|b| pad_bias(b, n));
     let n_strips = m.div_ceil(MR);
     {
-        let packed = &packed[..];
+        let (packed, bias) = (&packed[..], bias.as_deref());
         let writer = pool::SliceWriter::new(&mut out[..m * n]);
         pool::par_chunks_weighted(n_strips, MR * k * n, |ss| {
             for s in ss {
@@ -249,11 +275,89 @@ pub fn gemm_into_any(
                 let sa = MatRef { data: a.data, base: a.base + r0 * a.rs, rs: a.rs, cs: a.cs };
                 // Safety: strip `s` owns output rows [r0, r0 + rows) alone.
                 let out_rows = unsafe { writer.slice(r0 * n..(r0 + rows) * n) };
-                compute_strip(lvl, sa, packed, out_rows, rows, k, n);
+                compute_strip(lvl, sa, packed, bias, out_rows, rows, k, n);
             }
         });
     }
     alloc::recycle(packed);
+    if let Some(b) = bias {
+        alloc::recycle(b);
+    }
+}
+
+/// The fused gated product of the GCN layer,
+/// `out = (a·W_v + b_v) ⊙ σ(a·W_g + b_g)` for logical shapes
+/// `(m, k) × (k, n)`, as one packed pass: both weights are packed into one
+/// scratch, the value weight's panels first and then the gate weight's
+/// (each through [`pack_b_any`], so half weights decode while packing), and
+/// each strip fires one [`simd::gated_tile`] per panel pair. When `saved`
+/// is given, the tiles also store `v = a·W_v + b_v` and `s = σ(a·W_g + b_g)`
+/// there (same layout as `out`).
+///
+/// Every output column still accumulates over the full `k`, ascending, in
+/// one tile call, so each element is bitwise equal to the
+/// [`gemm_into_any`] product of its own weight, followed by the bias add,
+/// the sigmoid and the product — for any thread count and chunking.
+#[allow(clippy::too_many_arguments)]
+pub fn gated_gemm_into(
+    a: MatRef<'_>,
+    value: AnyMatRef<'_>,
+    gate: AnyMatRef<'_>,
+    bias_v: &[f32],
+    bias_g: &[f32],
+    out: &mut [f32],
+    saved: GatedSaved<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    debug_assert!(out.len() >= m * n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let lvl = simd::level();
+    let plen = packed_len(k, n);
+    let mut packed = alloc::buf_zeroed(2 * plen);
+    {
+        let (pv, pg) = packed.split_at_mut(plen);
+        pack_b_any(value, k, n, pv);
+        pack_b_any(gate, k, n, pg);
+    }
+    let (bv, bg) = (pad_bias(bias_v, n), pad_bias(bias_g, n));
+    {
+        let (pv, pg) = packed.split_at(plen);
+        let writer = pool::SliceWriter::new(&mut out[..m * n]);
+        let saved = saved.map(|(v, s)| {
+            (pool::SliceWriter::new(&mut v[..m * n]), pool::SliceWriter::new(&mut s[..m * n]))
+        });
+        pool::par_chunks_weighted(m.div_ceil(MR), MR * k * 2 * n, |ss| {
+            for s in ss {
+                let r0 = s * MR;
+                let rows = MR.min(m - r0);
+                let sa = MatRef { data: a.data, base: a.base + r0 * a.rs, rs: a.rs, cs: a.cs };
+                let strip = r0 * n..(r0 + rows) * n;
+                // Safety: strip `s` owns output rows [r0, r0 + rows) alone,
+                // in `out` and in both saved buffers.
+                let out_rows = unsafe { writer.slice(strip.clone()) };
+                let mut saved_rows = saved
+                    .as_ref()
+                    .map(|(v, s)| unsafe { (v.slice(strip.clone()), s.slice(strip)) });
+                for p in 0..n.div_ceil(NR) {
+                    let value = panel_tile(sa, pv, Some(&bv), p, rows, k, n);
+                    let args = GatedTileArgs {
+                        value,
+                        gate: &pg[p * k * NR..(p + 1) * k * NR],
+                        gate_bias: &bg[value.o_base..value.o_base + NR],
+                    };
+                    let sv = saved_rows.as_mut().map(|(v, s)| (&mut **v, &mut **s));
+                    simd::gated_tile(lvl, args, out_rows, sv);
+                }
+            }
+        });
+    }
+    alloc::recycle(packed);
+    alloc::recycle(bv);
+    alloc::recycle(bg);
 }
 
 /// A batched rank-3 view: batch `i` is the `MatRef` at
@@ -335,7 +439,7 @@ pub fn bmm_into(
                     let o0 = bi * m * n + r0 * n;
                     // Safety: tile index `t` owns these output rows alone.
                     let out_rows = unsafe { writer.slice(o0..o0 + rows * n) };
-                    compute_strip(lvl, sa, packed, out_rows, rows, k, n);
+                    compute_strip(lvl, sa, packed, None, out_rows, rows, k, n);
                 }
             });
         }
@@ -360,6 +464,7 @@ pub fn bmm_into(
                         lvl,
                         sa,
                         &packed,
+                        None,
                         &mut out_b[r0 * n..(r0 + rows) * n],
                         rows,
                         k,
@@ -395,7 +500,9 @@ mod tests {
 
     #[test]
     fn gemm_matches_naive_on_odd_shapes() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (8, 8, 8), (9, 13, 17), (20, 1, 33), (5, 40, 2)] {
+        for &(m, k, n) in
+            &[(1, 1, 1), (3, 5, 7), (8, 8, 8), (9, 13, 17), (20, 1, 33), (5, 40, 2), (4, 0, 5)]
+        {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
             let want = naive(&a, &b, m, k, n);
@@ -488,6 +595,7 @@ mod tests {
             gemm_into_any(
                 MatRef::contiguous(&a, 0, k),
                 AnyMatRef::Half(HalfMatRef::contiguous(&bits, dt, 0, n)),
+                None,
                 &mut via_half,
                 m,
                 k,
@@ -514,6 +622,7 @@ mod tests {
             gemm_into_any(
                 MatRef::contiguous(&a, 0, k),
                 AnyMatRef::Half(HalfMatRef::contiguous(&bits_t, dt, 0, k).transposed()),
+                None,
                 &mut via_t,
                 m,
                 k,

@@ -170,6 +170,22 @@ impl InferSession {
         self.push(out)
     }
 
+    pub(crate) fn gated_gcn(
+        &mut self,
+        map: Arc<dyn LinMap>,
+        z: Var,
+        value: (Var, Var),
+        gate: (Var, Var),
+    ) -> Var {
+        let out = {
+            let agg = map.apply(self.val(z));
+            let (wv, bv) = (self.val(value.0), self.val(value.1));
+            let (wg, bg) = (self.val(gate.0), self.val(gate.1));
+            kernels::gated_gcn(&agg, wv, bv, wg, bg, false).0
+        };
+        self.push(out)
+    }
+
     pub(crate) fn gru_rh(&mut self, ar: Var, h: Var) -> Var {
         let (rh, _r) = kernels::gru_rh(self.val(ar), self.val(h));
         self.push(rh)

@@ -143,29 +143,39 @@ fn dequant_mat(b: HalfMatRef<'_>, k: usize, n: usize) -> Vec<f32> {
     out
 }
 
-/// Size-routed product core: packed blocked path at or above
-/// [`PACK_THRESHOLD`] MACs (f32 `b`) / [`PACK_THRESHOLD_HALF`] (half `b`),
-/// naive path below it. `naive_skip` produces the zero-skip soundness
-/// verdict and is only invoked on the naive route (the packed path
-/// propagates non-finite values without needing one). A half `b`
+/// True when an `m·k·n`-MAC product against `b` takes the packed blocked
+/// path: at or above [`PACK_THRESHOLD`] MACs for an f32 `b`,
+/// [`PACK_THRESHOLD_HALF`] for a half one.
+fn packs(b: &AnyMatRef<'_>, macs: usize) -> bool {
+    macs >= match b {
+        AnyMatRef::F32(_) => PACK_THRESHOLD,
+        AnyMatRef::Half(_) => PACK_THRESHOLD_HALF,
+    }
+}
+
+/// Size-routed product core into the zeroed `out`, plus an optional bias
+/// row: the packed blocked path when [`packs`] says so, the naive path
+/// below it. The packed path adds the bias in the tile epilogue; the naive
+/// path adds it in a pass over the finished product — the same add on the
+/// same accumulator either way. `naive_skip` produces the zero-skip
+/// soundness verdict and is only invoked on the naive route (the packed
+/// path propagates non-finite values without needing one). A half `b`
 /// dequantizes during packing on the blocked path, or into pooled f32
 /// scratch on the naive path — either way the arithmetic (and the result,
 /// given equal inputs routed the same way) is exactly the f32 kernel's.
+#[allow(clippy::too_many_arguments)]
 fn mm_into(
     a: MatRef<'_>,
     b: AnyMatRef<'_>,
+    bias: Option<&[f32]>,
     out: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
     naive_skip: impl FnOnce() -> bool,
 ) {
-    let threshold = match b {
-        AnyMatRef::F32(_) => PACK_THRESHOLD,
-        AnyMatRef::Half(_) => PACK_THRESHOLD_HALF,
-    };
-    if m * k * n >= threshold {
-        gemm::gemm_into_any(a, b, out, m, k, n);
+    if packs(&b, m * k * n) {
+        gemm::gemm_into_any(a, b, bias, out, m, k, n);
         return;
     }
     match b {
@@ -175,6 +185,9 @@ fn mm_into(
             naive_into(a, MatRef::contiguous(&scratch, 0, n), out, m, k, n, naive_skip());
             alloc::recycle(scratch);
         }
+    }
+    if let Some(bias) = bias {
+        add_bias_rows(out, bias);
     }
 }
 
@@ -195,7 +208,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul inner dims mismatch: {} vs {}", a.shape(), b.shape());
     let mut out = alloc::buf_zeroed(m * n);
-    mm_into(MatRef::contiguous(a.data(), 0, k), mat_any(b, 0, n), &mut out, m, k, n, || {
+    mm_into(MatRef::contiguous(a.data(), 0, k), mat_any(b, 0, n), None, &mut out, m, k, n, || {
         b.all_finite()
     });
     Tensor::from_vec([m, n], out)
@@ -220,6 +233,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     mm_into(
         MatRef::contiguous(a.data(), 0, k),
         mat_any(b, 0, k).transposed(),
+        None,
         &mut out,
         m,
         k,
@@ -246,6 +260,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     mm_into(
         MatRef::contiguous(a.data(), 0, k).transposed(),
         mat_any(b, 0, n),
+        None,
         &mut out,
         k,
         m,
@@ -378,9 +393,9 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// The K taps unfold into a transient (N·T, K·C_in) matrix ([`unfold_taps`])
 /// that multiplies the (K·C_in, C_out) permuted weight through the
-/// size-routed product core — the packed SIMD path at STSM's shapes — and
-/// the bias row is added last. The unfold goes straight back to the buffer
-/// pool. The product is dense: padding taps are explicit zeros and no term
+/// size-routed product core — the packed SIMD path at STSM's shapes, which
+/// adds the bias row in its tile epilogue. The unfold goes straight back to
+/// the buffer pool. The product is dense: padding taps are explicit zeros and no term
 /// is skipped, so non-finite values propagate like any dense product.
 pub fn conv1d_ntc(
     input: &Tensor,
@@ -409,6 +424,7 @@ pub fn conv1d_ntc(
     mm_into(
         MatRef::contiguous(&unfold, 0, kc),
         AnyMatRef::F32(MatRef::contiguous(&wp, 0, cout)),
+        bias.map(Tensor::data),
         &mut out,
         rows,
         kc,
@@ -417,9 +433,6 @@ pub fn conv1d_ntc(
     );
     alloc::recycle(unfold);
     alloc::recycle(wp);
-    if let Some(b) = bias {
-        add_bias_rows(&mut out, b.data());
-    }
     Tensor::from_vec([n, t, cout], out)
 }
 
@@ -454,6 +467,7 @@ pub fn conv1d_ntc_backward(
     mm_into(
         MatRef::contiguous(g, 0, cout),
         AnyMatRef::F32(MatRef::contiguous(&wp, 0, cout).transposed()),
+        None,
         &mut gu,
         rows,
         cout,
@@ -464,6 +478,7 @@ pub fn conv1d_ntc_backward(
     mm_into(
         MatRef::contiguous(&unfold, 0, kc).transposed(),
         AnyMatRef::F32(MatRef::contiguous(g, 0, cout)),
+        None,
         &mut gwp,
         kc,
         rows,
@@ -728,11 +743,23 @@ pub fn log_softmax_lastdim(x: &Tensor) -> Tensor {
 // accumulated in, match the composed ops exactly (verified in
 // `tests/fused_equivalence.rs`).
 
+/// `t` in f32: itself, or its decoded copy when stored in half precision.
+/// A quantized bias adds its *decoded* values — the add itself stays f32, so
+/// a clean f32 input still reproduces the f32 path bit-for-bit whenever the
+/// decoded bias equals the original.
+fn upcast(t: &Tensor) -> Tensor {
+    if t.dtype().is_half() {
+        t.to_dtype(DType::F32)
+    } else {
+        t.clone()
+    }
+}
+
 /// Fused affine map `x·W + b` with `x` (m×k), `W` (k×n) and a broadcast bias
 /// row `b` (n). Bit-identical to `matmul(x, w)` followed by a broadcast add:
-/// the product routes through the same size-selected kernel as `matmul`, and
-/// the bias pass adds each row in the same element order as the composed
-/// broadcast add.
+/// the product routes through the same size-selected kernel as `matmul`,
+/// and the bias is added once to each finished accumulator — in the packed
+/// tile's epilogue, or in a pass over the naive product.
 pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let _t = telemetry::span("kernel.addmm");
     if x.dtype().is_half() {
@@ -744,21 +771,18 @@ pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (w.dim(0), w.dim(1));
     assert_eq!(k, k2, "addmm inner dims mismatch: {} vs {}", x.shape(), w.shape());
     assert_eq!(b.numel(), n, "addmm bias must have {} elements, got {}", n, b.shape());
+    let bias = upcast(b);
     let mut out = alloc::buf_zeroed(m * n);
-    mm_into(MatRef::contiguous(x.data(), 0, k), mat_any(w, 0, n), &mut out, m, k, n, || {
-        w.all_finite()
-    });
-    // A quantized bias adds its *decoded* f32 values — the add itself stays
-    // f32, so a clean f32 input still reproduces the f32 path bit-for-bit
-    // whenever the decoded bias equals the original.
-    let bias_up;
-    let bd = if b.dtype().is_half() {
-        bias_up = b.to_dtype(DType::F32);
-        bias_up.data()
-    } else {
-        b.data()
-    };
-    add_bias_rows(&mut out, bd);
+    mm_into(
+        MatRef::contiguous(x.data(), 0, k),
+        mat_any(w, 0, n),
+        Some(bias.data()),
+        &mut out,
+        m,
+        k,
+        n,
+        || w.all_finite(),
+    );
     Tensor::from_vec([m, n], out)
 }
 
@@ -773,6 +797,142 @@ pub fn addmm_backward(x: &Tensor, w: &Tensor, g: &Tensor) -> (Tensor, Tensor, Te
     let gw = matmul_tn(x, g);
     let n = g.dim(1);
     (gx, gw, Tensor::from_vec([n], col_sums(g.data(), n)))
+}
+
+/// The dense half of the fused gated GCN layer (Eq. 7): for the aggregate
+/// `agg` (`(…, k)`, read as `m = numel / k` rows) and two affine maps
+/// `W_v`, `W_g` (`(k, n)`) with bias rows `b_v`, `b_g` (`n`), returns
+/// `out = (agg·W_v + b_v) ⊙ σ(agg·W_g + b_g)` of shape `(…, n)`, and with
+/// `save` also the `(m, n)` activations `v = agg·W_v + b_v` and
+/// `s = σ(agg·W_g + b_g)` the backward pass needs.
+///
+/// Bitwise equal to the composed chain `addmm`, `addmm`, `sigmoid`, `mul`.
+/// When both products reach the packed path by [`mm_into`]'s size rule —
+/// applied per weight, to `m·k·n` and each weight's own dtype threshold —
+/// they run as one [`gemm::gated_gemm_into`] pass whose tile epilogue
+/// computes the bias adds, the sigmoid and the product in registers. Below
+/// that (tiny graphs), the composed kernels run as they are, so the naive
+/// route's arithmetic is kept too.
+pub fn gated_gcn(
+    agg: &Tensor,
+    wv: &Tensor,
+    bv: &Tensor,
+    wg: &Tensor,
+    bg: &Tensor,
+    save: bool,
+) -> (Tensor, Option<(Tensor, Tensor)>) {
+    if agg.dtype().is_half() {
+        return gated_gcn(&agg.to_dtype(DType::F32), wv, bv, wg, bg, save);
+    }
+    assert!(agg.rank() >= 1, "gated_gcn input must have at least one dim");
+    let k = agg.dim(agg.rank() - 1);
+    assert_eq!(wv.dims(), wg.dims(), "gated_gcn value and gate weights differ in shape");
+    assert_eq!(wv.rank(), 2, "gated_gcn weights must be 2-D, got {}", wv.shape());
+    assert_eq!(wv.dim(0), k, "gated_gcn inner dims mismatch: {} vs {}", agg.shape(), wv.shape());
+    let n = wv.dim(1);
+    assert!(bv.numel() == n && bg.numel() == n, "gated_gcn biases must have {n} elements");
+    let m = agg.numel() / k.max(1);
+    let mut out_dims = agg.dims().to_vec();
+    *out_dims.last_mut().expect("rank checked above") = n;
+    let (value, gate) = (mat_any(wv, 0, n), mat_any(wg, 0, n));
+    if !(packs(&value, m * k * n) && packs(&gate, m * k * n)) {
+        let x = agg.reshape([m, k]);
+        let v = addmm(&x, wv, bv);
+        let s = sigmoid(&addmm(&x, wg, bg));
+        let out = v.zip(&s, |a, b| a * b).reshape(out_dims);
+        return (out, save.then_some((v, s)));
+    }
+    // Opened after the fallback, so the composed kernels above report under
+    // their own spans and a trace counts no time twice.
+    let _t = telemetry::span("kernel.gated_gcn");
+    let (bias_v, bias_g) = (upcast(bv), upcast(bg));
+    let mut out = alloc::buf_zeroed(m * n);
+    let mut saved = save.then(|| (alloc::buf_zeroed(m * n), alloc::buf_zeroed(m * n)));
+    gemm::gated_gemm_into(
+        MatRef::contiguous(agg.data(), 0, k),
+        value,
+        gate,
+        bias_v.data(),
+        bias_g.data(),
+        &mut out,
+        saved.as_mut().map(|(v, s)| (&mut v[..], &mut s[..])),
+        m,
+        k,
+        n,
+    );
+    let saved = saved.map(|(v, s)| (Tensor::from_vec([m, n], v), Tensor::from_vec([m, n], s)));
+    (Tensor::from_vec(out_dims, out), saved)
+}
+
+/// True when every element of columns `[c0, c0 + n)` of the row-major
+/// `stride`-column matrix `d` is finite: the naive route's zero-skip
+/// verdict for one column block.
+fn cols_finite(d: &[f32], c0: usize, n: usize, stride: usize) -> bool {
+    d.chunks_exact(stride).all(|row| row[c0..c0 + n].iter().all(|v| v.is_finite()))
+}
+
+/// Backward pass of [`gated_gcn`] for output gradient `g`, given the saved
+/// aggregate `agg` and activations `v`, `s`: `(grad_agg, grad_w_v,
+/// grad_b_v, grad_w_g, grad_b_g)`. It replays the composed chain's
+/// arithmetic, so every gradient is bitwise equal to it:
+///
+/// * `dv = g·s` and `dĝ = (g·v)·(s·(1 − s))` — the mul and sigmoid
+///   backward expressions — go into one `(m, 2n)` buffer `[dv | dĝ]`;
+/// * the weight gradients are `aggᵀ·dv` and `aggᵀ·dĝ`, two size-routed
+///   products over strided views of that buffer, each with its own
+///   zero-skip verdict on the naive route;
+/// * the bias gradients are column sums in row order;
+/// * `grad_agg = dĝ·W_gᵀ`, then `+= dv·W_vᵀ` — the order the tape
+///   accumulated the two `addmm` contributions in. These stay two products:
+///   one `K = 2n` product would round differently.
+pub fn gated_gcn_backward(
+    agg: &Tensor,
+    wv: &Tensor,
+    wg: &Tensor,
+    v: &Tensor,
+    s: &Tensor,
+    g: &Tensor,
+) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
+    if agg.dtype().is_half() {
+        return gated_gcn_backward(&agg.to_dtype(DType::F32), wv, wg, v, s, g);
+    }
+    let _t = telemetry::span("kernel.gated_gcn_bwd");
+    let k = agg.dim(agg.rank() - 1);
+    let n = wv.dim(1);
+    let m = v.numel() / n.max(1);
+    assert_eq!(g.numel(), m * n, "gated_gcn grad_out size mismatch");
+    let n2 = 2 * n;
+    let mut d = alloc::buf_with_capacity(m * n2);
+    for ((gr, vr), sr) in
+        g.data().chunks_exact(n).zip(v.data().chunks_exact(n)).zip(s.data().chunks_exact(n))
+    {
+        d.extend(gr.iter().zip(sr).map(|(&gv, &sv)| gv * sv));
+        d.extend(gr.iter().zip(vr).zip(sr).map(|((&gv, &vv), &sv)| (gv * vv) * (sv * (1.0 - sv))));
+    }
+    let dv = MatRef { data: &d, base: 0, rs: n2, cs: 1 };
+    let dg = MatRef { data: &d, base: n, rs: n2, cs: 1 };
+    let agg_t = MatRef::contiguous(agg.data(), 0, k).transposed();
+    let (mut dwv, mut dwg) = (alloc::buf_zeroed(k * n), alloc::buf_zeroed(k * n));
+    mm_into(agg_t, AnyMatRef::F32(dv), None, &mut dwv, k, m, n, || cols_finite(&d, 0, n, n2));
+    mm_into(agg_t, AnyMatRef::F32(dg), None, &mut dwg, k, m, n, || cols_finite(&d, n, n, n2));
+    let mut db = col_sums(&d, n2);
+    let dbg = db.split_off(n);
+    let mut dagg = alloc::buf_zeroed(m * k);
+    mm_into(dg, mat_any(wg, 0, n).transposed(), None, &mut dagg, m, n, k, || wg.all_finite());
+    let mut part = alloc::buf_zeroed(m * k);
+    mm_into(dv, mat_any(wv, 0, n).transposed(), None, &mut part, m, n, k, || wv.all_finite());
+    for (o, &p) in dagg.iter_mut().zip(&part) {
+        *o += p;
+    }
+    alloc::recycle(part);
+    alloc::recycle(d);
+    (
+        Tensor::from_vec(agg.shape().clone(), dagg),
+        Tensor::from_vec([k, n], dwv),
+        Tensor::from_vec([n], db),
+        Tensor::from_vec([k, n], dwg),
+        Tensor::from_vec([n], dbg),
+    )
 }
 
 /// Fused GRU reset gate: `r = sigmoid(ar)`, `rh = r ⊙ h` in one node.

@@ -57,6 +57,18 @@ impl Linear {
         self.out_dim
     }
 
+    /// The bound `(weight, bias)` [`Var`]s of a biased layer, for fused ops
+    /// that apply the affine map themselves ([`Fwd::gated_gcn`]). Binds in
+    /// the order [`Linear::forward`] does.
+    ///
+    /// # Panics
+    /// If the layer has no bias.
+    pub fn bind(&self, fwd: &mut Fwd) -> (Var, Var) {
+        let w = fwd.p(self.w);
+        let b = self.b.expect("Linear::bind needs a biased layer");
+        (w, fwd.p(b))
+    }
+
     /// Applies the layer to `x` of shape `(..., in_dim)`.
     pub fn forward(&self, fwd: &mut Fwd, x: Var) -> Var {
         let in_shape = fwd.shape_of(x);

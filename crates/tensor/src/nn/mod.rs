@@ -132,6 +132,11 @@ impl<'a, 't> Fwd<'a, 't> {
         fn linmap(map: Arc<dyn LinMap>, x: Var) -> Var;
         /// Fused `x @ w + b` (row-broadcast bias).
         fn addmm(x: Var, w: Var, b: Var) -> Var;
+        /// Fused gated GCN layer `(A z W_v + b_v) ⊙ σ(A z W_g + b_g)` with
+        /// `value = (W_v, b_v)` and `gate = (W_g, b_g)` (see
+        /// [`Linear::bind`]); bitwise equal to `linmap`, two `addmm`,
+        /// `sigmoid` and `mul`.
+        fn gated_gcn(map: Arc<dyn LinMap>, z: Var, value: (Var, Var), gate: (Var, Var)) -> Var;
         /// Fused GRU reset-gate stage: `sigmoid(ar) * h`.
         fn gru_rh(ar: Var, h: Var) -> Var;
         /// Fused GRU output stage: `(1 - z) * n + z * h`.

@@ -1,14 +1,16 @@
 //! Runtime-dispatched SIMD micro-kernels for the packed matmul path, the
+//! gated two-panel tile of the fused GCN layer ([`gated_tile`]), the
 //! row-group kernel of the CSR spmm (`spmm_group`), and the polynomial
 //! `exp`/sigmoid ([`exp_slice`], [`sigmoid_slice`]).
 //!
 //! The unit of work is an `MR × NR` register tile: up to `MR` rows of `A`
 //! (read through arbitrary strides) against one packed `B` panel (`k × NR`
 //! contiguous, zero-padded to `NR` columns), accumulated over the full `k`
-//! extent in ascending order and written to the output once. Keeping the
-//! entire accumulation for an output element inside a single tile call is
-//! what makes the blocked kernel bit-deterministic for any thread count and
-//! any strip/panel partitioning (see [`crate::gemm`]).
+//! extent in ascending order and written to the output once, after an
+//! optional bias add on the finished accumulator. Keeping the entire
+//! accumulation for an output element inside a single tile call is what
+//! makes the blocked kernel bit-deterministic for any thread count and any
+//! strip/panel partitioning (see [`crate::gemm`]).
 //!
 //! Three implementations are provided; the process runs the highest level
 //! the CPU has:
@@ -147,7 +149,9 @@ pub fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 /// * `bp` is one packed panel: element `(kk, c)` lives at `kk * NR + c`,
 ///   columns beyond `cols` zero-padded (the tile computes all `NR` lanes
 ///   and stores only `cols`).
-/// * The output is written (not accumulated into) at `o_base + r * o_rs + c`.
+/// * The output is written (not accumulated into) at `o_base + r * o_rs + c`,
+///   as `acc + bias[c]` when a bias is given: the same single add a separate
+///   bias pass over the stored accumulator would make.
 #[derive(Clone, Copy)]
 pub struct TileArgs<'a> {
     /// Backing storage of the `A` operand.
@@ -170,6 +174,9 @@ pub struct TileArgs<'a> {
     pub rows: usize,
     /// Output columns this tile produces (`1..=NR`).
     pub cols: usize,
+    /// The panel's `NR` bias lanes (zero past `cols`), added to the
+    /// finished accumulator before the store.
+    pub bias: Option<&'a [f32]>,
 }
 
 impl TileArgs<'_> {
@@ -178,6 +185,7 @@ impl TileArgs<'_> {
         debug_assert!(self.rows >= 1 && self.rows <= MR);
         debug_assert!(self.cols >= 1 && self.cols <= NR);
         debug_assert!(self.k * NR <= self.bp.len());
+        debug_assert!(self.bias.is_none_or(|b| b.len() >= NR));
         if self.k > 0 {
             let a_last = self.a_base + (self.rows - 1) * self.a_rs + (self.k - 1) * self.a_cs;
             debug_assert!(a_last < self.a.len(), "tile A access out of bounds");
@@ -207,7 +215,21 @@ pub fn tile(level: SimdLevel, args: TileArgs<'_>, out: &mut [f32]) {
 /// Portable mirror of the vector tiles: same blocking, same ascending-`k`
 /// accumulation order, plain multiply-then-add arithmetic.
 fn scalar_tile(args: TileArgs<'_>, out: &mut [f32]) {
-    let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, rows, cols } = args;
+    let TileArgs { o_base, o_rs, rows, cols, bias, .. } = args;
+    let acc = scalar_acc(&args, args.bp);
+    for (r, accr) in acc.iter().enumerate().take(rows) {
+        let o = &mut out[o_base + r * o_rs..o_base + r * o_rs + cols];
+        match bias {
+            Some(b) => o.iter_mut().zip(accr).zip(b).for_each(|((o, &v), &bv)| *o = v + bv),
+            None => o.copy_from_slice(&accr[..cols]),
+        }
+    }
+}
+
+/// The scalar tile's accumulators for `args`' rows of `A` against panel
+/// `bp`: one multiply then add per `k`, ascending from 0.0.
+fn scalar_acc(args: &TileArgs<'_>, bp: &[f32]) -> [[f32; NR]; MR] {
+    let TileArgs { a, a_base, a_rs, a_cs, k, rows, .. } = *args;
     let mut acc = [[0.0f32; NR]; MR];
     for kk in 0..k {
         let brow = &bp[kk * NR..kk * NR + NR];
@@ -218,8 +240,87 @@ fn scalar_tile(args: TileArgs<'_>, out: &mut [f32]) {
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate().take(rows) {
-        out[o_base + r * o_rs..o_base + r * o_rs + cols].copy_from_slice(&accr[..cols]);
+    acc
+}
+
+/// Arguments of one gated tile (see [`gated_tile`]): `value` is an
+/// ordinary tile over the value weight's panel, whose `bias` (required) is
+/// the value bias; `gate` is the gate weight's panel for the same columns
+/// and `gate_bias` its `NR` bias lanes.
+#[derive(Clone, Copy)]
+pub(crate) struct GatedTileArgs<'a> {
+    /// `A`, the value panel and bias, `k`, and the output placement.
+    pub value: TileArgs<'a>,
+    /// The gate weight's packed panel (`k × NR`, zero-padded columns).
+    pub gate: &'a [f32],
+    /// The gate bias lanes (`NR`, zero past `cols`).
+    pub gate_bias: &'a [f32],
+}
+
+/// The value and sigmoid outputs a gated tile also stores, at the output's
+/// positions, when the caller keeps them (the tape's backward needs both).
+pub(crate) type GatedSaved<'a> = Option<(&'a mut [f32], &'a mut [f32])>;
+
+/// One gated tile of the fused GCN layer: the same `A` rows against the
+/// value and the gate panel, accumulated like two [`tile`] calls, then in
+/// registers `v = acc_v + b_v`, `s = σ(acc_g + b_g)` and `out = v · s`,
+/// each output element stored once (and `v`, `s` into `saved` when given).
+///
+/// Per element this is the composed chain's sequence of IEEE operations:
+/// the two affine tiles, the bias adds, the shared polynomial sigmoid
+/// (bitwise equal at every level) and the product — so the result is
+/// bitwise equal to `addmm`, `addmm`, `sigmoid`, `mul` at the same level.
+#[inline]
+pub(crate) fn gated_tile(
+    level: SimdLevel,
+    args: GatedTileArgs<'_>,
+    out: &mut [f32],
+    saved: GatedSaved<'_>,
+) {
+    // Checked in release too: the vector bodies read and store through raw
+    // pointers, and the checks cost nothing next to the tile's 2·MR·NR·k
+    // multiply-adds.
+    let v = &args.value;
+    assert!((1..=MR).contains(&v.rows) && (1..=NR).contains(&v.cols), "gated tile shape");
+    assert!(v.k * NR <= v.bp.len() && v.k * NR <= args.gate.len(), "gated tile panels");
+    assert!(v.bias.is_some_and(|b| b.len() >= NR) && args.gate_bias.len() >= NR, "gated biases");
+    assert!(
+        v.k == 0 || v.a_base + (v.rows - 1) * v.a_rs + (v.k - 1) * v.a_cs < v.a.len(),
+        "gated tile A access out of bounds"
+    );
+    assert!(v.o_base + (v.rows - 1) * v.o_rs + v.cols <= out.len(), "gated tile out of bounds");
+    assert!(
+        saved.as_ref().is_none_or(|(sv, ss)| sv.len() == out.len() && ss.len() == out.len()),
+        "gated tile saved buffers must match the output"
+    );
+    match level.min(detected()) {
+        // Safety (both arms): the clamp above leaves only levels the CPU
+        // reported, and the asserts above bound every access.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { avx512::gated_tile(args, out, saved) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => unsafe { avx2::gated_tile(args, out, saved) },
+        _ => scalar_gated_tile(args, out, saved),
+    }
+}
+
+/// Portable mirror of the vector gated tiles.
+fn scalar_gated_tile(args: GatedTileArgs<'_>, out: &mut [f32], mut saved: GatedSaved<'_>) {
+    let GatedTileArgs { value, gate, gate_bias } = args;
+    let TileArgs { o_base, o_rs, rows, cols, .. } = value;
+    let bias = value.bias.expect("gated tile needs the value bias");
+    let (acc_v, acc_g) = (scalar_acc(&value, value.bp), scalar_acc(&value, gate));
+    for r in 0..rows {
+        for c in 0..cols {
+            let o = o_base + r * o_rs + c;
+            let v = acc_v[r][c] + bias[c];
+            let s = sigmoid_scalar(acc_g[r][c] + gate_bias[c]);
+            out[o] = v * s;
+            if let Some((vs, ss)) = saved.as_mut() {
+                vs[o] = v;
+                ss[o] = s;
+            }
+        }
     }
 }
 
@@ -386,8 +487,8 @@ pub fn sigmoid_slice(x: &[f32], out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        exp_scalar, sigmoid_scalar, spmm_group_tail, RowGroup, TileArgs, EXP_HI, EXP_LO, EXP_P,
-        LN2_HI, LN2_LO, LOG2E, MR, NR,
+        exp_scalar, sigmoid_scalar, spmm_group_tail, GatedSaved, GatedTileArgs, RowGroup, TileArgs,
+        EXP_HI, EXP_LO, EXP_P, LN2_HI, LN2_LO, LOG2E, MR, NR,
     };
     use std::arch::x86_64::*;
 
@@ -401,7 +502,7 @@ mod avx2 {
             #[target_feature(enable = "avx2", enable = "fma")]
             unsafe fn $name(args: TileArgs<'_>, out: &mut [f32]) {
                 const R: usize = $rows;
-                let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, .. } = args;
+                let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, bias, .. } = args;
                 let ap = a.as_ptr().add(a_base);
                 for c0 in (0..cols).step_by(8) {
                     let bptr = bp.as_ptr().add(c0);
@@ -411,6 +512,12 @@ mod avx2 {
                         for r in 0..R {
                             let av = _mm256_set1_ps(*ap.add(r * a_rs + kk * a_cs));
                             acc[r] = _mm256_fmadd_ps(av, bv, acc[r]);
+                        }
+                    }
+                    if let Some(b) = bias {
+                        let bb = _mm256_loadu_ps(b.as_ptr().add(c0));
+                        for r in 0..R {
+                            acc[r] = _mm256_add_ps(acc[r], bb);
                         }
                     }
                     let n = (cols - c0).min(8);
@@ -600,6 +707,103 @@ mod avx2 {
         _mm256_div_ps(one, _mm256_add_ps(one, exp8(neg)))
     }
 
+    /// AVX2 body of [`super::gated_tile`]: at most four rows per pass (two
+    /// accumulators per row, 2R + 3 of the 16 YMM registers), so an 8-row
+    /// strip runs as two passes over the same panels.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA at runtime and in-bounds `args` (asserted by
+    /// [`super::gated_tile`]).
+    pub(super) unsafe fn gated_tile(
+        args: GatedTileArgs<'_>,
+        out: &mut [f32],
+        mut saved: GatedSaved<'_>,
+    ) {
+        let rows = args.value.rows;
+        let mut r0 = 0;
+        while r0 < rows {
+            let v = args.value;
+            let part = GatedTileArgs {
+                value: TileArgs {
+                    a_base: v.a_base + r0 * v.a_rs,
+                    o_base: v.o_base + r0 * v.o_rs,
+                    rows: (rows - r0).min(4),
+                    ..v
+                },
+                ..args
+            };
+            let sv = saved.as_mut().map(|(vs, ss)| (&mut **vs, &mut **ss));
+            match part.value.rows {
+                1 => gated_rows::<1>(part, out, sv),
+                2 => gated_rows::<2>(part, out, sv),
+                3 => gated_rows::<3>(part, out, sv),
+                _ => gated_rows::<4>(part, out, sv),
+            }
+            r0 += 4;
+        }
+    }
+
+    /// `R` rows of the gated tile, per 8-lane half of the panel: both
+    /// accumulators over the full `k` (one FMA each per `k`), then the bias
+    /// adds, [`sigmoid8`] and the product in registers.
+    ///
+    /// # Safety
+    /// As [`gated_tile`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gated_rows<const R: usize>(
+        args: GatedTileArgs<'_>,
+        out: &mut [f32],
+        mut saved: GatedSaved<'_>,
+    ) {
+        let GatedTileArgs { value, gate, gate_bias } = args;
+        let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, bias, .. } = value;
+        let bias = bias.expect("gated tile needs the value bias");
+        let ap = a.as_ptr().add(a_base);
+        for c0 in (0..cols).step_by(8) {
+            let (pv, pg) = (bp.as_ptr().add(c0), gate.as_ptr().add(c0));
+            let mut acc_v = [_mm256_setzero_ps(); R];
+            let mut acc_g = [_mm256_setzero_ps(); R];
+            for kk in 0..k {
+                let bv = _mm256_loadu_ps(pv.add(kk * NR));
+                let bg = _mm256_loadu_ps(pg.add(kk * NR));
+                for r in 0..R {
+                    let av = _mm256_set1_ps(*ap.add(r * a_rs + kk * a_cs));
+                    acc_v[r] = _mm256_fmadd_ps(av, bv, acc_v[r]);
+                    acc_g[r] = _mm256_fmadd_ps(av, bg, acc_g[r]);
+                }
+            }
+            let bias_v = _mm256_loadu_ps(bias.as_ptr().add(c0));
+            let bias_g = _mm256_loadu_ps(gate_bias.as_ptr().add(c0));
+            let n = (cols - c0).min(8);
+            for r in 0..R {
+                let v = _mm256_add_ps(acc_v[r], bias_v);
+                let s = sigmoid8(_mm256_add_ps(acc_g[r], bias_g));
+                let o = o_base + r * o_rs + c0;
+                store8(&mut out[o..o + n], _mm256_mul_ps(v, s));
+                if let Some((vs, ss)) = saved.as_mut() {
+                    store8(&mut vs[o..o + n], v);
+                    store8(&mut ss[o..o + n], s);
+                }
+            }
+        }
+    }
+
+    /// Stores the first `dst.len()` (at most 8) lanes of `v`.
+    ///
+    /// # Safety
+    /// Requires AVX2 at runtime.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store8(dst: &mut [f32], v: __m256) {
+        if dst.len() == 8 {
+            _mm256_storeu_ps(dst.as_mut_ptr(), v);
+        } else {
+            let mut lane = [0.0f32; 8];
+            _mm256_storeu_ps(lane.as_mut_ptr(), v);
+            dst.copy_from_slice(&lane[..dst.len()]);
+        }
+    }
+
     /// Dispatches on the (dynamic) row count to a fixed-row tile body.
     ///
     /// # Safety
@@ -624,8 +828,8 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{
-        exp_scalar, sigmoid_scalar, spmm_group_tail, RowGroup, TileArgs, EXP_HI, EXP_LO, EXP_P,
-        LN2_HI, LN2_LO, LOG2E, MR, NR,
+        exp_scalar, sigmoid_scalar, spmm_group_tail, GatedSaved, GatedTileArgs, RowGroup, TileArgs,
+        EXP_HI, EXP_LO, EXP_P, LN2_HI, LN2_LO, LOG2E, MR, NR,
     };
     use std::arch::x86_64::*;
 
@@ -637,7 +841,7 @@ mod avx512 {
             #[target_feature(enable = "avx512f")]
             unsafe fn $name(args: TileArgs<'_>, out: &mut [f32]) {
                 const R: usize = $rows;
-                let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, .. } = args;
+                let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, bias, .. } = args;
                 let ap = a.as_ptr().add(a_base);
                 let bptr = bp.as_ptr();
                 let mut acc = [_mm512_setzero_ps(); R];
@@ -646,6 +850,12 @@ mod avx512 {
                     for r in 0..R {
                         let av = _mm512_set1_ps(*ap.add(r * a_rs + kk * a_cs));
                         acc[r] = _mm512_fmadd_ps(av, bv, acc[r]);
+                    }
+                }
+                if let Some(b) = bias {
+                    let bb = _mm512_loadu_ps(b.as_ptr());
+                    for r in 0..R {
+                        acc[r] = _mm512_add_ps(acc[r], bb);
                     }
                 }
                 let mask: __mmask16 = u16::MAX >> (NR - cols);
@@ -681,6 +891,73 @@ mod avx512 {
             6 => tile_r6(args, out),
             7 => tile_r7(args, out),
             _ => tile_r8(args, out),
+        }
+    }
+
+    /// AVX-512 body of [`super::gated_tile`]: dispatches on the row count
+    /// to a fixed-row body.
+    ///
+    /// # Safety
+    /// Requires AVX-512F at runtime and in-bounds `args` (asserted by
+    /// [`super::gated_tile`]).
+    pub(super) unsafe fn gated_tile(
+        args: GatedTileArgs<'_>,
+        out: &mut [f32],
+        saved: GatedSaved<'_>,
+    ) {
+        match args.value.rows {
+            1 => gated_rows::<1>(args, out, saved),
+            2 => gated_rows::<2>(args, out, saved),
+            3 => gated_rows::<3>(args, out, saved),
+            4 => gated_rows::<4>(args, out, saved),
+            5 => gated_rows::<5>(args, out, saved),
+            6 => gated_rows::<6>(args, out, saved),
+            7 => gated_rows::<7>(args, out, saved),
+            _ => gated_rows::<8>(args, out, saved),
+        }
+    }
+
+    /// `R` rows of the gated tile: one ZMM accumulator per row and panel
+    /// (2R of the 32 registers), one FMA each per `k`, then the bias adds,
+    /// [`sigmoid16`] and the product in registers, stored through a lane
+    /// mask when the panel is partial.
+    ///
+    /// # Safety
+    /// As [`gated_tile`].
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gated_rows<const R: usize>(
+        args: GatedTileArgs<'_>,
+        out: &mut [f32],
+        mut saved: GatedSaved<'_>,
+    ) {
+        let GatedTileArgs { value, gate, gate_bias } = args;
+        let TileArgs { a, a_base, a_rs, a_cs, bp, k, o_base, o_rs, cols, bias, .. } = value;
+        let bias = bias.expect("gated tile needs the value bias");
+        let ap = a.as_ptr().add(a_base);
+        let (pv, pg) = (bp.as_ptr(), gate.as_ptr());
+        let mut acc_v = [_mm512_setzero_ps(); R];
+        let mut acc_g = [_mm512_setzero_ps(); R];
+        for kk in 0..k {
+            let bv = _mm512_loadu_ps(pv.add(kk * NR));
+            let bg = _mm512_loadu_ps(pg.add(kk * NR));
+            for r in 0..R {
+                let av = _mm512_set1_ps(*ap.add(r * a_rs + kk * a_cs));
+                acc_v[r] = _mm512_fmadd_ps(av, bv, acc_v[r]);
+                acc_g[r] = _mm512_fmadd_ps(av, bg, acc_g[r]);
+            }
+        }
+        let bias_v = _mm512_loadu_ps(bias.as_ptr());
+        let bias_g = _mm512_loadu_ps(gate_bias.as_ptr());
+        let mask: __mmask16 = u16::MAX >> (NR - cols);
+        for r in 0..R {
+            let v = _mm512_add_ps(acc_v[r], bias_v);
+            let s = sigmoid16(_mm512_add_ps(acc_g[r], bias_g));
+            let o = o_base + r * o_rs;
+            _mm512_mask_storeu_ps(out.as_mut_ptr().add(o), mask, _mm512_mul_ps(v, s));
+            if let Some((vs, ss)) = saved.as_mut() {
+                _mm512_mask_storeu_ps(vs.as_mut_ptr().add(o), mask, v);
+                _mm512_mask_storeu_ps(ss.as_mut_ptr().add(o), mask, s);
+            }
         }
     }
 
@@ -890,6 +1167,7 @@ mod tests {
                     o_rs: NR,
                     rows,
                     cols,
+                    bias: None,
                 };
                 // NaN marks the outputs the tile must leave untouched.
                 let mut want = vec![f32::NAN; MR * NR];
@@ -942,6 +1220,7 @@ mod tests {
                 o_rs: NR,
                 rows: m,
                 cols: NR,
+                bias: None,
             };
             tile(lvl, args, &mut out);
             out
@@ -978,6 +1257,7 @@ mod tests {
                         o_rs: NR,
                         rows,
                         cols,
+                        bias: None,
                     };
                     let run = |lvl| {
                         let mut out = vec![f32::NAN; MR * NR];

@@ -151,34 +151,32 @@ impl Tape {
     }
 
     /// Elementwise maximum; gradient flows to whichever input was larger
-    /// (split evenly on exact ties).
+    /// (split evenly on exact ties, and on NaN, which compares neither way).
     pub fn max2(&self, a: Var, b: Var) -> Var {
         let (ta, tb) = (self.value(a), self.value(b));
         assert_eq!(ta.shape(), tb.shape(), "max2 requires equal shapes");
         let out = ta.zip(&tb, f32::max);
-        let (ta2, tb2) = (ta.clone(), tb.clone());
         self.push(
             out,
             Some(Box::new(move |g| {
-                let mut ga = Tensor::zeros(ta2.shape().clone());
-                let mut gb = Tensor::zeros(tb2.shape().clone());
-                {
-                    let (gad, gbd) = (ga.data_mut(), gb.data_mut());
-                    // gbd borrows after gad ends; split scope to satisfy borrowck.
-                    for (i, ((&av, &bv), &gv)) in
-                        ta2.data().iter().zip(tb2.data().iter()).zip(g.data().iter()).enumerate()
-                    {
-                        if av > bv {
-                            gad[i] = gv;
-                        } else if bv > av {
-                            gbd[i] = gv;
-                        } else {
-                            gad[i] = 0.5 * gv;
-                            gbd[i] = 0.5 * gv;
-                        }
-                    }
-                }
-                vec![(a.0, ga), (b.0, gb)]
+                // One select pass per input: `g` where it is the strict
+                // maximum, 0 where the other is, `0.5·g` on a tie.
+                let route = |x: &Tensor, y: &Tensor| {
+                    let mut buf = alloc::buf_with_capacity(g.numel());
+                    buf.extend(x.data().iter().zip(y.data()).zip(g.data()).map(
+                        |((&xv, &yv), &gv)| {
+                            if xv > yv {
+                                gv
+                            } else if yv > xv {
+                                0.0
+                            } else {
+                                0.5 * gv
+                            }
+                        },
+                    ));
+                    Tensor::from_vec(g.shape().clone(), buf)
+                };
+                vec![(a.0, route(&ta, &tb)), (b.0, route(&tb, &ta))]
             })),
         )
     }
@@ -251,6 +249,42 @@ impl Tape {
             Some(Box::new(move |g| {
                 let (gx, gw, gb) = kernels::addmm_backward(&tx, &tw, g);
                 vec![(x.0, gx), (w.0, gw), (b.0, gb)]
+            })),
+        )
+    }
+
+    /// Fused gated GCN layer (Eq. 7) as one node: `agg = map(z)` (one spmm),
+    /// then `(agg·W_v + b_v) ⊙ σ(agg·W_g + b_g)` through
+    /// [`kernels::gated_gcn`], with `value = (W_v, b_v)` and
+    /// `gate = (W_g, b_g)`. Bit-identical to `linmap`, `addmm` ×2, `sigmoid`
+    /// and `mul` in forward and backward. The node keeps `agg`, `v` and `s`
+    /// for its hand-written backward ([`kernels::gated_gcn_backward`]) —
+    /// not the gate pre-activation, and no gradient slots for the inner
+    /// values.
+    pub fn gated_gcn(
+        &self,
+        map: Arc<dyn LinMap>,
+        z: Var,
+        value: (Var, Var),
+        gate: (Var, Var),
+    ) -> Var {
+        let agg = map.apply(&self.value(z));
+        let (wv, wg) = (self.value(value.0), self.value(gate.0));
+        let (out, saved) =
+            kernels::gated_gcn(&agg, &wv, &self.value(value.1), &wg, &self.value(gate.1), true);
+        let (v, s) = saved.expect("gated_gcn saves its activations when asked");
+        self.push(
+            out,
+            Some(Box::new(move |g| {
+                let (dagg, dwv, dbv, dwg, dbg) =
+                    kernels::gated_gcn_backward(&agg, &wv, &wg, &v, &s, g);
+                vec![
+                    (z.0, map.apply_transpose(&dagg)),
+                    (value.0 .0, dwv),
+                    (value.1 .0, dbv),
+                    (gate.0 .0, dwg),
+                    (gate.1 .0, dbg),
+                ]
             })),
         )
     }

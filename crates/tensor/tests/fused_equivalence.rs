@@ -1,5 +1,5 @@
 //! Bit-identity and gradient correctness for the fused training-step
-//! kernels (`addmm` and the GRU-gate tape ops).
+//! kernels (`addmm`, the GRU-gate tape ops and the gated GCN node).
 //!
 //! The contract under test is the one `DESIGN.md` ("Memory model") promises:
 //! the fused layers produce **bitwise identical** results to the composed
@@ -10,9 +10,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use stsm_tensor::nn::{uniform, Fwd, GruCell, Linear};
 use stsm_tensor::optim::{clip_grad_norm, Adam, Optimizer};
-use stsm_tensor::{pool, ParamBinder, ParamStore, Tape, Tensor, Var};
+use stsm_tensor::simd;
+use stsm_tensor::{
+    pool, DType, DenseLinMap, InferSession, LinMap, ParamBinder, ParamId, ParamStore, Tape, Tensor,
+    Var,
+};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -232,4 +237,213 @@ fn training_trajectory_bitwise_identical_across_threads() {
     let reference = train_trajectory(1);
     assert_eq!(reference.len(), 6);
     assert_eq!(train_trajectory(3), reference, "trajectory diverged for threads=3");
+}
+
+// ------------------------------------------------------- gated GCN node
+
+/// One gated GCN layer's inputs: a graph of `n` nodes over `t` steps, `k`
+/// input and `h` output features. The biases are drawn at random (a layer
+/// initializes them to zero, which would hide a dropped bias).
+struct GcnCase {
+    store: ParamStore,
+    value: Linear,
+    gate: Linear,
+    map: Arc<dyn LinMap>,
+    z: Tensor,
+    /// Weights of the scalar loss `Σ out ⊙ c`, so the output gradient is
+    /// not uniform.
+    c: Tensor,
+}
+
+fn gcn_case(n: usize, t: usize, k: usize, h: usize, seed: u64) -> GcnCase {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut store = ParamStore::new();
+    let value = Linear::new(&mut store, "gcn.v", k, h, &mut rng);
+    let gate = Linear::new(&mut store, "gcn.g", k, h, &mut rng);
+    // Registration order: W_v, b_v, W_g, b_g.
+    for bias in [ParamId(1), ParamId(3)] {
+        store.set(bias, uniform([h], -0.5, 0.5, &mut rng));
+    }
+    // A sparse-ish row-normalized adjacency with self loops.
+    let mut adj = vec![0.0f32; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            if i == j || (i * 7 + j * 3) % 5 == 0 {
+                adj[i * n + j] = 1.0 / (1.0 + (i + j) as f32 % 3.0);
+            }
+        }
+    }
+    let map: Arc<dyn LinMap> = Arc::new(DenseLinMap::new(Tensor::from_vec([n, n], adj)));
+    let z = uniform([n, t, k], -1.0, 1.0, &mut rng);
+    let c = uniform([n, t, h], -1.0, 1.0, &mut rng);
+    GcnCase { store, value, gate, map, z, c }
+}
+
+/// The composed chain the fused node replaces.
+fn gcn_composed(fwd: &mut Fwd, case: &GcnCase, z: Var) -> Var {
+    let agg = fwd.linmap(Arc::clone(&case.map), z);
+    let v = case.value.forward(fwd, agg);
+    let g = case.gate.forward(fwd, agg);
+    let gs = fwd.sigmoid(g);
+    fwd.mul(v, gs)
+}
+
+fn gcn_fused(fwd: &mut Fwd, case: &GcnCase, z: Var) -> Var {
+    let value = case.value.bind(fwd);
+    let gate = case.gate.bind(fwd);
+    fwd.gated_gcn(Arc::clone(&case.map), z, value, gate)
+}
+
+/// Train-mode forward + backward of one layer: output bits, then the
+/// gradient bits of z and of every parameter (W_v, b_v, W_g, b_g).
+fn gcn_train(case: &GcnCase, fused: bool) -> Vec<Vec<u32>> {
+    let tape = Tape::new();
+    let mut binder = ParamBinder::new(&tape);
+    let mut fwd = Fwd::new(&case.store, &mut binder);
+    let z = tape.leaf(case.z.clone());
+    let out = if fused { gcn_fused(&mut fwd, case, z) } else { gcn_composed(&mut fwd, case, z) };
+    let cv = tape.constant(case.c.clone());
+    let loss = tape.sum_all(tape.mul(out, cv));
+    tape.backward(loss);
+    let mut res = vec![bits(&tape.value(out)), bits(&tape.grad(z).expect("z gradient"))];
+    let grads = binder.grads();
+    assert_eq!(grads.len(), 4, "every layer parameter must receive a gradient");
+    res.extend(grads.iter().map(|(_, g)| bits(g)));
+    res
+}
+
+/// Infer-mode forward of one layer over `store` (f32 or quantized).
+fn gcn_infer(case: &GcnCase, store: &ParamStore, fused: bool) -> Vec<u32> {
+    let mut session = InferSession::new(store);
+    let mut fwd = Fwd::infer(store, &mut session);
+    let z = fwd.constant(case.z.clone());
+    let out = if fused { gcn_fused(&mut fwd, case, z) } else { gcn_composed(&mut fwd, case, z) };
+    bits(&fwd.value(out))
+}
+
+/// `(n, t, k, h)` shapes on both sides of the packed-path threshold
+/// (2^15 MACs per weight, 2^13 for half weights): tiny graphs that run the
+/// naive route, and graphs whose `n·t·k·h` reaches the packed one — with
+/// `h` below, at, between and above multiples of the 16-column panel.
+const GCN_SHAPES: [(usize, usize, usize, usize); 8] = [
+    (4, 3, 8, 8),
+    (5, 2, 16, 16),
+    (9, 7, 8, 8),
+    (40, 20, 8, 8),
+    (12, 12, 16, 16),
+    (10, 9, 24, 24),
+    (7, 8, 32, 32),
+    (11, 13, 12, 20),
+];
+
+fn packs(&(n, t, k, h): &(usize, usize, usize, usize)) -> bool {
+    n * t * k * h >= 1 << 15
+}
+
+#[test]
+fn gated_gcn_node_bitwise_matches_composed_chain() {
+    assert!(GCN_SHAPES.iter().any(packs) && !GCN_SHAPES.iter().all(packs));
+    for (i, shape) in GCN_SHAPES.iter().enumerate() {
+        let &(n, t, k, h) = shape;
+        let case = gcn_case(n, t, k, h, 40 + i as u64);
+        for lvl in simd::supported_levels() {
+            let run = |threads: usize, fused: bool| {
+                pool::with_max_threads(threads, || {
+                    simd::with_level(lvl, || gcn_train(&case, fused))
+                })
+            };
+            let reference = run(1, false);
+            for threads in [1, 3] {
+                let got = run(threads, true);
+                for (j, what) in ["out", "dz", "dW_v", "db_v", "dW_g", "db_g"].iter().enumerate() {
+                    assert_eq!(
+                        got[j], reference[j],
+                        "{what} differs at {shape:?}, {lvl:?}, {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gated_gcn_infer_bitwise_matches_train_and_composed() {
+    for (i, shape) in GCN_SHAPES.iter().enumerate() {
+        let &(n, t, k, h) = shape;
+        let case = gcn_case(n, t, k, h, 60 + i as u64);
+        for lvl in simd::supported_levels() {
+            let (train, fused, composed) = simd::with_level(lvl, || {
+                (
+                    gcn_train(&case, true).swap_remove(0),
+                    gcn_infer(&case, &case.store, true),
+                    gcn_infer(&case, &case.store, false),
+                )
+            });
+            assert_eq!(fused, train, "Infer vs Train at {shape:?}, {lvl:?}");
+            assert_eq!(fused, composed, "fused vs composed Infer at {shape:?}, {lvl:?}");
+        }
+    }
+}
+
+#[test]
+fn gated_gcn_half_weights_bitwise_match_composed_infer() {
+    // Half weights route by the lower half-precision threshold, per weight:
+    // shapes between 2^13 and 2^15 MACs pack here and stay naive in f32.
+    let mut shapes = GCN_SHAPES.to_vec();
+    shapes.push((8, 8, 16, 16));
+    for (i, shape) in shapes.iter().enumerate() {
+        let &(n, t, k, h) = shape;
+        let case = gcn_case(n, t, k, h, 80 + i as u64);
+        for dt in [DType::F16, DType::Bf16] {
+            let q = case.store.to_dtype(dt);
+            for lvl in simd::supported_levels() {
+                let (fused, composed) = simd::with_level(lvl, || {
+                    (gcn_infer(&case, &q, true), gcn_infer(&case, &q, false))
+                });
+                assert_eq!(fused, composed, "{dt} weights at {shape:?}, {lvl:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn gated_gcn_gradcheck() {
+    let (n, t, k, h) = (3, 2, 3, 4);
+    let case = gcn_case(n, t, k, h, 97);
+    let [wv, bv, wg, bg] = [0, 1, 2, 3].map(|i| case.store.get(ParamId(i)));
+    let inputs = vec![
+        case.z.data().to_vec(),
+        wv.data().to_vec(),
+        bv.data().to_vec(),
+        wg.data().to_vec(),
+        bg.data().to_vec(),
+    ];
+    let dims: [Vec<usize>; 5] = [vec![n, t, k], vec![k, h], vec![h], vec![k, h], vec![h]];
+    let node = |tape: &Tape, vars: &[Var]| {
+        let out =
+            tape.gated_gcn(Arc::clone(&case.map), vars[0], (vars[1], vars[2]), (vars[3], vars[4]));
+        let cv = tape.constant(case.c.clone());
+        tape.sum_all(tape.mul(out, cv))
+    };
+    let f = |ins: &[Vec<f32>]| {
+        let tape = Tape::new();
+        let vars: Vec<Var> = ins
+            .iter()
+            .zip(&dims)
+            .map(|(d, s)| tape.constant(Tensor::from_vec(s.clone(), d.clone())))
+            .collect();
+        let loss = node(&tape, &vars);
+        tape.value(loss).item()
+    };
+    let tape = Tape::new();
+    let vars: Vec<Var> = inputs
+        .iter()
+        .zip(&dims)
+        .map(|(d, s)| tape.leaf(Tensor::from_vec(s.clone(), d.clone())))
+        .collect();
+    let loss = node(&tape, &vars);
+    tape.backward(loss);
+    for (which, &v) in vars.iter().enumerate() {
+        gradcheck(&f, &inputs, which, &tape.grad(v).expect("gradient"));
+    }
 }

@@ -8,7 +8,7 @@
 //! Tests that flip the global telemetry state serialize on a local mutex so
 //! the harness can run them on any number of test threads.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +16,7 @@ use stsm_tensor::nn::{uniform, Fwd, GruCell, Linear};
 use stsm_tensor::optim::{clip_grad_norm, Adam, Optimizer};
 use stsm_tensor::{
     bmm, conv1d_dilated, csr_spmm, log_softmax_lastdim, matmul, sigmoid, softmax_lastdim,
-    telemetry, CsrRowGroups, ParamBinder, ParamStore, Tape, Tensor,
+    telemetry, CsrRowGroups, DenseLinMap, ParamBinder, ParamStore, Tape, Tensor,
 };
 
 /// Serializes tests that toggle the process-wide telemetry gate.
@@ -46,6 +46,15 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
     let feats = uniform([4, 35], -1.0, 1.0, &mut rng);
     let groups = CsrRowGroups::new(&row_ptr, &col_idx, values.data());
     let spmm = csr_spmm(&groups, feats.data(), 35);
+    // The fused gated GCN node, forward and backward, at a size whose
+    // products take the packed two-panel path.
+    let adj = Arc::new(DenseLinMap::new(uniform([16, 16], 0.0, 0.2, &mut rng)));
+    let tape = Tape::new();
+    let z = tape.leaf(uniform([16, 8, 16], -1.0, 1.0, &mut rng));
+    let mut param = |dims: &[usize]| tape.leaf(uniform(dims, -0.5, 0.5, &mut rng));
+    let (wv, bv, wg, bg) = (param(&[16, 16]), param(&[16]), param(&[16, 16]), param(&[16]));
+    let gated = tape.gated_gcn(adj, z, (wv, bv), (wg, bg));
+    tape.backward(tape.sum_all(tape.square(gated)));
     vec![
         bits(&matmul(&a, &b)),
         bits(&bmm(&ba, &bb)),
@@ -54,6 +63,8 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
         bits(&log_softmax_lastdim(&logits)),
         spmm.iter().map(|v| v.to_bits()).collect(),
         bits(&sigmoid(&logits)),
+        bits(&tape.value(gated)),
+        bits(&tape.grad(z).expect("gated_gcn gradient")),
     ]
 }
 
@@ -134,6 +145,7 @@ fn enabled_probes_capture_kernel_and_tape_activity() {
             "kernel.softmax",
             "kernel.spmm",
             "kernel.sigmoid",
+            "kernel.gated_gcn",
             "tape.backward",
         ] {
             let s = report.spans.get(span).unwrap_or_else(|| panic!("missing span {span}"));

@@ -15,9 +15,12 @@ if [[ "$fast" != "1" ]]; then
   cargo build --release
   cargo test --workspace -q
 fi
-# The fused-kernel contract (fused addmm / GRU gates bitwise equal to the
-# composed ops, training bitwise equal across thread counts), exercised
-# explicitly so a test filter can never silently skip it.
+# The fused-kernel contract (fused addmm / GRU gates / gated GCN node bitwise
+# equal to the composed ops in forward and backward, training bitwise equal
+# across thread counts), exercised explicitly so a test filter can never
+# silently skip it. The model-level gated-GCN oracle (a full STSM batch
+# against StModel::forward_reference) runs in stsm-core's infer_equivalence
+# below.
 cargo test -q -p stsm-tensor --test fused_equivalence
 cargo test -q -p stsm-core --test pool_equivalence
 # The Train/Infer execution-mode bit-identity contract (DESIGN.md,
