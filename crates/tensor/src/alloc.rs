@@ -12,13 +12,28 @@
 //! ## Size classes
 //!
 //! Buffers are binned by power-of-two capacity. A request of `n` elements is
-//! served from the smallest class whose buffers are guaranteed to hold `n`
-//! (capacity rounded *up* to the class size on a pool miss), and a returned
-//! buffer goes to the class of its capacity rounded *down*, so every pooled
-//! buffer can serve any request of its class. Buffers below
+//! served from the smallest class whose buffers hold `n`, and a pool miss
+//! allocates exactly that class size, so every buffer the pool issues has a
+//! capacity of exactly 2^k for some class k. Buffers below
 //! [`MIN_POOLED_LEN`] elements are cheaper to malloc than to lock a free
 //! list for; buffers above [`MAX_POOLED_LEN`] are dropped to bound resident
 //! memory. Each class keeps at most [`MAX_BUFS_PER_CLASS`] buffers.
+//!
+//! ## Admission
+//!
+//! [`recycle`] / [`recycle_u16`] admit a buffer only when its capacity is
+//! exactly a class size — a buffer the pool could have issued. Any other
+//! buffer goes back to the system allocator. Such *foreign* buffers come
+//! from code that builds a `Vec` itself and hands it to
+//! [`crate::Tensor::from_vec`] (e.g. a `Vec::with_capacity(rows · t_total)`
+//! gather of whole series, once per fit or epoch): filing one under a
+//! neighbouring class would let the class grow by a buffer the workload never
+//! requests at that size again, so repeated fits would pile buffers up to
+//! every class's cap. The session cache follows the same rule, so its drain
+//! on [`session_end`] moves only admitted buffers. Sites that create buffers
+//! a fit keeps and later drops (the weight initializers, the copy-on-write
+//! copy in [`crate::Tensor::data_mut`]) take them from the pool, so each such
+//! buffer returned to a class was also taken from it.
 //!
 //! ## Always on
 //!
@@ -44,7 +59,10 @@
 //!
 //! Buffer requests served fresh from the system allocator vs reused from the
 //! pool feed the [`crate::telemetry`] registry as the `alloc.fresh` /
-//! `alloc.reused` counters whenever `STSM_TELEMETRY` is on.
+//! `alloc.reused` counters whenever `STSM_TELEMETRY` is on. Buffers of at
+//! least [`MIN_POOLED_LEN`] elements the pool turns away — a foreign
+//! capacity, or a full class in [`recycle`] or in the [`session_end`] drain —
+//! count as `alloc.refused`.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -68,7 +86,7 @@ const MAX_CLASS_LOG2: u32 = 24;
 const NUM_CLASSES: usize = (MAX_CLASS_LOG2 - MIN_CLASS_LOG2 + 1) as usize;
 
 /// Free lists, one per power-of-two capacity class. Class `i` holds buffers
-/// with capacity in `[2^(6+i), 2^(7+i))`.
+/// of capacity exactly `2^(6+i)`.
 static CLASSES: [Mutex<Vec<Vec<f32>>>; NUM_CLASSES] =
     [const { Mutex::new(Vec::new()) }; NUM_CLASSES];
 
@@ -126,23 +144,23 @@ pub fn session_end() {
     });
     if let Some(cache) = drained {
         for (class, bufs) in cache.classes.into_iter().enumerate() {
-            let mut list = lock(class);
-            for buf in bufs {
-                if list.len() >= MAX_BUFS_PER_CLASS {
-                    break;
-                }
-                list.push(buf);
-            }
+            drain_into(&mut lock(class), class, bufs);
         }
         for (class, bufs) in cache.classes_u16.into_iter().enumerate() {
-            let mut list = lock_u16(class);
-            for buf in bufs {
-                if list.len() >= MAX_BUFS_PER_CLASS {
-                    break;
-                }
-                list.push(buf);
-            }
+            drain_into(&mut lock_u16(class), class, bufs);
         }
+    }
+}
+
+/// Moves a session cache's `bufs` of `class` into the global `list` up to
+/// its cap; the rest are released and counted as refused. The cache only
+/// ever holds buffers [`recycle`] admitted to `class`.
+fn drain_into<T>(list: &mut Vec<Vec<T>>, class: usize, bufs: Vec<Vec<T>>) {
+    let room = MAX_BUFS_PER_CLASS.saturating_sub(list.len());
+    count_refused(bufs.len().saturating_sub(room));
+    for buf in bufs.into_iter().take(room) {
+        debug_assert_eq!(capacity_class(buf.capacity()), Some(class));
+        list.push(buf);
     }
 }
 
@@ -189,17 +207,14 @@ fn request_class(n: usize) -> Option<usize> {
     Some((c - MIN_CLASS_LOG2) as usize)
 }
 
-/// Class index a buffer of capacity `cap` files under (capacity rounded
-/// down), or `None` when it is outside the pooled range.
+/// Class index of a buffer of capacity `cap` when `cap` is exactly a class
+/// size (a power of two in `[MIN_POOLED_LEN, MAX_POOLED_LEN]`, the capacity
+/// a pool miss allocates), or `None` for any other capacity.
 fn capacity_class(cap: usize) -> Option<usize> {
-    if cap < MIN_POOLED_LEN {
+    if !cap.is_power_of_two() || !(MIN_POOLED_LEN..=MAX_POOLED_LEN).contains(&cap) {
         return None;
     }
-    let c = usize::BITS - 1 - cap.leading_zeros();
-    if c > MAX_CLASS_LOG2 {
-        return None;
-    }
-    Some((c - MIN_CLASS_LOG2) as usize)
+    Some((cap.trailing_zeros() - MIN_CLASS_LOG2) as usize)
 }
 
 fn lock(class: usize) -> std::sync::MutexGuard<'static, Vec<Vec<f32>>> {
@@ -225,14 +240,33 @@ fn take(n: usize) -> Option<Vec<f32>> {
 }
 
 /// Returns `buf` to its capacity class — the thread's session cache when one
-/// is installed, the global free list otherwise. Drops it when the capacity
-/// is outside the pooled range or the class is full.
+/// is installed, the global free list otherwise. Drops it (counted as
+/// `alloc.refused`) when its capacity is not exactly a class size or the
+/// class is full.
 pub fn recycle(buf: Vec<f32>) {
-    let Some(class) = capacity_class(buf.capacity()) else { return };
+    let Some(class) = admit(buf.capacity()) else { return };
     let Some(buf) = session_put(class, buf) else { return };
-    let mut list = lock(class);
+    push_capped(&mut lock(class), buf);
+}
+
+/// [`capacity_class`] for a buffer handed to [`recycle`]/[`recycle_u16`],
+/// counting a buffer of at least [`MIN_POOLED_LEN`] elements that is not
+/// admitted as `alloc.refused` (smaller ones are never pooled by design).
+fn admit(cap: usize) -> Option<usize> {
+    let class = capacity_class(cap);
+    if class.is_none() && cap >= MIN_POOLED_LEN {
+        count_refused(1);
+    }
+    class
+}
+
+/// Pushes `buf` onto a global free list unless it already holds
+/// [`MAX_BUFS_PER_CLASS`] buffers, in which case `buf` is dropped.
+fn push_capped<T>(list: &mut Vec<Vec<T>>, buf: Vec<T>) {
     if list.len() < MAX_BUFS_PER_CLASS {
         list.push(buf);
+    } else {
+        count_refused(1);
     }
 }
 
@@ -249,12 +283,9 @@ fn take_u16(n: usize) -> Option<Vec<u16>> {
 
 /// [`recycle`] for 16-bit storage buffers (f16/bf16 tensor storage).
 pub fn recycle_u16(buf: Vec<u16>) {
-    let Some(class) = capacity_class(buf.capacity()) else { return };
+    let Some(class) = admit(buf.capacity()) else { return };
     let Some(buf) = session_put_u16(class, buf) else { return };
-    let mut list = lock_u16(class);
-    if list.len() < MAX_BUFS_PER_CLASS {
-        list.push(buf);
-    }
+    push_capped(&mut lock_u16(class), buf);
 }
 
 /// The shared empty storage a [`crate::Tensor`] leaves behind after handing
@@ -276,6 +307,13 @@ pub fn pooled_in_class_of(n: usize) -> usize {
     request_class(n).map_or(0, |c| lock(c).len())
 }
 
+/// Number of buffers currently pooled in each global `f32` class, smallest
+/// class first (class `i` holds capacity `MIN_POOLED_LEN << i`).
+#[doc(hidden)]
+pub fn pooled_counts() -> [usize; NUM_CLASSES] {
+    std::array::from_fn(|c| lock(c).len())
+}
+
 /// Empties every free list, releasing the memory to the system allocator.
 pub fn clear() {
     for class in &CLASSES {
@@ -294,6 +332,13 @@ fn count_fresh() {
 #[inline]
 fn count_reused() {
     crate::telemetry::count("alloc.reused", 1);
+}
+
+#[inline]
+fn count_refused(n: usize) {
+    if n > 0 {
+        crate::telemetry::count("alloc.refused", n as u64);
+    }
 }
 
 /// A zero-filled buffer of length `n`, reusing a pooled buffer when one is
@@ -379,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn request_rounds_up_capacity_rounds_down() {
+    fn request_rounds_up_capacity_is_exact() {
         assert_eq!(request_class(1), Some(0));
         assert_eq!(request_class(64), Some(0));
         assert_eq!(request_class(65), Some(1));
@@ -389,9 +434,48 @@ mod tests {
         assert_eq!(request_class(0), None);
         assert_eq!(capacity_class(63), None);
         assert_eq!(capacity_class(64), Some(0));
-        assert_eq!(capacity_class(127), Some(0));
+        assert_eq!(capacity_class(127), None);
         assert_eq!(capacity_class(128), Some(1));
         assert_eq!(capacity_class(2 * MAX_POOLED_LEN), None);
+    }
+
+    #[test]
+    fn foreign_capacity_is_not_pooled() {
+        // Class 2^16: an exact-capacity gather of 100,000 elements would
+        // have filed there by rounding down; a class-sized buffer still does.
+        let n = 1 << 16;
+        drain(n);
+        recycle(Vec::with_capacity(100_000));
+        assert!(take(n).is_none(), "foreign f32 buffer was pooled");
+        recycle(Vec::with_capacity(n));
+        assert!(take(n).is_some(), "class-sized f32 buffer should be pooled");
+        drain(n);
+    }
+
+    #[test]
+    fn foreign_capacity_is_not_pooled_u16() {
+        let n = 1 << 16; // u16 class 2^16, unused by the other u16 tests
+        while take_u16(n).is_some() {}
+        recycle_u16(Vec::with_capacity(100_000));
+        assert!(take_u16(n).is_none(), "foreign u16 buffer was pooled");
+        recycle_u16(Vec::with_capacity(n));
+        assert!(take_u16(n).is_some(), "class-sized u16 buffer should be pooled");
+        while take_u16(n).is_some() {}
+    }
+
+    #[test]
+    fn session_cache_admits_and_drains_only_class_sized_buffers() {
+        let n = 1 << 17; // unique class; 150,000 rounds down to it
+        drain(n);
+        session_begin();
+        recycle(Vec::with_capacity(150_000));
+        assert!(take(n).is_none(), "foreign buffer entered the session cache");
+        recycle(Vec::with_capacity(150_000));
+        recycle(Vec::with_capacity(n));
+        session_end();
+        // Only the class-sized buffer drains into the global class.
+        assert_eq!(pooled_in_class_of(n), 1);
+        drain(n);
     }
 
     #[test]

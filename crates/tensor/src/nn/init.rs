@@ -9,7 +9,8 @@ use rand::{Rng, RngExt};
 pub fn uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut impl Rng) -> Tensor {
     let shape = shape.into();
     let n = shape.numel();
-    let data: Vec<f32> = (0..n).map(|_| lo + (hi - lo) * rng.random::<f32>()).collect();
+    let mut data = crate::alloc::buf_with_capacity(n);
+    data.extend((0..n).map(|_| lo + (hi - lo) * rng.random::<f32>()));
     Tensor::from_vec(shape, data)
 }
 
@@ -17,7 +18,7 @@ pub fn uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut impl Rng) ->
 pub fn randn(shape: impl Into<Shape>, std: f32, rng: &mut impl Rng) -> Tensor {
     let shape = shape.into();
     let n = shape.numel();
-    let mut data = Vec::with_capacity(n);
+    let mut data = crate::alloc::buf_with_capacity(n);
     while data.len() < n {
         let u1: f32 = rng.random::<f32>().max(1e-12);
         let u2: f32 = rng.random::<f32>();

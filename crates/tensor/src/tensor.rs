@@ -243,13 +243,21 @@ impl Tensor {
         }
     }
 
-    /// Mutable view of the underlying f32 buffer (copy-on-write). Panics on
-    /// half storage: quantized tensors are immutable (re-quantize from f32
-    /// instead of editing bits in place).
+    /// Mutable view of the underlying f32 buffer (copy-on-write; the copy of
+    /// shared storage is a pooled buffer). Panics on half storage: quantized
+    /// tensors are immutable (re-quantize from f32 instead of editing bits in
+    /// place).
     pub fn data_mut(&mut self) -> &mut [f32] {
         self.finite.store(FIN_UNKNOWN, Ordering::Relaxed);
         match &mut self.data {
-            Storage::F32(v) => Arc::<Vec<f32>>::make_mut(v).as_mut_slice(),
+            Storage::F32(v) => {
+                if Arc::get_mut(v).is_none() {
+                    let mut copy = alloc::buf_with_capacity(v.len());
+                    copy.extend_from_slice(v);
+                    *v = Arc::new(copy);
+                }
+                Arc::get_mut(v).expect("storage is unique after the copy").as_mut_slice()
+            }
             Storage::Half(dt, _) => {
                 panic!("data_mut() on a {dt} tensor: quantized storage is read-only")
             }

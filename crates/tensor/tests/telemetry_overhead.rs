@@ -55,6 +55,11 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
     let (wv, bv, wg, bg) = (param(&[16, 16]), param(&[16]), param(&[16, 16]), param(&[16]));
     let gated = tape.gated_gcn(adj, z, (wv, bv), (wg, bg));
     tape.backward(tape.sum_all(tape.square(gated)));
+    // A tensor over a foreign-capacity buffer (100 elements, not a class
+    // size): the pool turns it away on drop, bumping `alloc.refused`.
+    let foreign = Tensor::from_vec([10, 10], (0..100).map(|i| i as f32 * 0.05 - 2.5).collect());
+    let foreign_bits = bits(&sigmoid(&foreign));
+    drop(foreign);
     vec![
         bits(&matmul(&a, &b)),
         bits(&bmm(&ba, &bb)),
@@ -65,6 +70,7 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
         bits(&sigmoid(&logits)),
         bits(&tape.value(gated)),
         bits(&tape.grad(z).expect("gated_gcn gradient")),
+        foreign_bits,
     ]
 }
 
@@ -156,6 +162,11 @@ fn enabled_probes_capture_kernel_and_tape_activity() {
         assert!(
             report.counters.get("alloc.fresh").copied().unwrap_or(0) > 0,
             "allocator instrumentation missing from snapshot"
+        );
+        // The sweep drops a foreign-capacity buffer, which the pool refuses.
+        assert!(
+            report.counters.get("alloc.refused").copied().unwrap_or(0) > 0,
+            "refused-buffer counter missing from snapshot"
         );
         telemetry::reset();
         assert!(telemetry::snapshot().is_empty(), "reset must clear the registry");

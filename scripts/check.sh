@@ -23,6 +23,9 @@ fi
 # below.
 cargo test -q -p stsm-tensor --test fused_equivalence
 cargo test -q -p stsm-core --test pool_equivalence
+# The pool-admission contract: repeated fits and fine-tune epochs leave the
+# buffer pool's per-class occupancy unchanged (no per-fit growth).
+cargo test -q -p stsm-core --test pool_steady
 # The Train/Infer execution-mode bit-identity contract (DESIGN.md,
 # "Execution modes"), likewise pinned by name.
 cargo test -q -p stsm-tensor --test infer_equivalence
