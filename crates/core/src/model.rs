@@ -33,11 +33,14 @@ struct GcnLayer {
 
 impl GcnLayer {
     /// One fused node: aggregate neighbours once, then both feature maps,
-    /// the gate and the product in one GEMM pass ([`Fwd::gated_gcn`]).
-    fn forward(&self, fwd: &mut Fwd, adj: &Arc<CsrLinMap>, z: Var) -> Var {
+    /// the gate and the product in one GEMM pass ([`Fwd::gated_gcn`]),
+    /// routed as a `route_rows`-row product: `z` may hold only some of the
+    /// full-length pass's rows (see [`StModel::forward_readout`]).
+    fn forward(&self, fwd: &mut Fwd, adj: &Arc<CsrLinMap>, z: Var, route_rows: usize) -> Var {
         let value = self.value.bind(fwd);
         let gate = self.gate.bind(fwd);
-        fwd.gated_gcn(Arc::clone(adj) as Arc<dyn stsm_tensor::LinMap>, z, value, gate)
+        let map = Arc::clone(adj) as Arc<dyn stsm_tensor::LinMap>;
+        fwd.gated_gcn(map, z, value, gate, Some(route_rows))
     }
 
     /// The composed chain the fused node replaces — `linmap`, two `addmm`,
@@ -58,6 +61,17 @@ struct StBlock {
     temporal: TemporalSub,
     gcn_s: Vec<GcnLayer>,
     gcn_dtw: Vec<GcnLayer>,
+}
+
+/// The time steps one block computes. The GCN stacks mix nodes and
+/// features but never time, so they run at exactly the steps the block
+/// outputs; the two causal convs widen that set by their taps.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct BlockSteps {
+    /// Steps at which the first conv of the temporal module runs.
+    mid: Vec<usize>,
+    /// Steps the block outputs: where its GCN stacks and last conv run.
+    out: Vec<usize>,
 }
 
 /// The full spatial-temporal model.
@@ -177,7 +191,9 @@ impl StModel {
         a_s: &Arc<CsrLinMap>,
         a_dtw: &Arc<CsrLinMap>,
     ) -> ForwardOutput {
-        self.forward_with(fwd, x, time_feats, a_s, a_dtw, false)
+        let (prediction, graph_repr) =
+            self.forward_with(fwd, x, time_feats, a_s, a_dtw, false, false);
+        ForwardOutput { prediction: prediction.expect("the full pass builds the head"), graph_repr }
     }
 
     /// [`StModel::forward`] with every gated GCN layer run as the composed
@@ -192,9 +208,64 @@ impl StModel {
         a_s: &Arc<CsrLinMap>,
         a_dtw: &Arc<CsrLinMap>,
     ) -> ForwardOutput {
-        self.forward_with(fwd, x, time_feats, a_s, a_dtw, true)
+        let (prediction, graph_repr) =
+            self.forward_with(fwd, x, time_feats, a_s, a_dtw, true, false);
+        ForwardOutput { prediction: prediction.expect("the full pass builds the head"), graph_repr }
     }
 
+    /// The Eq. 16 graph representation alone, `(1, hidden)` — all the
+    /// contrastive full view reads — computed only over the readout's
+    /// receptive field: the readout takes the last step, so the last block
+    /// runs at step `T − 1` and each earlier block at the steps the next
+    /// one's convs read ([`StModel::step_plan`]); the output head is never
+    /// built. Bitwise equal to [`StModel::forward`]'s `graph_repr`, and on
+    /// a tape so is every gradient it sends back (DESIGN.md, "The readout
+    /// pass"). The transformer variant attends over every step and keeps
+    /// the full set.
+    pub fn forward_readout(
+        &self,
+        fwd: &mut Fwd,
+        x: &Tensor,
+        time_feats: &Tensor,
+        a_s: &Arc<CsrLinMap>,
+        a_dtw: &Arc<CsrLinMap>,
+    ) -> Var {
+        self.forward_with(fwd, x, time_feats, a_s, a_dtw, false, true).1
+    }
+
+    /// Per block, the steps it computes so that the last block outputs the
+    /// steps `need`, walking from the last block back: a TCN block whose
+    /// output set is `S` runs its first conv at `U = c2.input_steps(S)` and
+    /// reads its input at `c1.input_steps(U)`, which the block before must
+    /// output. A transformer block attends over every step, so it and every
+    /// block before it keep the full set.
+    fn step_plan(&self, mut need: Vec<usize>) -> Vec<BlockSteps> {
+        let all = || (0..self.t_in).collect::<Vec<_>>();
+        let mut plan = Vec::with_capacity(self.blocks.len());
+        for block in self.blocks.iter().rev() {
+            let (mid, input) = match &block.temporal {
+                TemporalSub::Conv(c1, c2) => {
+                    let mid = c2.input_steps(&need);
+                    let input = c1.input_steps(&mid);
+                    (mid, input)
+                }
+                TemporalSub::Transformer(..) => {
+                    need = all();
+                    (all(), all())
+                }
+            };
+            plan.push(BlockSteps { mid, out: need });
+            need = input;
+        }
+        plan.reverse();
+        plan
+    }
+
+    /// The forward pass over the steps `step_plan` gives: every step with
+    /// the output head for [`StModel::forward`], the readout's receptive
+    /// field without it when `readout_only`. Returns the prediction (none
+    /// when `readout_only`) and the graph representation.
+    #[allow(clippy::too_many_arguments)]
     fn forward_with(
         &self,
         fwd: &mut Fwd,
@@ -203,7 +274,8 @@ impl StModel {
         a_s: &Arc<CsrLinMap>,
         a_dtw: &Arc<CsrLinMap>,
         composed_gcn: bool,
-    ) -> ForwardOutput {
+        readout_only: bool,
+    ) -> (Option<Var>, Var) {
         let (n, t_len) = (x.dim(0), x.dim(1));
         assert_eq!(x.dims(), &[n, t_len, 1], "input must be (N, T, 1)");
         assert_eq!(t_len, self.t_in, "window length mismatch");
@@ -222,34 +294,65 @@ impl StModel {
         let ht = fwd.reshape(ht, [1, t_len, self.hidden]);
         let ht = fwd.broadcast_to(ht, [n, t_len, self.hidden]);
         let mut h = fwd.mul(hx, ht);
-        for block in &self.blocks {
-            h = self.block_forward(fwd, block, h, n, t_len, a_s, a_dtw, composed_gcn);
+        let all: Vec<usize> = (0..t_len).collect();
+        let plan = self.step_plan(if readout_only { vec![t_len - 1] } else { all.clone() });
+        // The steps `h` holds, in order.
+        let mut have = &all[..];
+        for (block, steps) in self.blocks.iter().zip(&plan) {
+            h = self.block_forward(fwd, block, h, have, steps, n, t_len, a_s, a_dtw, composed_gcn);
+            have = &steps.out;
         }
         // Eq. 13 head: flatten time so each horizon sees the full window;
         // inner ReLU, linear output (scaled space can be negative, so no
         // outer squashing).
-        let flat = fwd.reshape(h, [n, t_len * self.hidden]);
-        let h3 = self.phi3.forward(fwd, flat);
-        let h3 = fwd.relu(h3);
-        let out = self.phi4.forward(fwd, h3); // (N, T')
-        let prediction = fwd.reshape(out, [n, t_len, 1]);
-        // Eq. 16 readout on the last time step.
-        let last = fwd.slice(h, 1, t_len - 1, t_len); // (N, 1, H)
+        let prediction = (!readout_only).then(|| {
+            let flat = fwd.reshape(h, [n, t_len * self.hidden]);
+            let h3 = self.phi3.forward(fwd, flat);
+            let h3 = fwd.relu(h3);
+            let out = self.phi4.forward(fwd, h3); // (N, T')
+            fwd.reshape(out, [n, t_len, 1])
+        });
+        // Eq. 16 readout on the last time step, the last one `h` holds.
+        let last = fwd.slice(h, 1, have.len() - 1, have.len()); // (N, 1, H)
         let last = fwd.reshape(last, [n, self.hidden]);
         let pooled = fwd.sum_axis(last, 0, false); // (H,)
         let pooled = fwd.reshape(pooled, [1, self.hidden]);
         let r = self.readout1.forward(fwd, pooled);
         let r = fwd.relu(r);
         let graph_repr = self.readout2.forward(fwd, r);
-        ForwardOutput { prediction, graph_repr }
+        (prediction, graph_repr)
     }
 
+    /// Rows of `h` — `(N, |have|, H)`, holding the steps `have` — at the
+    /// steps `want`, as `(N, |want|, H)`: `h` itself when the two sets are
+    /// one, else one gather of its `(N·|have|, H)` rows.
+    fn gather_steps(&self, fwd: &mut Fwd, h: Var, have: &[usize], want: &[usize]) -> Var {
+        if want == have {
+            return h;
+        }
+        let n = fwd.shape_of(h).dim(0);
+        let idx: Vec<usize> = (0..n)
+            .flat_map(|b| {
+                want.iter().map(move |t| {
+                    b * have.len() + have.binary_search(t).expect("block input lacks a step")
+                })
+            })
+            .collect();
+        let rows = fwd.reshape(h, [n * have.len(), self.hidden]);
+        let rows = fwd.index_select0(rows, &idx);
+        fwd.reshape(rows, [n, want.len(), self.hidden])
+    }
+
+    /// One block over `h`, which holds the steps `have`; outputs the steps
+    /// `steps.out`.
     #[allow(clippy::too_many_arguments)]
     fn block_forward(
         &self,
         fwd: &mut Fwd,
         block: &StBlock,
         h: Var,
+        have: &[usize],
+        steps: &BlockSteps,
         n: usize,
         t_len: usize,
         a_s: &Arc<CsrLinMap>,
@@ -258,15 +361,17 @@ impl StModel {
     ) -> Var {
         // GCN path, per adjacency: stack of gated layers, max over depth
         // (Eq. 9), then max over adjacencies (Eq. 11). The weights mix only
-        // the feature axis, so all T steps go through at once.
+        // the feature axis, so all output steps go through at once. Each
+        // path gathers its own input rows, so the gradients reaching `h`
+        // add up in the order the full-length pass adds them.
         let gcn_path = |fwd: &mut Fwd, layers: &[GcnLayer], adj: &Arc<CsrLinMap>| -> Var {
-            let mut z = h;
+            let mut z = self.gather_steps(fwd, h, have, &steps.out);
             let mut best: Option<Var> = None;
             for layer in layers {
                 z = if composed_gcn {
                     layer.forward_reference(fwd, adj, z)
                 } else {
-                    layer.forward(fwd, adj, z)
+                    layer.forward(fwd, adj, z, n * t_len)
                 };
                 best = Some(match best {
                     None => z,
@@ -281,10 +386,11 @@ impl StModel {
         // Temporal path.
         match &block.temporal {
             TemporalSub::Conv(c1, c2) => {
-                // The convs run channels-last, on (N, T, H) as it is.
-                let y = c1.forward(fwd, h);
+                // The convs run channels-last, on (N, T, H) as it is, or at
+                // the planned steps only.
+                let y = c1.forward_steps(fwd, h, have, &steps.mid, t_len);
                 let y = fwd.relu(y);
-                let y = c2.forward(fwd, y);
+                let y = c2.forward_steps(fwd, y, &steps.mid, &steps.out, t_len);
                 let h_tcn = fwd.relu(y);
                 // Eq. 12: residual combination.
                 fwd.add(h_gcn, h_tcn)
@@ -430,6 +536,68 @@ mod tests {
             assert_eq!(n1, n2);
             assert_eq!(v1, v2);
         }
+    }
+
+    #[test]
+    fn readout_receptive_field_of_default_config() {
+        // T = 12, dilations 1, 2 (block 0) and 4, 6 (block 1).
+        let mut store = ParamStore::new();
+        let model = StModel::new(&mut store, &StsmConfig::default());
+        let plan = model.step_plan(vec![11]);
+        let steps =
+            |mid: &[usize], out: &[usize]| BlockSteps { mid: mid.to_vec(), out: out.to_vec() };
+        assert_eq!(plan, vec![steps(&[1, 3, 5, 7, 9, 11], &[1, 5, 7, 11]), steps(&[5, 11], &[11])]);
+        // Block 0 reads its whole input; the full pass keeps every step.
+        let TemporalSub::Conv(c1, _) = &model.blocks[0].temporal else { unreachable!() };
+        assert_eq!(c1.input_steps(&plan[0].mid), (0..12).collect::<Vec<_>>());
+        let all: Vec<usize> = (0..12).collect();
+        assert!(model.step_plan(all.clone()).iter().all(|b| b.mid == all && b.out == all));
+        // The transformer attends over every step.
+        let cfg = StsmConfig { temporal: TemporalModule::Transformer, ..Default::default() };
+        let trans = StModel::new(&mut ParamStore::new(), &cfg);
+        assert!(trans.step_plan(vec![11]).iter().all(|b| b.mid == all && b.out == all));
+    }
+
+    #[test]
+    fn readout_ignores_steps_outside_its_receptive_field() {
+        // One block, T = 12, dilations 1, 2: the readout at step 11 reads
+        // steps 8..=11 only, so rewriting steps 0..=7 of the input must
+        // leave the full forward's graph representation bitwise unchanged.
+        let cfg = StsmConfig { blocks: 1, ..Default::default() };
+        let mut store = ParamStore::new();
+        let model = StModel::new(&mut store, &cfg);
+        let plan = model.step_plan(vec![11]);
+        let TemporalSub::Conv(c1, _) = &model.blocks[0].temporal else { unreachable!() };
+        assert_eq!(c1.input_steps(&plan[0].mid), vec![8, 9, 10, 11]);
+        let n = 10;
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = stsm_tensor::nn::randn([n, 12, 1], 1.0, &mut rng);
+        let mut y = x.clone();
+        for (i, v) in y.data_mut().iter_mut().enumerate() {
+            if i % 12 < 8 {
+                *v = 5.0 - *v * 3.0;
+            }
+        }
+        let tf = StModel::time_features(0, 12, 24);
+        let a = adjacency(n);
+        let repr = |x: &Tensor, readout: bool| {
+            let mut session = InferSession::new(&store);
+            let mut fwd = Fwd::infer(&store, &mut session);
+            let z = if readout {
+                model.forward_readout(&mut fwd, x, &tf, &a, &a)
+            } else {
+                model.forward(&mut fwd, x, &tf, &a, &a).graph_repr
+            };
+            fwd.value(z)
+        };
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let base = bits(repr(&x, false));
+        assert_eq!(bits(repr(&y, false)), base, "steps 0..=7 reached the readout");
+        assert_eq!(bits(repr(&x, true)), base, "the readout pass differs from the full forward");
+        // The prediction does read those steps.
+        let p1 = predict_once(&model, &store, &x, &tf, &a, &a);
+        let p2 = predict_once(&model, &store, &y, &tf, &a, &a);
+        assert!(!p1.allclose(&p2, 1e-5));
     }
 
     #[test]

@@ -441,8 +441,9 @@ pub(crate) fn batch_loss_and_grads(
         let lp = fwd.tape().mse_loss(out_m.prediction, &y);
         pred_losses.push(lp);
         if let Some(x_full) = &x_full {
-            let out_f = model.forward(&mut fwd, x_full, &tf, a_s, a_dtw);
-            z_orig.push(out_f.graph_repr);
+            // The full view feeds only the contrastive term: its readout
+            // alone, over the readout's receptive field.
+            z_orig.push(model.forward_readout(&mut fwd, x_full, &tf, a_s, a_dtw));
             z_masked.push(out_m.graph_repr);
         }
     }

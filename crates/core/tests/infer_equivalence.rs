@@ -5,7 +5,9 @@
 //! to the Train-mode forward (`tape.value(out.prediction)`), for both
 //! temporal variants. The fused gated-GCN node is held to the composed
 //! model (`StModel::forward_reference`) the same way: a full training
-//! batch's loss and gradients, and the forecast.
+//! batch's loss and gradients, and the forecast. The readout pass
+//! (`StModel::forward_readout`) is held to the full forward's graph
+//! representation likewise, as the contrastive full view of such a batch.
 
 use std::sync::Arc;
 use stsm_core::{
@@ -180,14 +182,17 @@ fn bit_vec(t: &Tensor) -> Vec<u32> {
 /// One STSM training batch on one tape — per window a masked and a full
 /// forward, the mean prediction loss plus the contrastive term — then the
 /// Infer forecast of the first window. Runs the fused GCN node, or the
-/// composed chain when `composed`. Returns the loss bits, every parameter
-/// gradient's bits and the forecast bits.
+/// composed chain when `composed`; the full view's graph representation
+/// comes from `StModel::forward_readout` when `readout`, else from the
+/// full forward. Returns the loss bits, every parameter gradient's bits and
+/// the forecast bits.
 fn stsm_batch(
     problem: &ProblemInstance,
     cfg: &StsmConfig,
     model: &StModel,
     store: &ParamStore,
     composed: bool,
+    readout: bool,
 ) -> (u32, Vec<Vec<u32>>, Vec<u32>) {
     let (a_s, a_dtw, _) = test_assets(problem, cfg);
     let spd = problem.steps_per_day();
@@ -217,8 +222,11 @@ fn stsm_batch(
         let tf = StModel::time_features(start, cfg.t_in, spd);
         let out_m = forward(&mut fwd, &xm, &tf);
         losses.push(tape.mse_loss(out_m.prediction, &y));
-        let out_f = forward(&mut fwd, &x, &tf);
-        z_orig.push(out_f.graph_repr);
+        z_orig.push(if readout {
+            model.forward_readout(&mut fwd, &x, &tf, &a_s, &a_dtw)
+        } else {
+            forward(&mut fwd, &x, &tf).graph_repr
+        });
         z_masked.push(out_m.graph_repr);
     }
     let mut loss = losses[0];
@@ -259,28 +267,87 @@ fn fused_gcn_stsm_batch_bitwise_matches_composed_model() {
         let (a_s, a_dtw, _) = test_assets(&problem, &cfg);
         assert!(a_s.is_symmetric(), "the normalized A_s is its own transpose");
         assert!(!a_dtw.is_symmetric(), "the directed A_dtw keeps its own transpose");
-        let mut store = ParamStore::new();
-        let model = StModel::new(&mut store, &cfg);
-        // Layers initialize their biases to zero; give every bias a value
-        // so a dropped or swapped bias shows.
-        let biases: Vec<_> =
-            store.iter().filter(|(_, name, _)| name.ends_with(".b")).map(|(id, _, _)| id).collect();
-        for (j, id) in biases.into_iter().enumerate() {
-            for (i, v) in store.data_mut(id).iter_mut().enumerate() {
-                *v = ((i * 7 + j * 13) % 17) as f32 * 0.02 - 0.16;
-            }
-        }
+        let (model, store) = model_with_biases(&cfg);
         for lvl in simd::supported_levels() {
             let reference =
-                simd::with_level(lvl, || stsm_batch(&problem, &cfg, &model, &store, true));
+                simd::with_level(lvl, || stsm_batch(&problem, &cfg, &model, &store, true, false));
             for threads in [1, 3] {
                 let fused = pool::with_max_threads(threads, || {
-                    simd::with_level(lvl, || stsm_batch(&problem, &cfg, &model, &store, false))
+                    simd::with_level(lvl, || {
+                        stsm_batch(&problem, &cfg, &model, &store, false, false)
+                    })
                 });
                 let what = format!("hidden {}, {lvl:?}, {threads} threads", cfg.hidden);
                 assert_eq!(fused.0, reference.0, "loss differs: {what}");
                 assert_eq!(fused.1, reference.1, "parameter gradients differ: {what}");
                 assert_eq!(fused.2, reference.2, "forecast differs: {what}");
+            }
+        }
+    }
+}
+
+/// A fresh model whose biases all carry values: layers initialize them to
+/// zero, and a dropped or swapped bias must show.
+fn model_with_biases(cfg: &StsmConfig) -> (StModel, ParamStore) {
+    let mut store = ParamStore::new();
+    let model = StModel::new(&mut store, cfg);
+    let biases: Vec<_> =
+        store.iter().filter(|(_, name, _)| name.ends_with(".b")).map(|(id, _, _)| id).collect();
+    for (j, id) in biases.into_iter().enumerate() {
+        for (i, v) in store.data_mut(id).iter_mut().enumerate() {
+            *v = ((i * 7 + j * 13) % 17) as f32 * 0.02 - 0.16;
+        }
+    }
+    (model, store)
+}
+
+/// The readout pass (`StModel::forward_readout`) as the contrastive full
+/// view, against the full forward's `graph_repr` on the same tape: equal
+/// loss bits and parameter-gradient bits. Covers the naive route (`hidden`
+/// 8, 6 steps) and the packed one (`hidden` 16, 12 steps), 1 and 3 blocks,
+/// 24 steps (dilations at their cap of `T/2`, so more taps fall before
+/// step 0), and the transformer variant (full step set), at every SIMD
+/// level and at 1 and 3 threads. On the 20-sensor graph the packed
+/// config's full-length GCN and conv products pack while the same products
+/// over the last step alone would not, so the pruned products must take
+/// the full-length route.
+#[test]
+fn readout_pass_stsm_batch_bitwise_matches_full_forward() {
+    // stsm-tensor's packed-route crossover, in multiply-adds.
+    const PACK_THRESHOLD: usize = 1 << 15;
+    let problem = tiny_problem(58);
+    let n = problem.n();
+    let naive = tiny_cfg();
+    let packed = StsmConfig { t_in: 12, t_out: 12, hidden: 16, ..tiny_cfg() };
+    let h = packed.hidden;
+    assert!(n * packed.t_in * h * h >= PACK_THRESHOLD, "the full GCN product packs");
+    assert!(n * h * h < PACK_THRESHOLD, "the last-step GCN product alone would not");
+    let configs = [
+        naive.clone(),
+        StsmConfig { blocks: 3, ..naive.clone() },
+        packed.clone(),
+        StsmConfig { blocks: 2, ..packed.clone() },
+        StsmConfig { blocks: 3, ..packed },
+        StsmConfig { t_in: 24, t_out: 24, blocks: 3, ..naive.clone() },
+        StsmConfig { temporal: TemporalModule::Transformer, ..naive },
+    ];
+    for cfg in configs {
+        let (model, store) = model_with_biases(&cfg);
+        for lvl in simd::supported_levels() {
+            let full =
+                simd::with_level(lvl, || stsm_batch(&problem, &cfg, &model, &store, false, false));
+            for threads in [1, 3] {
+                let pruned = pool::with_max_threads(threads, || {
+                    simd::with_level(lvl, || {
+                        stsm_batch(&problem, &cfg, &model, &store, false, true)
+                    })
+                });
+                let what = format!(
+                    "hidden {}, T {}, {} blocks, {:?}, {lvl:?}, {threads} threads",
+                    cfg.hidden, cfg.t_in, cfg.blocks, cfg.temporal
+                );
+                assert_eq!(pruned.0, full.0, "loss differs: {what}");
+                assert_eq!(pruned.1, full.1, "parameter gradients differ: {what}");
             }
         }
     }

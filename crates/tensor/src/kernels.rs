@@ -174,7 +174,26 @@ fn mm_into(
     n: usize,
     naive_skip: impl FnOnce() -> bool,
 ) {
-    if packs(&b, m * k * n) {
+    mm_into_as(a, b, bias, out, m, k, n, m * k * n, naive_skip)
+}
+
+/// [`mm_into`] routed by `route_macs` instead of its own `m·k·n`: a product
+/// over a subset of the rows of a longer one (a pruned forward, see
+/// [`addmm_routed`]) takes the path the full-length product would, so
+/// every element it computes is bitwise that product's.
+#[allow(clippy::too_many_arguments)]
+fn mm_into_as(
+    a: MatRef<'_>,
+    b: AnyMatRef<'_>,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    route_macs: usize,
+    naive_skip: impl FnOnce() -> bool,
+) {
+    if packs(&b, route_macs) {
         gemm::gemm_into_any(a, b, bias, out, m, k, n);
         return;
     }
@@ -220,9 +239,14 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// `matmul(a, &b.t())` because the same logical elements are combined in
 /// the same order.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_nt_routed(a, b, a.dim(0))
+}
+
+/// [`matmul_nt`] routed as if `a` had `route_rows` rows (see [`mm_into_as`]).
+fn matmul_nt_routed(a: &Tensor, b: &Tensor, route_rows: usize) -> Tensor {
     let _t = telemetry::span("kernel.matmul");
     if a.dtype().is_half() {
-        return matmul_nt(&a.to_dtype(DType::F32), b);
+        return matmul_nt_routed(&a.to_dtype(DType::F32), b, route_rows);
     }
     assert_eq!(a.rank(), 2, "matmul_nt lhs must be 2-D, got {}", a.shape());
     assert_eq!(b.rank(), 2, "matmul_nt rhs must be 2-D, got {}", b.shape());
@@ -230,7 +254,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul_nt inner dims mismatch: {} vs {}", a.shape(), b.shape());
     let mut out = alloc::buf_zeroed(m * n);
-    mm_into(
+    mm_into_as(
         MatRef::contiguous(a.data(), 0, k),
         mat_any(b, 0, k).transposed(),
         None,
@@ -238,6 +262,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         k,
         n,
+        route_rows * k * n,
         || b.all_finite(),
     );
     Tensor::from_vec([m, n], out)
@@ -247,9 +272,15 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 /// reading `a` through a transposed stride view. Bitwise identical to
 /// `matmul(&a.t(), b)`.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_tn_routed(a, b, a.dim(0))
+}
+
+/// [`matmul_tn`] routed as if both operands had `route_rows` rows — a
+/// contraction over that many rows (see [`mm_into_as`]).
+fn matmul_tn_routed(a: &Tensor, b: &Tensor, route_rows: usize) -> Tensor {
     let _t = telemetry::span("kernel.matmul");
     if a.dtype().is_half() {
-        return matmul_tn(&a.to_dtype(DType::F32), b);
+        return matmul_tn_routed(&a.to_dtype(DType::F32), b, route_rows);
     }
     assert_eq!(a.rank(), 2, "matmul_tn lhs must be 2-D, got {}", a.shape());
     assert_eq!(b.rank(), 2, "matmul_tn rhs must be 2-D, got {}", b.shape());
@@ -257,7 +288,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (m2, n) = (b.dim(0), b.dim(1));
     assert_eq!(m, m2, "matmul_tn inner dims mismatch: {} vs {}", a.shape(), b.shape());
     let mut out = alloc::buf_zeroed(k * n);
-    mm_into(
+    mm_into_as(
         MatRef::contiguous(a.data(), 0, k).transposed(),
         mat_any(b, 0, n),
         None,
@@ -265,6 +296,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         k,
         m,
         n,
+        k * route_rows * n,
         || b.all_finite(),
     );
     Tensor::from_vec([k, n], out)
@@ -761,9 +793,18 @@ fn upcast(t: &Tensor) -> Tensor {
 /// and the bias is added once to each finished accumulator — in the packed
 /// tile's epilogue, or in a pass over the naive product.
 pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
+    addmm_routed(x, w, b, x.dim(0))
+}
+
+/// [`addmm`] on the path an `x` of `route_rows` rows would take: for `x`
+/// holding some of the rows of a longer `(route_rows, k)` input, every
+/// output row is bitwise the longer product's (the naive and packed paths
+/// each compute a row independently of `m`, but round differently from one
+/// another).
+pub fn addmm_routed(x: &Tensor, w: &Tensor, b: &Tensor, route_rows: usize) -> Tensor {
     let _t = telemetry::span("kernel.addmm");
     if x.dtype().is_half() {
-        return addmm(&x.to_dtype(DType::F32), w, b);
+        return addmm_routed(&x.to_dtype(DType::F32), w, b, route_rows);
     }
     assert_eq!(x.rank(), 2, "addmm lhs must be 2-D, got {}", x.shape());
     assert_eq!(w.rank(), 2, "addmm rhs must be 2-D, got {}", w.shape());
@@ -773,7 +814,7 @@ pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(b.numel(), n, "addmm bias must have {} elements, got {}", n, b.shape());
     let bias = upcast(b);
     let mut out = alloc::buf_zeroed(m * n);
-    mm_into(
+    mm_into_as(
         MatRef::contiguous(x.data(), 0, k),
         mat_any(w, 0, n),
         Some(bias.data()),
@@ -781,6 +822,7 @@ pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
         m,
         k,
         n,
+        route_rows * k * n,
         || w.all_finite(),
     );
     Tensor::from_vec([m, n], out)
@@ -791,10 +833,16 @@ pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
 /// standard `G·Wᵀ` / `Xᵀ·G` products (read through transpose views — no
 /// materialized `Wᵀ`/`Xᵀ`), and the bias gradient sums `g` over rows in
 /// row-major order — the same addition sequence as
-/// `Tensor::reduce_to(g, bias_shape)`.
-pub fn addmm_backward(x: &Tensor, w: &Tensor, g: &Tensor) -> (Tensor, Tensor, Tensor) {
-    let gx = matmul_nt(g, w);
-    let gw = matmul_tn(x, g);
+/// `Tensor::reduce_to(g, bias_shape)`. Both products take the path of the
+/// `route_rows`-row forward (see [`addmm_routed`]).
+pub fn addmm_backward(
+    x: &Tensor,
+    w: &Tensor,
+    g: &Tensor,
+    route_rows: usize,
+) -> (Tensor, Tensor, Tensor) {
+    let gx = matmul_nt_routed(g, w, route_rows);
+    let gw = matmul_tn_routed(x, g, route_rows);
     let n = g.dim(1);
     (gx, gw, Tensor::from_vec([n], col_sums(g.data(), n)))
 }
@@ -812,7 +860,9 @@ pub fn addmm_backward(x: &Tensor, w: &Tensor, g: &Tensor) -> (Tensor, Tensor, Te
 /// they run as one [`gemm::gated_gemm_into`] pass whose tile epilogue
 /// computes the bias adds, the sigmoid and the product in registers. Below
 /// that (tiny graphs), the composed kernels run as they are, so the naive
-/// route's arithmetic is kept too.
+/// route's arithmetic is kept too. Routing counts `route_rows` rows in
+/// place of `m` (see [`addmm_routed`]); pass `m` for the node's own route.
+#[allow(clippy::too_many_arguments)]
 pub fn gated_gcn(
     agg: &Tensor,
     wv: &Tensor,
@@ -820,9 +870,10 @@ pub fn gated_gcn(
     wg: &Tensor,
     bg: &Tensor,
     save: bool,
+    route_rows: usize,
 ) -> (Tensor, Option<(Tensor, Tensor)>) {
     if agg.dtype().is_half() {
-        return gated_gcn(&agg.to_dtype(DType::F32), wv, bv, wg, bg, save);
+        return gated_gcn(&agg.to_dtype(DType::F32), wv, bv, wg, bg, save, route_rows);
     }
     assert!(agg.rank() >= 1, "gated_gcn input must have at least one dim");
     let k = agg.dim(agg.rank() - 1);
@@ -835,10 +886,11 @@ pub fn gated_gcn(
     let mut out_dims = agg.dims().to_vec();
     *out_dims.last_mut().expect("rank checked above") = n;
     let (value, gate) = (mat_any(wv, 0, n), mat_any(wg, 0, n));
-    if !(packs(&value, m * k * n) && packs(&gate, m * k * n)) {
+    let route_macs = route_rows * k * n;
+    if !(packs(&value, route_macs) && packs(&gate, route_macs)) {
         let x = agg.reshape([m, k]);
-        let v = addmm(&x, wv, bv);
-        let s = sigmoid(&addmm(&x, wg, bg));
+        let v = addmm_routed(&x, wv, bv, route_rows);
+        let s = sigmoid(&addmm_routed(&x, wg, bg, route_rows));
         let out = v.zip(&s, |a, b| a * b).reshape(out_dims);
         return (out, save.then_some((v, s)));
     }
@@ -885,6 +937,8 @@ fn cols_finite(d: &[f32], c0: usize, n: usize, stride: usize) -> bool {
 /// * `grad_agg = dĝ·W_gᵀ`, then `+= dv·W_vᵀ` — the order the tape
 ///   accumulated the two `addmm` contributions in. These stay two products:
 ///   one `K = 2n` product would round differently.
+///
+/// Every product routes as the `route_rows`-row forward's does.
 pub fn gated_gcn_backward(
     agg: &Tensor,
     wv: &Tensor,
@@ -892,9 +946,10 @@ pub fn gated_gcn_backward(
     v: &Tensor,
     s: &Tensor,
     g: &Tensor,
+    route_rows: usize,
 ) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
     if agg.dtype().is_half() {
-        return gated_gcn_backward(&agg.to_dtype(DType::F32), wv, wg, v, s, g);
+        return gated_gcn_backward(&agg.to_dtype(DType::F32), wv, wg, v, s, g, route_rows);
     }
     let _t = telemetry::span("kernel.gated_gcn_bwd");
     let k = agg.dim(agg.rank() - 1);
@@ -912,15 +967,21 @@ pub fn gated_gcn_backward(
     let dv = MatRef { data: &d, base: 0, rs: n2, cs: 1 };
     let dg = MatRef { data: &d, base: n, rs: n2, cs: 1 };
     let agg_t = MatRef::contiguous(agg.data(), 0, k).transposed();
+    let macs = route_rows * k * n;
     let (mut dwv, mut dwg) = (alloc::buf_zeroed(k * n), alloc::buf_zeroed(k * n));
-    mm_into(agg_t, AnyMatRef::F32(dv), None, &mut dwv, k, m, n, || cols_finite(&d, 0, n, n2));
-    mm_into(agg_t, AnyMatRef::F32(dg), None, &mut dwg, k, m, n, || cols_finite(&d, n, n, n2));
+    mm_into_as(agg_t, AnyMatRef::F32(dv), None, &mut dwv, k, m, n, macs, || {
+        cols_finite(&d, 0, n, n2)
+    });
+    mm_into_as(agg_t, AnyMatRef::F32(dg), None, &mut dwg, k, m, n, macs, || {
+        cols_finite(&d, n, n, n2)
+    });
     let mut db = col_sums(&d, n2);
     let dbg = db.split_off(n);
+    let (wg_t, wv_t) = (mat_any(wg, 0, n).transposed(), mat_any(wv, 0, n).transposed());
     let mut dagg = alloc::buf_zeroed(m * k);
-    mm_into(dg, mat_any(wg, 0, n).transposed(), None, &mut dagg, m, n, k, || wg.all_finite());
+    mm_into_as(dg, wg_t, None, &mut dagg, m, n, k, macs, || wg.all_finite());
     let mut part = alloc::buf_zeroed(m * k);
-    mm_into(dv, mat_any(wv, 0, n).transposed(), None, &mut part, m, n, k, || wv.all_finite());
+    mm_into_as(dv, wv_t, None, &mut part, m, n, k, macs, || wv.all_finite());
     for (o, &p) in dagg.iter_mut().zip(&part) {
         *o += p;
     }
@@ -1153,7 +1214,7 @@ mod tests {
         let g = Tensor::from_vec([5, 3], pseudo_fill(15, 31, 101, 97.0));
         let x = Tensor::from_vec([5, 2], pseudo_fill(10, 7, 53, 51.0));
         let w = Tensor::from_vec([2, 3], pseudo_fill(6, 11, 29, 23.0));
-        let (gx, gw, gb) = addmm_backward(&x, &w, &g);
+        let (gx, gw, gb) = addmm_backward(&x, &w, &g, x.dim(0));
         assert_eq!(gx, matmul(&g, &w.t()));
         assert_eq!(gw, matmul(&x.t(), &g));
         assert_eq!(gb, Tensor::reduce_to(&g, &crate::Shape::new(&[3])));

@@ -175,3 +175,29 @@ fn conv1d_gradcheck_dilations() {
         .unwrap_or_else(|e| panic!("dilation {dilation}: {e}"));
     }
 }
+
+/// The gather the readout pass builds its conv taps and GCN rows with:
+/// `index_select0` over a row matrix with an appended zero row (the pad
+/// tap), indices repeating and hitting the pad row more than once. The
+/// scatter-add backward must sum every repeat.
+#[test]
+fn index_select0_gradcheck_repeats_and_pad_row() {
+    let x = Tensor::from_vec([4, 3], (0..12).map(|i| ((i as f32) * 0.7).cos()).collect());
+    let idx = [2usize, 0, 4, 2, 3, 4, 1, 2, 0];
+    let scale =
+        Tensor::from_vec([idx.len(), 3], (0..27).map(|i| 0.5 + (i % 5) as f32 * 0.3).collect());
+    gradcheck(
+        |t, v| {
+            let pad = t.constant(Tensor::zeros([1, 3]));
+            let rows = t.concat(&[v, pad], 0);
+            let sel = t.index_select0(rows, &idx);
+            let s = t.constant(scale.clone());
+            let y = t.mul(sel, s);
+            let y = t.square(y);
+            t.sum_all(y)
+        },
+        &x,
+        5e-2,
+    )
+    .unwrap();
+}

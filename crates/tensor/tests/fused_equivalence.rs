@@ -291,7 +291,7 @@ fn gcn_composed(fwd: &mut Fwd, case: &GcnCase, z: Var) -> Var {
 fn gcn_fused(fwd: &mut Fwd, case: &GcnCase, z: Var) -> Var {
     let value = case.value.bind(fwd);
     let gate = case.gate.bind(fwd);
-    fwd.gated_gcn(Arc::clone(&case.map), z, value, gate)
+    fwd.gated_gcn(Arc::clone(&case.map), z, value, gate, None)
 }
 
 /// Train-mode forward + backward of one layer: output bits, then the
@@ -420,8 +420,13 @@ fn gated_gcn_gradcheck() {
     ];
     let dims: [Vec<usize>; 5] = [vec![n, t, k], vec![k, h], vec![h], vec![k, h], vec![h]];
     let node = |tape: &Tape, vars: &[Var]| {
-        let out =
-            tape.gated_gcn(Arc::clone(&case.map), vars[0], (vars[1], vars[2]), (vars[3], vars[4]));
+        let out = tape.gated_gcn(
+            Arc::clone(&case.map),
+            vars[0],
+            (vars[1], vars[2]),
+            (vars[3], vars[4]),
+            None,
+        );
         let cv = tape.constant(case.c.clone());
         tape.sum_all(tape.mul(out, cv))
     };

@@ -30,6 +30,8 @@ cargo test -q -p stsm-core --test pool_steady
 # "Execution modes"), likewise pinned by name.
 cargo test -q -p stsm-tensor --test infer_equivalence
 cargo test -q -p stsm-core --test infer_equivalence
+# The readout pass (contrastive full view) bitwise equal to the full forward's graph_repr.
+cargo test -q -p stsm-core --test infer_equivalence readout_pass_stsm_batch_bitwise_matches_full_forward
 # Fault-tolerance contracts (DESIGN.md, "Fault tolerance"): kill-and-resume
 # bit-identity, checkpoint rejection, guard survival under injected faults,
 # degraded-input sanitization — pinned by name.
