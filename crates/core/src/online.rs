@@ -310,9 +310,12 @@ impl OnlineTrainer {
             unmasked_locals.iter().map(|&l| self.observed[l]).collect();
         let pw = pseudo_weights_for(problem, &masked_globals, &unmasked_globals);
         let unmasked_rows = problem.gather_rows(&unmasked_globals);
-        let a_dtw = Arc::new(CsrLinMap::new(normalize_gcn(
-            &self.dtw.train_adjacency(&masked, &pw, cfg.q_kk, cfg.q_ku),
-        )));
+        let a_dtw = {
+            let _span = telemetry::span("stsm.adj.dtw");
+            Arc::new(CsrLinMap::new(normalize_gcn(
+                &self.dtw.train_adjacency(&masked, &pw, cfg.q_kk, cfg.q_ku),
+            )))
+        };
         let mut order: Vec<usize> = (0..windows.len()).collect();
         order.shuffle(&mut rng);
         order.truncate(cfg.windows_per_epoch.max(cfg.batch_windows));

@@ -179,14 +179,17 @@ impl InferAssets {
             cfg.q_kk.max(cfg.q_ku),
         );
         let pw = pseudo_weights_for(problem, &problem.unobserved, &problem.observed);
-        let a_dtw = Arc::new(CsrLinMap::new(normalize_gcn(&dtw.test_adjacency(
-            n,
-            &problem.observed,
-            &problem.unobserved,
-            &pw,
-            cfg.q_kk,
-            cfg.q_ku,
-        ))));
+        let a_dtw = {
+            let _span = telemetry::span("stsm.adj.dtw");
+            Arc::new(CsrLinMap::new(normalize_gcn(&dtw.test_adjacency(
+                n,
+                &problem.observed,
+                &problem.unobserved,
+                &pw,
+                cfg.q_kk,
+                cfg.q_ku,
+            ))))
+        };
         let obs_dist = problem.sub_distances(&problem.observed, &problem.observed, true);
         let obs_weights =
             inverse_distance_weights(&obs_dist, problem.observed.len(), problem.observed.len());

@@ -21,8 +21,8 @@ use crate::pseudo::{blend_series, inverse_distance_weights};
 use stsm_graph::{grid_knn, CsrMatrix};
 use stsm_tensor::{pool, telemetry};
 use stsm_timeseries::{
-    daily_profile, dtw_banded, dtw_envelope, dtw_envelopes, dtw_nearest, dtw_top_q,
-    dtw_top_q_with_candidates, DtwEnvelope, PruneStats, SparseNeighbors,
+    daily_profile, dtw_banded, dtw_envelope, dtw_envelopes, dtw_nearest, dtw_top_q_with_envelopes,
+    DtwEnvelope, PruneStats, SparseNeighbors,
 };
 
 /// How many ranked neighbours each sparse row holds relative to the largest
@@ -93,20 +93,17 @@ impl DtwContext {
             .collect();
         let n = profiles.len();
         let depth = (q_needed.max(1) * DEPTH_FACTOR).max(MIN_DEPTH).min(n.saturating_sub(1));
-        let (neighbors, stats, candidates) = match candidates {
-            DtwCandidates::Exact => {
-                let (nb, st) = dtw_top_q(&profiles, band, depth);
-                (nb, st, None)
-            }
+        let candidates = match candidates {
+            DtwCandidates::Exact => None,
             DtwCandidates::Spatial { per_node } => {
                 let coords: Vec<[f64; 2]> =
                     problem.observed.iter().map(|&g| problem.dataset.coords[g]).collect();
-                let lists = grid_knn(&coords, per_node);
-                let (nb, st) = dtw_top_q_with_candidates(&profiles, band, depth, &lists);
-                (nb, st, Some(lists))
+                Some(grid_knn(&coords, per_node))
             }
         };
         let envelopes = dtw_envelopes(&profiles, band);
+        let (neighbors, stats) =
+            dtw_top_q_with_envelopes(&profiles, &envelopes, band, depth, candidates.as_deref());
         DtwContext { profiles, envelopes, neighbors, candidates, stats, band }
     }
 
@@ -235,18 +232,20 @@ impl DtwContext {
         // kernel and tie order as the former sort-everything route). Nodes
         // score independently, so they fan out over the pool; chunk results
         // concatenated in order keep the serial triplet order.
+        // Pseudo-profiles blend the unmasked profiles (daily profiling is
+        // linear, so blending profiles equals profiling the blended series),
+        // gathered once into one row-major matrix.
         let plen = self.profiles.first().map_or(0, Vec::len);
+        let sources: Vec<f32> =
+            unmasked.iter().flat_map(|&u| self.profiles[u].iter().copied()).collect();
         let unmasked_u32: Vec<u32> = unmasked.iter().map(|&u| u as u32).collect();
         let scored = pool::par_map_chunks(masked_ids.len(), 1, |rows| {
             let mut links: Vec<(usize, usize, f32)> = Vec::new();
             let mut stats = PruneStats::default();
             for row in rows {
                 let m = masked_ids[row];
-                let pseudo = self.blend_profile(
-                    &pseudo_weights[row * unmasked.len()..(row + 1) * unmasked.len()],
-                    &unmasked,
-                    plen,
-                );
+                let weights = &pseudo_weights[row * unmasked.len()..(row + 1) * unmasked.len()];
+                let pseudo = blend_series(weights, &sources, unmasked.len(), plen);
                 let pseudo_env = dtw_envelope(&pseudo, self.band);
                 // In spatial-candidate mode a masked node only links to
                 // unmasked peers within its spatial candidate list.
@@ -314,15 +313,15 @@ impl DtwContext {
         // observed locations stay eligible in both candidate modes — the
         // spatial lists only cover observed↔observed pairs.
         let plen = self.profiles.first().map_or(0, Vec::len);
-        let all_obs: Vec<usize> = (0..n_obs).collect();
+        let sources = self.profiles.concat();
         let all_obs_u32: Vec<u32> = (0..n_obs as u32).collect();
         let scored = pool::par_map_chunks(unobs_layout.len(), 1, |rows| {
             let mut links: Vec<(usize, usize, f32)> = Vec::new();
             let mut stats = PruneStats::default();
             for u in rows {
                 let row = unobs_layout[u];
-                let pseudo =
-                    self.blend_profile(&pseudo_weights[u * n_obs..(u + 1) * n_obs], &all_obs, plen);
+                let weights = &pseudo_weights[u * n_obs..(u + 1) * n_obs];
+                let pseudo = blend_series(weights, &sources, n_obs, plen);
                 let pseudo_env = dtw_envelope(&pseudo, self.band);
                 let top = dtw_nearest(
                     &pseudo,
@@ -347,16 +346,6 @@ impl DtwContext {
         }
         publish_stats(&pseudo_stats);
         CsrMatrix::from_triplets(n_total, n_total, &triplets)
-    }
-
-    /// Pseudo-profile: the weighted blend of source profiles (daily profiling
-    /// is linear, so blending profiles equals profiling the blended series).
-    fn blend_profile(&self, weights: &[f32], sources: &[usize], plen: usize) -> Vec<f32> {
-        let mut flat = Vec::with_capacity(sources.len() * plen);
-        for &s in sources {
-            flat.extend_from_slice(&self.profiles[s]);
-        }
-        blend_series(weights, &flat, sources.len(), plen)
     }
 }
 

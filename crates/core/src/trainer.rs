@@ -254,9 +254,12 @@ pub fn train_stsm_with(
         let unmasked_rows = problem.gather_rows(&unmasked_globals);
         // 3. Per-epoch DTW adjacency (Eq. links rebuilt because the masked
         //    set changed).
-        let a_dtw = Arc::new(CsrLinMap::new(normalize_gcn(
-            &dtw.train_adjacency(&masked, &pw, cfg.q_kk, cfg.q_ku),
-        )));
+        let a_dtw = {
+            let _span = telemetry::span("stsm.adj.dtw");
+            Arc::new(CsrLinMap::new(normalize_gcn(
+                &dtw.train_adjacency(&masked, &pw, cfg.q_kk, cfg.q_ku),
+            )))
+        };
         // 4. Sample windows and run batches.
         let mut order: Vec<usize> = (0..windows.len()).collect();
         order.shuffle(&mut rng);

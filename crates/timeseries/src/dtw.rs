@@ -15,57 +15,60 @@ pub fn dtw(a: &[f32], b: &[f32]) -> f32 {
 
 /// DTW restricted to a Sakoe–Chiba band of half-width `band` around the
 /// diagonal (`usize::MAX` = unconstrained). Distance is the sum of
-/// `|a[i] - b[j]|` along the optimal monotone alignment.
+/// `|a[i] - b[j]|` along the optimal monotone alignment. The effective band
+/// is `band.max(a.len().abs_diff(b.len()))`: narrower, no complete warping
+/// path exists.
 pub fn dtw_banded(a: &[f32], b: &[f32], band: usize) -> f32 {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return if n == m { 0.0 } else { f32::INFINITY };
-    }
-    // Effective band must at least cover the length difference, or no
-    // complete warping path exists.
-    let band = band.max(n.abs_diff(m));
-    let inf = f32::INFINITY;
-    // Rolling rows of the DP table; row i covers j in [lo, hi).
-    let mut prev = vec![inf; m + 1];
-    let mut curr = vec![inf; m + 1];
-    prev[0] = 0.0;
-    for i in 1..=n {
-        curr.fill(inf);
-        // Sakoe–Chiba: |i - j| <= band (1-based indices on both axes).
-        let lo = i.saturating_sub(band).max(1);
-        let hi = i.saturating_add(band).min(m);
-        for j in lo..=hi {
-            let cost = (a[i - 1] - b[j - 1]).abs();
-            let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            curr[j] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
+    dtw_banded_abandon(a, b, band, f32::INFINITY).expect("an infinite cut never abandons")
 }
 
 /// [`dtw_banded`] with early abandonment for the pruning cascade: returns
 /// `None` as soon as some DP row's minimum exceeds `cut`. Every complete
 /// warping path passes through at least one cell of every row, and a cell's
 /// DP value lower-bounds any path through it, so a row whose minimum beats
-/// the cut proves the final distance would too. The recurrence, iteration
-/// order and arithmetic are identical to [`dtw_banded`], so a `Some`
-/// result is bitwise equal to the unabandoned distance (`cut = ∞` never
-/// abandons).
-pub(crate) fn dtw_banded_abandon(a: &[f32], b: &[f32], band: usize, cut: f32) -> Option<f32> {
+/// the cut proves the final distance would too. A `Some` result is the
+/// unabandoned distance (`cut = ∞` never abandons, and [`dtw_banded`] is
+/// exactly that call).
+pub fn dtw_banded_abandon(a: &[f32], b: &[f32], band: usize, cut: f32) -> Option<f32> {
+    dtw_banded_in(&mut Vec::new(), a, b, band, cut)
+}
+
+/// The one scalar recurrence behind [`dtw_banded_abandon`], on caller-owned
+/// DP rows so a loop of calls reuses one buffer. The lane kernel
+/// ([`crate::dtw_banded_lanes`]) runs the same operations per SIMD lane.
+pub(crate) fn dtw_banded_in(
+    rows: &mut Vec<f32>,
+    a: &[f32],
+    b: &[f32],
+    band: usize,
+    cut: f32,
+) -> Option<f32> {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
         return if n == m { Some(0.0) } else { Some(f32::INFINITY) };
     }
     let band = band.max(n.abs_diff(m));
     let inf = f32::INFINITY;
-    let mut prev = vec![inf; m + 1];
-    let mut curr = vec![inf; m + 1];
+    if rows.len() < 2 * (m + 1) {
+        rows.resize(2 * (m + 1), inf);
+    }
+    let (mut prev, mut curr) = rows[..2 * (m + 1)].split_at_mut(m + 1);
+    // Row 0: only the origin is reachable. Row 1 reads cells 0..=hi₁.
     prev[0] = 0.0;
+    prev[1..=band.saturating_add(1).min(m)].fill(inf);
     for i in 1..=n {
-        curr.fill(inf);
+        // Sakoe–Chiba: |i - j| <= band (1-based indices on both axes).
         let lo = i.saturating_sub(band).max(1);
         let hi = i.saturating_add(band).min(m);
+        // Band-edge rule: row i reads cells lo-1..=hi of the row above and
+        // writes lo..=hi of its own. Resetting the two cells just outside
+        // the band, lo-1 and hi+1, to ∞ is then all a full row fill would do
+        // for any cell the next row reads (its window moves by at most one
+        // cell at each end), so no stale value is ever read.
+        curr[lo - 1] = inf;
+        if hi < m {
+            curr[hi + 1] = inf;
+        }
         let mut row_min = inf;
         for j in lo..=hi {
             let cost = (a[i - 1] - b[j - 1]).abs();
@@ -141,8 +144,10 @@ pub fn dtw_all_pairs(series: &[Vec<f32>], band: usize) -> Vec<f32> {
     let writer = pool::SliceWriter::new(&mut out);
     pool::par_chunks_weighted(n_pairs, dtw_work_estimate(series.iter(), band), |ps| {
         let (mut i, mut j) = pair_at(ps.start, n);
+        let mut rows = Vec::new();
         for _ in ps {
-            let d = dtw_banded(&series[i], &series[j], band);
+            let d = dtw_banded_in(&mut rows, &series[i], &series[j], band, f32::INFINITY)
+                .expect("an infinite cut never abandons");
             // Safety: cell (i,j) with j>i and its mirror (j,i) belong to
             // this pair's worker alone.
             unsafe {
@@ -175,8 +180,10 @@ pub fn dtw_cross(from: &[Vec<f32>], to: &[Vec<f32>], band: usize) -> Vec<f32> {
         |cells| {
             // Safety: cell ranges are disjoint output cells.
             let chunk = unsafe { writer.slice(cells.start..cells.end) };
+            let mut rows = Vec::new();
             for (ci, c) in cells.enumerate() {
-                chunk[ci] = dtw_banded(&from[c / m], &to[c % m], band);
+                chunk[ci] = dtw_banded_in(&mut rows, &from[c / m], &to[c % m], band, f32::INFINITY)
+                    .expect("an infinite cut never abandons");
             }
         },
     );

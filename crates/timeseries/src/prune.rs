@@ -17,10 +17,12 @@
 //!    within the band, so `Σᵢ max(0, aᵢ−Uᵢ, Lᵢ−aᵢ)` lower-bounds the
 //!    banded DTW for equal-length series. Both directions (query against
 //!    candidate envelope and candidate against query envelope) are tried.
-//! 3. **Full [`dtw_banded`]** only for survivors — the same kernel as the
-//!    dense path, so surviving distances are bitwise identical to
-//!    [`dtw_all_pairs`] entries and the selected top-q sets (ranked by
-//!    distance, ties by index) match the dense ranking exactly.
+//! 3. **Full banded DTW** only for survivors, scored 16 at a time by the
+//!    lane kernel ([`crate::dtw_banded_lanes`]), which is bitwise the
+//!    scalar [`crate::dtw_banded`] per candidate — so surviving distances are
+//!    bitwise identical to [`dtw_all_pairs`] entries and the selected top-q
+//!    sets (ranked by distance, ties by index) match the dense ranking
+//!    exactly.
 //!
 //! Pruning compares a lower bound against the threshold with a small
 //! inflation margin ([`beats_threshold`]): the bounds are exact over the
@@ -30,7 +32,7 @@
 //! `dtw.lb_keogh_pruned` and `dtw.full_dtw` telemetry counters, and the
 //! whole search runs under a `dtw.top_q` span.
 
-use crate::dtw::dtw_banded_abandon;
+use crate::lanes::{LaneScratch, DTW_LANES};
 use stsm_tensor::{pool, telemetry};
 
 /// Per-series precomputation for the pruning cascade: the Keogh envelope at
@@ -312,7 +314,8 @@ pub struct PruneStats {
     pub lb_kim_pruned: u64,
     /// Candidates discarded by the envelope bound (either direction).
     pub lb_keogh_pruned: u64,
-    /// Candidates that reached the full banded-DTW kernel.
+    /// Candidates that entered the full banded-DTW kernel: lanes of a
+    /// scored batch, counted whether or not they abandoned.
     pub full_dtw: u64,
 }
 
@@ -412,6 +415,15 @@ type NeighborRow = Vec<(u32, f32)>;
 /// `(distance, index)`. `envelopes[c]` must be the envelope of `series[c]`
 /// built with half-width ≥ `band`; `query_env` is the query's own envelope
 /// (used for the reverse Keogh bound).
+///
+/// Survivors of the lower bounds are scored [`DTW_LANES`] at a time by the
+/// lane kernel ([`crate::dtw_banded_lanes`]): each one joins a fixed-width batch,
+/// and a full batch (or the last, partial one) is scored against the
+/// threshold as it stands at that moment, then offered in candidate order.
+/// A threshold that is stale within a batch is never lower than the fresh
+/// one would be, so it only prunes and abandons less; every candidate of
+/// the true top-q still reaches [`BestQ`] with its exact distance, and the
+/// set stays exact.
 #[allow(clippy::too_many_arguments)]
 pub fn dtw_nearest(
     query: &[f32],
@@ -428,10 +440,12 @@ pub fn dtw_nearest(
         return Vec::new();
     }
     let mut best = BestQ::new(q.min(candidates.len().max(1)));
+    let mut scratch = LaneScratch::default();
+    let mut batch = [0u32; DTW_LANES];
+    let mut filled = 0;
     for &c in candidates {
         let cs = &series[c as usize];
-        let tau = best.threshold();
-        if let Some(tau) = tau {
+        if let Some(tau) = best.threshold() {
             let kim = lb_kim(query, cs);
             if beats_threshold(kim, tau) {
                 stats.lb_kim_pruned += 1;
@@ -445,15 +459,44 @@ pub fn dtw_nearest(
             }
         }
         stats.full_dtw += 1;
-        // Survivors still early-abandon inside the kernel: a row minimum
-        // beating the cut proves the distance cannot enter the top-q, and
-        // an unabandoned result is bitwise equal to `dtw_banded`.
-        let cut = tau.map_or(f32::INFINITY, threshold_cut);
-        if let Some(d) = dtw_banded_abandon(query, cs, band, cut) {
+        batch[filled] = c;
+        filled += 1;
+        if filled == DTW_LANES {
+            score_batch(&mut scratch, query, series, &batch, band, &mut best);
+            filled = 0;
+        }
+    }
+    score_batch(&mut scratch, query, series, &batch[..filled], band, &mut best);
+    best.into_sorted()
+}
+
+/// Scores one batch of cascade survivors and offers them to `best` in
+/// candidate order. Survivors still early-abandon inside the kernel: a row
+/// minimum beating the cut proves the distance cannot enter the top-q, and
+/// an unabandoned result is bitwise equal to [`crate::dtw_banded`].
+fn score_batch(
+    scratch: &mut LaneScratch,
+    query: &[f32],
+    series: &[Vec<f32>],
+    batch: &[u32],
+    band: usize,
+    best: &mut BestQ,
+) {
+    if batch.is_empty() {
+        return;
+    }
+    let cut = best.threshold().map_or(f32::INFINITY, threshold_cut);
+    let mut slots: [&[f32]; DTW_LANES] = [&[]; DTW_LANES];
+    for (slot, &c) in slots.iter_mut().zip(batch) {
+        *slot = &series[c as usize];
+    }
+    let mut out = [None; DTW_LANES];
+    scratch.score(query, &slots[..batch.len()], band, cut, &mut out[..batch.len()]);
+    for (&c, d) in batch.iter().zip(out) {
+        if let Some(d) = d {
             best.offer(c, d);
         }
     }
-    best.into_sorted()
 }
 
 /// Exact sparse top-`q` DTW neighbours of every series against every other,
@@ -461,7 +504,7 @@ pub fn dtw_nearest(
 /// over the shared worker pool; each node's scan is independent, so results
 /// (and the pruning counters) are identical for any thread count.
 pub fn dtw_top_q(series: &[Vec<f32>], band: usize, q: usize) -> (SparseNeighbors, PruneStats) {
-    dtw_top_q_impl(series, band, q, None)
+    dtw_top_q_with_envelopes(series, &dtw_envelopes(series, band), band, q, None)
 }
 
 /// [`dtw_top_q`] restricted to per-node candidate lists (e.g. spatial
@@ -473,19 +516,26 @@ pub fn dtw_top_q_with_candidates(
     q: usize,
     candidates: &[Vec<u32>],
 ) -> (SparseNeighbors, PruneStats) {
-    assert_eq!(candidates.len(), series.len(), "one candidate list per series");
-    dtw_top_q_impl(series, band, q, Some(candidates))
+    dtw_top_q_with_envelopes(series, &dtw_envelopes(series, band), band, q, Some(candidates))
 }
 
-fn dtw_top_q_impl(
+/// [`dtw_top_q`] (`candidates = None`) or [`dtw_top_q_with_candidates`]
+/// over envelopes the caller already holds, so a caller that keeps them for
+/// later scans builds them once. `envelopes[i]` must be
+/// `dtw_envelope(&series[i], band)`.
+pub fn dtw_top_q_with_envelopes(
     series: &[Vec<f32>],
+    envelopes: &[DtwEnvelope],
     band: usize,
     q: usize,
     candidates: Option<&[Vec<u32>]>,
 ) -> (SparseNeighbors, PruneStats) {
     let _span = telemetry::span("dtw.top_q");
     let n = series.len();
-    let envelopes = dtw_envelopes(series, band);
+    assert_eq!(envelopes.len(), n, "one envelope per series");
+    if let Some(lists) = candidates {
+        assert_eq!(lists.len(), n, "one candidate list per series");
+    }
     // Per-chunk stats merge order is fixed by chunk order, and u64 sums are
     // associative, so totals are thread-count independent.
     let chunk_results: Vec<(Vec<NeighborRow>, PruneStats)> = pool::par_map_chunks(n, 8, |rows| {
@@ -512,7 +562,7 @@ fn dtw_top_q_impl(
                     &series[i],
                     &envelopes[i],
                     series,
-                    &envelopes,
+                    envelopes,
                     cands,
                     band,
                     q,

@@ -50,6 +50,12 @@ cargo test -q -p stsm-timeseries --test dtw_band_properties
 # admissibility against the banded kernel, and bitwise top-q equality with
 # the dense all-pairs ranking at ~200 nodes — pinned by name.
 cargo test -q -p stsm-timeseries --test dtw_prune_properties
+# The lane-parallel DTW contract (DESIGN.md, "Lane-parallel scoring"): the
+# 16-lane kernel bitwise equal to the scalar recurrence at every supported
+# SIMD level (NaN/∞ and unequal-length slots on the scalar route), and
+# top-q rows, distances and pruning counters identical across levels and
+# thread counts — pinned by name.
+cargo test -q -p stsm-timeseries --test dtw_lanes_equivalence
 cargo test -q -p stsm-baselines --test baseline_training
 # The blocked-SIMD kernel contract (DESIGN.md, "Kernel architecture"):
 # packed-vs-naive tolerance on odd shapes, bitwise thread-count and
