@@ -41,10 +41,11 @@ pub enum DtwCandidates {
 }
 
 impl DtwCandidates {
-    /// Reads the `STSM_DTW_CANDIDATES` override: `exact` or `spatial:<k>`
-    /// (e.g. `spatial:32`). Returns `None` when unset or unparseable.
-    pub fn from_env() -> Option<Self> {
-        let v = std::env::var("STSM_DTW_CANDIDATES").ok()?.to_lowercase();
+    /// Parses `exact` or `spatial:<k>` with `k > 0` (e.g. `spatial:32`),
+    /// case-insensitively; anything else is `None`. The `stsm` CLI applies
+    /// its `STSM_DTW_CANDIDATES` variable through this.
+    pub fn parse(s: &str) -> Option<Self> {
+        let v = s.to_lowercase();
         if v == "exact" {
             return Some(DtwCandidates::Exact);
         }
@@ -240,7 +241,7 @@ impl Default for StsmConfig {
             windows_per_epoch: 24,
             dtw_band: 6,
             dtw_downsample: 4,
-            dtw_candidates: DtwCandidates::from_env().unwrap_or_default(),
+            dtw_candidates: DtwCandidates::Exact,
             masking: MaskingMode::Selective,
             contrastive: true,
             temporal: TemporalModule::DilatedConv,
@@ -285,6 +286,15 @@ impl StsmConfig {
         self.epsilon_sg = eps_sg;
         self.top_k = k;
         self
+    }
+
+    /// FNV-1a fingerprint of this config's canonical JSON form. Training
+    /// checkpoints and serving hot-swaps compare it: only state trained
+    /// under the identical config may replace or resume another.
+    pub fn fingerprint(&self) -> u64 {
+        crate::checkpoint::config_fingerprint(
+            &serde_json::to_string(self).expect("config serialization cannot fail"),
+        )
     }
 
     /// Sanity-checks invariants.
@@ -342,6 +352,23 @@ mod tests {
     fn rejects_mismatched_horizons() {
         let c = StsmConfig { t_out: 6, ..StsmConfig::default() };
         c.validate();
+    }
+
+    #[test]
+    fn dtw_candidates_parse() {
+        assert_eq!(DtwCandidates::parse("exact"), Some(DtwCandidates::Exact));
+        assert_eq!(DtwCandidates::parse("EXACT"), Some(DtwCandidates::Exact));
+        assert_eq!(
+            DtwCandidates::parse("spatial:32"),
+            Some(DtwCandidates::Spatial { per_node: 32 })
+        );
+        assert_eq!(DtwCandidates::parse("spatial:0"), None);
+        assert_eq!(DtwCandidates::parse("nearest"), None);
+    }
+
+    #[test]
+    fn default_dtw_candidates_are_exact() {
+        assert_eq!(StsmConfig::default().dtw_candidates, DtwCandidates::Exact);
     }
 
     #[test]

@@ -2,37 +2,33 @@
 //! horizon of recent windows, resuming from a [`TrainCheckpoint`] or a
 //! [`TrainedStsm`].
 //!
-//! [`OnlineTrainer`] replays the batch trainer's epoch machinery — same
-//! per-epoch RNG derivation, same mask → pseudo-weights → DTW-adjacency →
-//! shuffled-batch order, same divergence guard and rollback snapshots — but
-//! restricts each epoch's window pool to the last
-//! [`OnlineConfig::replay_windows`] windows ending before `now`. When the
-//! replay horizon covers the full training window set (and
-//! `lr_scale == 1.0`), one [`OnlineTrainer::fine_tune_epoch`] call is
-//! bitwise identical to the corresponding batch-resume epoch; the
-//! `online_equivalence` suite enforces this.
+//! [`OnlineTrainer`] drives the batch trainer's own epoch body
+//! (`EpochState::run_epoch` in `trainer.rs`) — same per-epoch RNG
+//! derivation, mask → pseudo-weights → DTW-adjacency → shuffled-batch
+//! order, divergence guard and rollback snapshots — but hands it only the
+//! last [`OnlineConfig::replay_windows`] windows ending before `now`, with
+//! [`OnlineConfig::lr_scale`] as an extra lr multiplier. When the replay
+//! horizon covers the full training window set (and `lr_scale == 1.0`), one
+//! [`OnlineTrainer::fine_tune_epoch`] call is therefore bitwise the
+//! corresponding batch-resume epoch; the `online_equivalence` suite checks
+//! the replay slice and the checkpoint hand-off that make it so.
 //!
 //! Telemetry lands under `online.*` (`online.fine_tune` span,
-//! `online.fine_tune_epochs` / `online.guard.*` counters), mirroring the
-//! batch trainer's `train.*` namespace.
+//! `online.step` span, `online.fine_tune_epochs` / `online.guard.*`
+//! counters), mirroring the batch trainer's `train.*` namespace.
 
-use crate::checkpoint::{config_fingerprint, CheckpointError, TrainCheckpoint};
-use crate::config::{MaskingMode, StsmConfig};
+use crate::checkpoint::TrainCheckpoint;
+use crate::config::StsmConfig;
 use crate::error::StsmError;
-use crate::masking::MaskingContext;
 use crate::model::StModel;
 use crate::problem::ProblemInstance;
 use crate::pseudo::masked_inverse_distance_weights;
 use crate::resilience::ResilienceReport;
-use crate::temporal_adj::{pseudo_weights_for, DtwContext};
-use crate::trainer::{batch_loss_and_grads, epoch_rng, GuardState, TrainedStsm};
-use rand::seq::SliceRandom;
-use std::sync::Arc;
-use stsm_graph::{normalize_gcn, CsrLinMap};
-use stsm_tensor::optim::{clip_grad_norm, Adam, AdamState, Optimizer};
+use crate::temporal_adj::DtwContext;
+use crate::trainer::{EpochNames, EpochState, TrainedStsm};
 use stsm_tensor::telemetry;
-use stsm_tensor::{ParamStore, Tensor};
-use stsm_timeseries::{sliding_windows, WindowIndex};
+use stsm_tensor::ParamStore;
+use stsm_timeseries::sliding_windows;
 
 /// Knobs of the online fine-tuning loop. Environment overrides (all
 /// optional) are read by [`OnlineConfig::from_env`]:
@@ -86,36 +82,25 @@ fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
 }
 
-/// Warm fine-tuner: the batch trainer's epoch loop, lifted to an object so
+/// The telemetry names online epochs report under.
+const ONLINE_NAMES: EpochNames = EpochNames {
+    step: "online.step",
+    skipped_batches: "online.guard.skipped_batches",
+    rollbacks: "online.guard.rollbacks",
+    skipped_epochs: "online.guard.skipped_epochs",
+};
+
+/// Warm fine-tuner: the batch trainer's epoch state, held by an object so
 /// a long-running service can interleave ingestion with adaptation.
 ///
 /// Construction restores parameters, Adam moments, guard EMA and lr backoff
-/// exactly the way `train_stsm_with`'s resume path does, so the first
-/// fine-tune step continues the batch trajectory bit-for-bit (given a full
-/// replay horizon). Epochs advance the same `(seed, epoch)` RNG schedule
-/// the batch trainer would have used.
+/// through the same `EpochState::restore` as `train_stsm_with`'s resume
+/// path, so the first fine-tune step continues the batch trajectory
+/// bit-for-bit (given a full replay horizon). Epochs advance the same
+/// `(seed, epoch)` RNG schedule the batch trainer would have used.
 pub struct OnlineTrainer {
-    cfg: StsmConfig,
+    state: EpochState,
     online: OnlineConfig,
-    store: ParamStore,
-    model: StModel,
-    opt: Adam,
-    guard: GuardState,
-    lr_scale: f32,
-    epoch: usize,
-    epoch_losses: Vec<f32>,
-    sim_used: f32,
-    sim_random: f32,
-    resilience: ResilienceReport,
-    snap_params: ParamStore,
-    snap_adam: AdamState,
-    fingerprint: u64,
-    // Problem assets, built once (same construction as the batch trainer).
-    observed: Vec<usize>,
-    obs_rows: Tensor,
-    a_s: Arc<CsrLinMap>,
-    masking: MaskingContext,
-    dtw: DtwContext,
 }
 
 impl OnlineTrainer {
@@ -129,45 +114,9 @@ impl OnlineTrainer {
         online: OnlineConfig,
         ck: &TrainCheckpoint,
     ) -> Result<Self, StsmError> {
-        cfg.validate();
-        let fingerprint = config_fingerprint(
-            &serde_json::to_string(cfg).expect("config serialization cannot fail"),
-        );
-        if ck.config_fingerprint != fingerprint {
-            return Err(CheckpointError::ConfigMismatch.into());
-        }
-        let mut store = ParamStore::new();
-        let model = StModel::new(&mut store, cfg);
-        let mut opt = Adam::new(cfg.lr).with_weight_decay(1e-4);
-        store.load_from(&ck.params)?;
-        opt.load_state(ck.adam.clone(), &store)
-            .map_err(|e| StsmError::Checkpoint(CheckpointError::Malformed(e)))?;
-        let mut guard = GuardState::new();
-        guard.restore(&ck.guard);
-        let resilience = ResilienceReport {
-            skipped_batches: ck.guard.skipped_batches,
-            rollbacks: ck.guard.rollbacks,
-            skipped_epochs: ck.guard.skipped_epochs.clone(),
-            lr_scale: ck.lr_scale,
-            resumed_from_epoch: Some(ck.epochs_done),
-            ..ResilienceReport::default()
-        };
-        Self::build(
-            problem,
-            cfg.clone(),
-            online,
-            store,
-            model,
-            opt,
-            guard,
-            ck.lr_scale,
-            ck.epochs_done,
-            ck.epoch_losses.clone(),
-            ck.sim_used,
-            ck.sim_random,
-            resilience,
-            fingerprint,
-        )
+        let mut state = EpochState::new(problem, cfg, None)?;
+        state.restore(ck)?;
+        Ok(OnlineTrainer { state, online })
     }
 
     /// Wraps an already-trained model for continued adaptation. Adam
@@ -179,91 +128,8 @@ impl OnlineTrainer {
         trained: &TrainedStsm,
         online: OnlineConfig,
     ) -> Result<Self, StsmError> {
-        let cfg = trained.cfg.clone();
-        cfg.validate();
-        let fingerprint = config_fingerprint(
-            &serde_json::to_string(&cfg).expect("config serialization cannot fail"),
-        );
-        let mut store = ParamStore::new();
-        let model = StModel::new(&mut store, &cfg);
-        store.load_from(&trained.store)?;
-        let opt = Adam::new(cfg.lr).with_weight_decay(1e-4);
-        let epochs_done = cfg.epochs;
-        Self::build(
-            problem,
-            cfg,
-            online,
-            store,
-            model,
-            opt,
-            GuardState::new(),
-            1.0,
-            epochs_done,
-            Vec::new(),
-            0.0,
-            0.0,
-            ResilienceReport { lr_scale: 1.0, ..ResilienceReport::default() },
-            fingerprint,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        problem: &ProblemInstance,
-        cfg: StsmConfig,
-        online: OnlineConfig,
-        store: ParamStore,
-        model: StModel,
-        opt: Adam,
-        guard: GuardState,
-        lr_scale: f32,
-        epoch: usize,
-        epoch_losses: Vec<f32>,
-        sim_used: f32,
-        sim_random: f32,
-        resilience: ResilienceReport,
-        fingerprint: u64,
-    ) -> Result<Self, StsmError> {
-        let observed = problem.observed.clone();
-        if observed.len() < 4 {
-            return Err(StsmError::TooFewObserved { got: observed.len(), needed: 4 });
-        }
-        let obs_rows = problem.gather_rows(&observed);
-        let a_s = Arc::new(CsrLinMap::new(normalize_gcn(
-            &problem.spatial_adjacency(&observed, cfg.epsilon_s),
-        )));
-        let masking = MaskingContext::new(problem, cfg.epsilon_sg, cfg.mask_ratio, cfg.top_k);
-        let dtw = DtwContext::with_options(
-            problem,
-            cfg.dtw_band,
-            cfg.dtw_downsample,
-            cfg.dtw_candidates,
-            cfg.q_kk.max(cfg.q_ku),
-        );
-        let snap_params = store.clone();
-        let snap_adam = opt.state();
-        Ok(OnlineTrainer {
-            cfg,
-            online,
-            store,
-            model,
-            opt,
-            guard,
-            lr_scale,
-            epoch,
-            epoch_losses,
-            sim_used,
-            sim_random,
-            resilience,
-            snap_params,
-            snap_adam,
-            fingerprint,
-            observed,
-            obs_rows,
-            a_s,
-            masking,
-            dtw,
-        })
+        let state = EpochState::new(problem, &trained.cfg, Some(&trained.store))?;
+        Ok(OnlineTrainer { state, online })
     }
 
     /// Runs one fine-tune epoch over the replay horizon ending at absolute
@@ -281,118 +147,16 @@ impl OnlineTrainer {
         now: usize,
     ) -> Result<f32, StsmError> {
         let _span = telemetry::span("online.fine_tune");
-        let cfg = self.cfg.clone();
-        let end = now.min(self.obs_rows.dim(1));
+        let cfg = &self.state.cfg;
+        let end = now.min(self.state.obs_rows.dim(1));
         let span = end.saturating_sub(problem.train_time.start);
-        let all: Vec<WindowIndex> = sliding_windows(span, cfg.t_in, cfg.t_out, 1);
+        let all = sliding_windows(span, cfg.t_in, cfg.t_out, 1);
         if all.is_empty() {
             return Err(StsmError::TrainingPeriodTooShort { span, needed: cfg.t_in + cfg.t_out });
         }
         // Bounded replay: keep only the most recent windows.
         let skip = all.len().saturating_sub(self.online.replay_windows.max(1));
-        let windows: Vec<WindowIndex> = all[skip..].to_vec();
-        let epoch = self.epoch;
-        let mut rng = epoch_rng(cfg.seed, epoch);
-        self.opt.set_lr(cfg.lr * 0.92f32.powi(epoch as i32) * self.lr_scale * self.online.lr_scale);
-        // Mask draw + similarity accounting — both draws advance the RNG, so
-        // they must run even though the similarities are diagnostics only.
-        let masked = match cfg.masking {
-            MaskingMode::Selective => self.masking.draw_selective(&mut rng),
-            MaskingMode::Random => self.masking.draw_random(&mut rng),
-        };
-        self.sim_used += self.masking.mean_masked_similarity(&masked);
-        self.sim_random += self.masking.mean_masked_similarity(&self.masking.draw_random(&mut rng));
-        let n_obs = self.observed.len();
-        let masked_locals: Vec<usize> = (0..n_obs).filter(|&i| masked[i]).collect();
-        let unmasked_locals: Vec<usize> = (0..n_obs).filter(|&i| !masked[i]).collect();
-        let masked_globals: Vec<usize> = masked_locals.iter().map(|&l| self.observed[l]).collect();
-        let unmasked_globals: Vec<usize> =
-            unmasked_locals.iter().map(|&l| self.observed[l]).collect();
-        let pw = pseudo_weights_for(problem, &masked_globals, &unmasked_globals);
-        let unmasked_rows = problem.gather_rows(&unmasked_globals);
-        let a_dtw = {
-            let _span = telemetry::span("stsm.adj.dtw");
-            Arc::new(CsrLinMap::new(normalize_gcn(
-                &self.dtw.train_adjacency(&masked, &pw, cfg.q_kk, cfg.q_ku),
-            )))
-        };
-        let mut order: Vec<usize> = (0..windows.len()).collect();
-        order.shuffle(&mut rng);
-        order.truncate(cfg.windows_per_epoch.max(cfg.batch_windows));
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        let mut consecutive_bad = 0u32;
-        for chunk in order.chunks(cfg.batch_windows) {
-            if chunk.len() < 2 && cfg.contrastive {
-                continue; // contrastive batches need at least 2 windows
-            }
-            let (loss_v, mut grads) = batch_loss_and_grads(
-                problem,
-                &cfg,
-                &self.model,
-                &self.store,
-                &masked_locals,
-                &unmasked_rows,
-                &pw,
-                &self.a_s,
-                &a_dtw,
-                &windows,
-                chunk,
-                &self.obs_rows,
-            );
-            let norm = clip_grad_norm(&mut grads, 5.0);
-            let bad = cfg.guard.enabled
-                && (!loss_v.is_finite()
-                    || !norm.is_finite()
-                    || self.guard.is_spike(loss_v, &cfg.guard));
-            if bad {
-                telemetry::count("online.guard.skipped_batches", 1);
-                self.resilience.skipped_batches += 1;
-                consecutive_bad += 1;
-                if consecutive_bad >= cfg.guard.max_consecutive_bad {
-                    consecutive_bad = 0;
-                    if self.resilience.rollbacks < cfg.guard.max_rollbacks {
-                        self.store.load_from(&self.snap_params).expect("snapshot layout matches");
-                        self.opt
-                            .load_state(self.snap_adam.clone(), &self.store)
-                            .expect("snapshot state valid");
-                        self.lr_scale *= cfg.guard.lr_backoff;
-                        self.opt.set_lr(
-                            cfg.lr
-                                * 0.92f32.powi(epoch as i32)
-                                * self.lr_scale
-                                * self.online.lr_scale,
-                        );
-                        self.resilience.rollbacks += 1;
-                        telemetry::count("online.guard.rollbacks", 1);
-                    }
-                }
-                continue;
-            }
-            consecutive_bad = 0;
-            self.guard.observe(loss_v);
-            {
-                let _t = telemetry::span("online.step");
-                self.opt.step(&mut self.store, &grads);
-            }
-            epoch_loss += loss_v;
-            batches += 1;
-        }
-        let mean = if batches > 0 {
-            epoch_loss / batches as f32
-        } else {
-            let prev =
-                self.epoch_losses.iter().rev().copied().find(|l| l.is_finite()).unwrap_or(0.0);
-            self.resilience.skipped_epochs.push(epoch);
-            telemetry::count("online.guard.skipped_epochs", 1);
-            prev
-        };
-        self.epoch_losses.push(mean);
-        // Refresh the rollback target at the epoch boundary.
-        self.snap_params = self.store.clone();
-        self.snap_adam = self.opt.state();
-        self.epoch += 1;
-        self.resilience.lr_scale = self.lr_scale;
+        let mean = self.state.run_epoch(problem, &all[skip..], self.online.lr_scale, &ONLINE_NAMES);
         telemetry::count("online.fine_tune_epochs", 1);
         Ok(mean)
     }
@@ -402,25 +166,15 @@ impl OnlineTrainer {
     /// payload for `Server::swap_model`.
     pub fn trained(&self) -> Result<TrainedStsm, StsmError> {
         let mut fresh = ParamStore::new();
-        let model = StModel::new(&mut fresh, &self.cfg);
-        fresh.load_from(&self.store)?;
-        Ok(TrainedStsm::from_parts(self.cfg.clone(), fresh, model))
+        let model = StModel::new(&mut fresh, &self.state.cfg);
+        fresh.load_from(&self.state.store)?;
+        Ok(TrainedStsm::from_parts(self.state.cfg.clone(), fresh, model))
     }
 
     /// Serializes the current state as a [`TrainCheckpoint`] (last epoch
     /// boundary, like the batch trainer persists).
     pub fn checkpoint(&self) -> TrainCheckpoint {
-        TrainCheckpoint {
-            config_fingerprint: self.fingerprint,
-            epochs_done: self.epoch,
-            lr_scale: self.lr_scale,
-            sim_used: self.sim_used,
-            sim_random: self.sim_random,
-            epoch_losses: self.epoch_losses.clone(),
-            guard: self.guard.snapshot(&self.resilience),
-            params: self.snap_params.clone(),
-            adam: self.snap_adam.clone(),
-        }
+        self.state.checkpoint()
     }
 
     /// Churn-aware pseudo-observation weights from `targets` to the full
@@ -440,28 +194,28 @@ impl OnlineTrainer {
     /// The DTW context the trainer fits adjacencies with (for churn-aware
     /// neighbour queries via [`DtwContext::surviving_links`]).
     pub fn dtw(&self) -> &DtwContext {
-        &self.dtw
+        &self.state.dtw
     }
 
     /// Epochs completed so far (batch + online).
     pub fn epochs_done(&self) -> usize {
-        self.epoch
+        self.state.epoch
     }
 
     /// Mean loss per completed epoch (batch history included when resumed
     /// from a checkpoint).
     pub fn epoch_losses(&self) -> &[f32] {
-        &self.epoch_losses
+        &self.state.epoch_losses
     }
 
     /// Guard / rollback / resume accounting, batch counters carried over.
     pub fn resilience(&self) -> &ResilienceReport {
-        &self.resilience
+        &self.state.resilience
     }
 
     /// The training configuration (shared with the batch run).
     pub fn config(&self) -> &StsmConfig {
-        &self.cfg
+        &self.state.cfg
     }
 
     /// The online-loop knobs this trainer was built with.

@@ -32,7 +32,6 @@
 //! stray variable can never silently change a production default to a
 //! *different* reduced precision.
 
-use crate::checkpoint::config_fingerprint;
 use crate::config::StsmConfig;
 use crate::model::StModel;
 use crate::problem::ProblemInstance;
@@ -86,9 +85,7 @@ impl SharedModel {
     /// serving-side assets (adjacencies, pseudo-weights, window geometry)
     /// are functions of that config.
     pub fn fingerprint(&self) -> u64 {
-        config_fingerprint(
-            &serde_json::to_string(self.cfg()).expect("config serialization cannot fail"),
-        )
+        self.cfg().fingerprint()
     }
 }
 

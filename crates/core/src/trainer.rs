@@ -7,6 +7,9 @@
 //! adjacencies and forecasts the next `T'` steps for the unobserved
 //! locations.
 //!
+//! One epoch body, `EpochState::run_epoch`, serves both `train_stsm_with`
+//! (every training window) and [`crate::OnlineTrainer`] (a replay tail).
+//!
 //! ## Fault tolerance
 //!
 //! Each epoch's RNG is derived from `(cfg.seed, epoch)` rather than one
@@ -17,7 +20,7 @@
 //! batches rolls parameters and optimizer state back to the last epoch
 //! boundary with a backed-off learning rate. See `DESIGN.md`.
 
-use crate::checkpoint::{config_fingerprint, CheckpointError, GuardSnapshot, TrainCheckpoint};
+use crate::checkpoint::{CheckpointError, GuardSnapshot, TrainCheckpoint};
 use crate::config::{GuardConfig, MaskingMode, StsmConfig};
 use crate::contrastive::nt_xent;
 use crate::error::StsmError;
@@ -34,7 +37,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use stsm_graph::{normalize_gcn, CsrLinMap};
 use stsm_tensor::nn::Fwd;
-use stsm_tensor::optim::{clip_grad_norm, Adam, Optimizer};
+use stsm_tensor::optim::{clip_grad_norm, Adam, AdamState, Optimizer};
 use stsm_tensor::telemetry;
 use stsm_tensor::{ParamBinder, ParamStore, Tape, Tensor, TensorView, Var};
 use stsm_timeseries::{sliding_windows, Metrics, WindowIndex};
@@ -92,7 +95,7 @@ pub struct EvalReport {
 /// mixing keeps distinct epochs decorrelated while making each epoch's
 /// stream a pure function of `(seed, epoch)` — the foundation of
 /// checkpoint-resume bit-identity.
-pub(crate) fn epoch_rng(seed: u64, epoch: usize) -> StdRng {
+fn epoch_rng(seed: u64, epoch: usize) -> StdRng {
     let mut z = seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -100,35 +103,35 @@ pub(crate) fn epoch_rng(seed: u64, epoch: usize) -> StdRng {
 }
 
 /// Divergence-guard running state (the part that crosses epoch boundaries).
-pub(crate) struct GuardState {
+struct GuardState {
     ema: f32,
     ema_count: u64,
 }
 
 impl GuardState {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         GuardState { ema: 0.0, ema_count: 0 }
     }
 
-    pub(crate) fn restore(&mut self, snap: &GuardSnapshot) {
+    fn restore(&mut self, snap: &GuardSnapshot) {
         self.ema = snap.ema;
         self.ema_count = snap.ema_count;
     }
 
     /// True when `loss` is a spike relative to the warmed-up EMA.
-    pub(crate) fn is_spike(&self, loss: f32, guard: &GuardConfig) -> bool {
+    fn is_spike(&self, loss: f32, guard: &GuardConfig) -> bool {
         self.ema_count >= guard.warmup_batches
             && self.ema > 0.0
             && loss > guard.spike_factor * self.ema
     }
 
     /// Folds a good batch's loss into the EMA.
-    pub(crate) fn observe(&mut self, loss: f32) {
+    fn observe(&mut self, loss: f32) {
         self.ema = if self.ema_count == 0 { loss } else { 0.9 * self.ema + 0.1 * loss };
         self.ema_count += 1;
     }
 
-    pub(crate) fn snapshot(&self, resilience: &ResilienceReport) -> GuardSnapshot {
+    fn snapshot(&self, resilience: &ResilienceReport) -> GuardSnapshot {
         GuardSnapshot {
             ema: self.ema,
             ema_count: self.ema_count,
@@ -136,6 +139,349 @@ impl GuardState {
             rollbacks: resilience.rollbacks,
             skipped_epochs: resilience.skipped_epochs.clone(),
         }
+    }
+}
+
+/// The telemetry names a trainer reports its epochs under: [`TRAIN_NAMES`]
+/// for the batch trainer, `online.*` for the online one.
+pub(crate) struct EpochNames {
+    /// Span around each optimizer step.
+    pub(crate) step: &'static str,
+    /// Counter of batches whose step the guard skipped.
+    pub(crate) skipped_batches: &'static str,
+    /// Counter of rollbacks to the last epoch boundary.
+    pub(crate) rollbacks: &'static str,
+    /// Counter of epochs that ended with no usable batch.
+    pub(crate) skipped_epochs: &'static str,
+}
+
+const TRAIN_NAMES: EpochNames = EpochNames {
+    step: "train.step",
+    skipped_batches: "train.guard.skipped_batches",
+    rollbacks: "train.guard.rollbacks",
+    skipped_epochs: "train.guard.skipped_epochs",
+};
+
+/// One epoch's masked view of the observed region: the masked locations,
+/// the unmasked rows and weights their pseudo-observations blend from
+/// (Eq. 3), and the DTW adjacency rebuilt for this masked set.
+struct EpochMask {
+    masked_locals: Vec<usize>,
+    unmasked_rows: Tensor,
+    pseudo_weights: Vec<f32>,
+    a_dtw: Arc<CsrLinMap>,
+}
+
+/// The state both trainers drive one epoch at a time: parameters, Adam and
+/// the divergence guard with its rollback snapshot, the epoch counter and
+/// accumulators, and the per-problem assets built once. `train_stsm_with`
+/// runs it over every training window; [`crate::OnlineTrainer`] over a
+/// replay tail of recent windows.
+pub(crate) struct EpochState {
+    pub(crate) cfg: StsmConfig,
+    pub(crate) store: ParamStore,
+    model: StModel,
+    opt: Adam,
+    guard: GuardState,
+    // Rollback target: parameters + optimizer state at the last epoch
+    // boundary.
+    snap_params: ParamStore,
+    snap_adam: AdamState,
+    lr_scale: f32,
+    pub(crate) epoch: usize,
+    pub(crate) epoch_losses: Vec<f32>,
+    sim_used: f32,
+    sim_random: f32,
+    pub(crate) resilience: ResilienceReport,
+    // All observed series gathered once as an `(N_o, T_total)` matrix;
+    // every training window is a stride-aware *view* into it (see
+    // `window_view`) rather than a per-window copy out of `scaled`.
+    pub(crate) obs_rows: Tensor,
+    a_s: Arc<CsrLinMap>,
+    masking: MaskingContext,
+    pub(crate) dtw: DtwContext,
+}
+
+impl EpochState {
+    /// Builds the state for `problem`: freshly initialized parameters, or
+    /// `warm`'s parameters with a cold optimizer and the epoch count
+    /// continuing after `cfg.epochs`, so the lr schedule keeps decaying
+    /// rather than restarting.
+    pub(crate) fn new(
+        problem: &ProblemInstance,
+        cfg: &StsmConfig,
+        warm: Option<&ParamStore>,
+    ) -> Result<Self, StsmError> {
+        cfg.validate();
+        let observed = &problem.observed;
+        if observed.len() < 4 {
+            return Err(StsmError::TooFewObserved { got: observed.len(), needed: 4 });
+        }
+        let obs_rows = problem.gather_rows(observed);
+        let mut store = ParamStore::new();
+        let model = StModel::new(&mut store, cfg);
+        if let Some(warm) = warm {
+            store.load_from(warm)?;
+        }
+        // Mild weight decay fights overfitting to the observed region (the
+        // model must transfer to locations it never sees ground truth for).
+        let opt = Adam::new(cfg.lr).with_weight_decay(1e-4);
+        let a_s = Arc::new(CsrLinMap::new(normalize_gcn(
+            &problem.spatial_adjacency(observed, cfg.epsilon_s),
+        )));
+        let masking = MaskingContext::new(problem, cfg.epsilon_sg, cfg.mask_ratio, cfg.top_k);
+        let dtw = DtwContext::with_options(
+            problem,
+            cfg.dtw_band,
+            cfg.dtw_downsample,
+            cfg.dtw_candidates,
+            cfg.q_kk.max(cfg.q_ku),
+        );
+        let snap_params = store.clone();
+        let snap_adam = opt.state();
+        Ok(EpochState {
+            cfg: cfg.clone(),
+            store,
+            model,
+            opt,
+            guard: GuardState::new(),
+            snap_params,
+            snap_adam,
+            lr_scale: 1.0,
+            epoch: if warm.is_some() { cfg.epochs } else { 0 },
+            epoch_losses: Vec::with_capacity(cfg.epochs),
+            sim_used: 0.0,
+            sim_random: 0.0,
+            resilience: ResilienceReport { lr_scale: 1.0, ..ResilienceReport::default() },
+            obs_rows,
+            a_s,
+            masking,
+            dtw,
+        })
+    }
+
+    /// Resumes at `ck`'s epoch boundary: parameters, Adam moments, guard
+    /// accumulators, lr backoff and the loss and similarity history. A
+    /// checkpoint taken under another config is refused.
+    pub(crate) fn restore(&mut self, ck: &TrainCheckpoint) -> Result<(), StsmError> {
+        if ck.config_fingerprint != self.cfg.fingerprint() {
+            return Err(CheckpointError::ConfigMismatch.into());
+        }
+        self.store.load_from(&ck.params)?;
+        self.opt
+            .load_state(ck.adam.clone(), &self.store)
+            .map_err(|e| StsmError::Checkpoint(CheckpointError::Malformed(e)))?;
+        self.snap_params = self.store.clone();
+        self.snap_adam = self.opt.state();
+        self.guard.restore(&ck.guard);
+        self.lr_scale = ck.lr_scale;
+        self.epoch = ck.epochs_done;
+        self.epoch_losses = ck.epoch_losses.clone();
+        self.sim_used = ck.sim_used;
+        self.sim_random = ck.sim_random;
+        self.resilience = ResilienceReport {
+            skipped_batches: ck.guard.skipped_batches,
+            rollbacks: ck.guard.rollbacks,
+            skipped_epochs: ck.guard.skipped_epochs.clone(),
+            lr_scale: ck.lr_scale,
+            resumed_from_epoch: Some(ck.epochs_done),
+            ..ResilienceReport::default()
+        };
+        Ok(())
+    }
+
+    /// The state at the last epoch boundary, as a [`TrainCheckpoint`].
+    pub(crate) fn checkpoint(&self) -> TrainCheckpoint {
+        TrainCheckpoint {
+            config_fingerprint: self.cfg.fingerprint(),
+            epochs_done: self.epoch,
+            lr_scale: self.lr_scale,
+            sim_used: self.sim_used,
+            sim_random: self.sim_random,
+            epoch_losses: self.epoch_losses.clone(),
+            guard: self.guard.snapshot(&self.resilience),
+            params: self.snap_params.clone(),
+            adam: self.snap_adam.clone(),
+        }
+    }
+
+    /// Runs epoch `self.epoch` over `windows` (indices relative to the
+    /// training-period start) and returns its mean batch loss. The lr is
+    /// `cfg.lr · 0.92^epoch · lr_scale · lr_mult`, where `lr_scale` is the
+    /// guard's backoff; guard activity and steps are reported under
+    /// `names`.
+    pub(crate) fn run_epoch(
+        &mut self,
+        problem: &ProblemInstance,
+        windows: &[WindowIndex],
+        lr_mult: f32,
+        names: &EpochNames,
+    ) -> f32 {
+        let cfg = &self.cfg;
+        let epoch = self.epoch;
+        let mut rng = epoch_rng(cfg.seed, epoch);
+        // Geometric learning-rate decay, scaled by any guard backoff.
+        let decayed_lr = cfg.lr * 0.92f32.powi(epoch as i32);
+        self.opt.set_lr(decayed_lr * self.lr_scale * lr_mult);
+        // 1. Draw this epoch's mask. Both draws advance the RNG, so the
+        //    reference random draw runs although it is a diagnostic only.
+        let masked = match cfg.masking {
+            MaskingMode::Selective => self.masking.draw_selective(&mut rng),
+            MaskingMode::Random => self.masking.draw_random(&mut rng),
+        };
+        self.sim_used += self.masking.mean_masked_similarity(&masked);
+        self.sim_random += self.masking.mean_masked_similarity(&self.masking.draw_random(&mut rng));
+        let observed = &problem.observed;
+        let n_obs = observed.len();
+        let masked_locals: Vec<usize> = (0..n_obs).filter(|&i| masked[i]).collect();
+        let unmasked_locals: Vec<usize> = (0..n_obs).filter(|&i| !masked[i]).collect();
+        let masked_globals: Vec<usize> = masked_locals.iter().map(|&l| observed[l]).collect();
+        let unmasked_globals: Vec<usize> = unmasked_locals.iter().map(|&l| observed[l]).collect();
+        // 2. Pseudo-observation weights for the masked locations, plus the
+        //    unmasked series rows that pseudo-observations blend from
+        //    (gathered once per epoch; windows blend strided views of it).
+        let pseudo_weights = pseudo_weights_for(problem, &masked_globals, &unmasked_globals);
+        let unmasked_rows = problem.gather_rows(&unmasked_globals);
+        // 3. Per-epoch DTW adjacency (Eq. links rebuilt because the masked
+        //    set changed).
+        let a_dtw = {
+            let _span = telemetry::span("stsm.adj.dtw");
+            Arc::new(CsrLinMap::new(normalize_gcn(&self.dtw.train_adjacency(
+                &masked,
+                &pseudo_weights,
+                cfg.q_kk,
+                cfg.q_ku,
+            ))))
+        };
+        let mask = EpochMask { masked_locals, unmasked_rows, pseudo_weights, a_dtw };
+        // 4. Sample windows and run batches.
+        let mut order: Vec<usize> = (0..windows.len()).collect();
+        order.shuffle(&mut rng);
+        order.truncate(cfg.windows_per_epoch.max(cfg.batch_windows));
+        let mut epoch_loss = 0.0f32;
+        let mut batches = 0usize;
+        let mut consecutive_bad = 0u32;
+        for chunk in order.chunks(cfg.batch_windows) {
+            if chunk.len() < 2 && cfg.contrastive {
+                continue; // contrastive batches need at least 2 windows
+            }
+            let (loss_v, mut grads) = self.batch_loss_and_grads(problem, &mask, windows, chunk);
+            let norm = clip_grad_norm(&mut grads, 5.0);
+            let bad = cfg.guard.enabled
+                && (!loss_v.is_finite()
+                    || !norm.is_finite()
+                    || self.guard.is_spike(loss_v, &cfg.guard));
+            if bad {
+                telemetry::count(names.skipped_batches, 1);
+                self.resilience.skipped_batches += 1;
+                consecutive_bad += 1;
+                if consecutive_bad >= cfg.guard.max_consecutive_bad {
+                    consecutive_bad = 0;
+                    if self.resilience.rollbacks < cfg.guard.max_rollbacks {
+                        // Roll back to the last epoch boundary with a
+                        // backed-off learning rate. Stepped gradients are
+                        // norm-bounded, so the snapshot state is always
+                        // finite and loadable.
+                        self.store.load_from(&self.snap_params).expect("snapshot layout matches");
+                        self.opt
+                            .load_state(self.snap_adam.clone(), &self.store)
+                            .expect("snapshot state valid");
+                        self.lr_scale *= cfg.guard.lr_backoff;
+                        self.opt.set_lr(decayed_lr * self.lr_scale * lr_mult);
+                        self.resilience.rollbacks += 1;
+                        telemetry::count(names.rollbacks, 1);
+                    }
+                }
+                continue;
+            }
+            consecutive_bad = 0;
+            self.guard.observe(loss_v);
+            {
+                let _t = telemetry::span(names.step);
+                self.opt.step(&mut self.store, &grads);
+            }
+            epoch_loss += loss_v;
+            batches += 1;
+        }
+        let mean = if batches > 0 {
+            epoch_loss / batches as f32
+        } else {
+            // No usable batch this epoch: keep the loss series finite by
+            // repeating the last finite loss and record the skip explicitly
+            // (this also covers the old zero-batch NaN case).
+            self.resilience.skipped_epochs.push(epoch);
+            telemetry::count(names.skipped_epochs, 1);
+            self.epoch_losses.iter().rev().copied().find(|l| l.is_finite()).unwrap_or(0.0)
+        };
+        self.epoch_losses.push(mean);
+        // Refresh the rollback target at the epoch boundary.
+        self.snap_params = self.store.clone();
+        self.snap_adam = self.opt.state();
+        self.epoch += 1;
+        self.resilience.lr_scale = self.lr_scale;
+        mean
+    }
+
+    /// Computes the batch loss and raw parameter gradients *without*
+    /// stepping — the divergence guard decides whether the step happens.
+    /// The tape (and with it the immutable parameter borrow) is dropped
+    /// before returning.
+    fn batch_loss_and_grads(
+        &self,
+        problem: &ProblemInstance,
+        mask: &EpochMask,
+        windows: &[WindowIndex],
+        chunk: &[usize],
+    ) -> (f32, Vec<(stsm_tensor::ParamId, Tensor)>) {
+        let (cfg, model, obs_rows, a_s) = (&self.cfg, &self.model, &self.obs_rows, &self.a_s);
+        let a_dtw = &mask.a_dtw;
+        let tape = Tape::new();
+        let mut binder = ParamBinder::new(&tape);
+        let mut fwd = Fwd::new(&self.store, &mut binder);
+        let spd = problem.steps_per_day();
+        let mut pred_losses: Vec<Var> = Vec::with_capacity(chunk.len());
+        let mut z_orig: Vec<Var> = Vec::with_capacity(chunk.len());
+        let mut z_masked: Vec<Var> = Vec::with_capacity(chunk.len());
+        for &wi in chunk {
+            let w = windows[wi];
+            let abs_start = problem.train_time.start + w.input_start;
+            let gather_t = telemetry::span("train.gather");
+            let x_masked =
+                mask_window(obs_rows, mask, abs_start, cfg.t_in, cfg.pseudo_observations);
+            // The unmasked full window is only materialized when the
+            // contrastive branch actually feeds it to a second forward pass.
+            let x_full =
+                cfg.contrastive.then(|| window_tensor(&window_view(obs_rows, abs_start, cfg.t_in)));
+            let y = window_tensor(&window_view(obs_rows, abs_start + cfg.t_in, cfg.t_out));
+            let tf = StModel::time_features(abs_start, cfg.t_in, spd);
+            drop(gather_t);
+            let _fwd_t = telemetry::span("train.forward");
+            let out_m: ForwardOutput = model.forward(&mut fwd, &x_masked, &tf, a_s, a_dtw);
+            let lp = fwd.tape().mse_loss(out_m.prediction, &y);
+            pred_losses.push(lp);
+            if let Some(x_full) = &x_full {
+                // The full view feeds only the contrastive term: its readout
+                // alone, over the readout's receptive field.
+                z_orig.push(model.forward_readout(&mut fwd, x_full, &tf, a_s, a_dtw));
+                z_masked.push(out_m.graph_repr);
+            }
+        }
+        // Mean prediction loss over the batch.
+        let mut loss = pred_losses[0];
+        for &l in &pred_losses[1..] {
+            loss = tape.add(loss, l);
+        }
+        loss = tape.mul_scalar(loss, 1.0 / pred_losses.len() as f32);
+        if cfg.contrastive && z_orig.len() >= 2 {
+            let zo = tape.concat(&z_orig, 0);
+            let zm = tape.concat(&z_masked, 0);
+            let lcl = nt_xent(&tape, zo, zm, cfg.tau);
+            let lcl = tape.mul_scalar(lcl, cfg.lambda);
+            loss = tape.add(loss, lcl);
+        }
+        let _bwd_t = telemetry::span("train.backward");
+        tape.backward(loss);
+        (tape.value(loss).item(), binder.grads())
     }
 }
 
@@ -154,219 +500,47 @@ pub fn train_stsm_with(
     cfg: &StsmConfig,
     opts: &TrainOptions,
 ) -> Result<(TrainedStsm, TrainReport), StsmError> {
-    cfg.validate();
     let start = Instant::now();
-    let observed = problem.observed.clone();
-    let n_obs = observed.len();
-    if n_obs < 4 {
-        return Err(StsmError::TooFewObserved { got: n_obs, needed: 4 });
-    }
     // Training windows (input + target inside the training period).
     let span = problem.train_time.len();
     let windows: Vec<WindowIndex> = sliding_windows(span, cfg.t_in, cfg.t_out, 1);
+    let mut state = EpochState::new(problem, cfg, None)?;
     if windows.is_empty() {
         return Err(StsmError::TrainingPeriodTooShort { span, needed: cfg.t_in + cfg.t_out });
     }
-    // All observed series gathered once as an `(N_o, T_total)` matrix;
-    // every training window is a stride-aware *view* into it (see
-    // `window_view`) rather than a per-window copy out of `scaled`.
-    let obs_rows = problem.gather_rows(&observed);
-    let mut store = ParamStore::new();
-    let model = StModel::new(&mut store, cfg);
-    // Mild weight decay fights overfitting to the observed region (the
-    // model must transfer to locations it never sees ground truth for).
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(1e-4);
-
-    // Resume state (or fresh defaults).
-    let fingerprint =
-        config_fingerprint(&serde_json::to_string(cfg).expect("config serialization cannot fail"));
-    let mut start_epoch = 0usize;
-    let mut lr_scale = 1.0f32;
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    let mut sim_used = 0.0f32;
-    let mut sim_random = 0.0f32;
-    let mut guard_state = GuardState::new();
-    let mut resilience = ResilienceReport { lr_scale: 1.0, ..ResilienceReport::default() };
-    if opts.resume {
-        if let Some(path) = &opts.checkpoint_path {
-            if path.exists() {
-                let ck = TrainCheckpoint::load(path)?;
-                if ck.config_fingerprint != fingerprint {
-                    return Err(CheckpointError::ConfigMismatch.into());
-                }
-                store.load_from(&ck.params)?;
-                opt.load_state(ck.adam, &store)
-                    .map_err(|e| StsmError::Checkpoint(CheckpointError::Malformed(e)))?;
-                start_epoch = ck.epochs_done;
-                lr_scale = ck.lr_scale;
-                epoch_losses = ck.epoch_losses;
-                sim_used = ck.sim_used;
-                sim_random = ck.sim_random;
-                guard_state.restore(&ck.guard);
-                resilience.skipped_batches = ck.guard.skipped_batches;
-                resilience.rollbacks = ck.guard.rollbacks;
-                resilience.skipped_epochs = ck.guard.skipped_epochs;
-                resilience.resumed_from_epoch = Some(start_epoch);
-            }
-        }
+    if let Some(path) = opts.checkpoint_path.as_ref().filter(|p| opts.resume && p.exists()) {
+        state.restore(&TrainCheckpoint::load(path)?)?;
     }
-
-    // Static assets.
-    let a_s = Arc::new(CsrLinMap::new(normalize_gcn(
-        &problem.spatial_adjacency(&observed, cfg.epsilon_s),
-    )));
-    let masking = MaskingContext::new(problem, cfg.epsilon_sg, cfg.mask_ratio, cfg.top_k);
-    let dtw = DtwContext::with_options(
-        problem,
-        cfg.dtw_band,
-        cfg.dtw_downsample,
-        cfg.dtw_candidates,
-        cfg.q_kk.max(cfg.q_ku),
-    );
-
-    // Rollback target: parameters + optimizer state at the last epoch
-    // boundary (initially the freshly-initialized or resumed state).
-    let mut snap_params = store.clone();
-    let mut snap_adam = opt.state();
-
     let end_epoch = opts.stop_after_epoch.map_or(cfg.epochs, |m| m.min(cfg.epochs));
-    for epoch in start_epoch..end_epoch {
+    while state.epoch < end_epoch {
         let epoch_t0 = Instant::now();
         let phases_before = epoch_phase_totals();
-        let mut rng = epoch_rng(cfg.seed, epoch);
-        // Geometric learning-rate decay, scaled by any guard backoff.
-        opt.set_lr(cfg.lr * 0.92f32.powi(epoch as i32) * lr_scale);
-        // 1. Draw this epoch's mask.
-        let masked = match cfg.masking {
-            MaskingMode::Selective => masking.draw_selective(&mut rng),
-            MaskingMode::Random => masking.draw_random(&mut rng),
-        };
-        sim_used += masking.mean_masked_similarity(&masked);
-        sim_random += masking.mean_masked_similarity(&masking.draw_random(&mut rng));
-        let masked_locals: Vec<usize> = (0..n_obs).filter(|&i| masked[i]).collect();
-        let unmasked_locals: Vec<usize> = (0..n_obs).filter(|&i| !masked[i]).collect();
-        let masked_globals: Vec<usize> = masked_locals.iter().map(|&l| observed[l]).collect();
-        let unmasked_globals: Vec<usize> = unmasked_locals.iter().map(|&l| observed[l]).collect();
-        // 2. Pseudo-observation weights for the masked locations, plus the
-        //    unmasked series rows that pseudo-observations blend from
-        //    (gathered once per epoch; windows blend strided views of it).
-        let pw = pseudo_weights_for(problem, &masked_globals, &unmasked_globals);
-        let unmasked_rows = problem.gather_rows(&unmasked_globals);
-        // 3. Per-epoch DTW adjacency (Eq. links rebuilt because the masked
-        //    set changed).
-        let a_dtw = {
-            let _span = telemetry::span("stsm.adj.dtw");
-            Arc::new(CsrLinMap::new(normalize_gcn(
-                &dtw.train_adjacency(&masked, &pw, cfg.q_kk, cfg.q_ku),
-            )))
-        };
-        // 4. Sample windows and run batches.
-        let mut order: Vec<usize> = (0..windows.len()).collect();
-        order.shuffle(&mut rng);
-        order.truncate(cfg.windows_per_epoch.max(cfg.batch_windows));
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        let mut consecutive_bad = 0u32;
-        for chunk in order.chunks(cfg.batch_windows) {
-            if chunk.len() < 2 && cfg.contrastive {
-                continue; // contrastive batches need at least 2 windows
-            }
-            let (loss_v, mut grads) = batch_loss_and_grads(
-                problem,
-                cfg,
-                &model,
-                &store,
-                &masked_locals,
-                &unmasked_rows,
-                &pw,
-                &a_s,
-                &a_dtw,
-                &windows,
-                chunk,
-                &obs_rows,
-            );
-            let norm = clip_grad_norm(&mut grads, 5.0);
-            let bad = cfg.guard.enabled
-                && (!loss_v.is_finite()
-                    || !norm.is_finite()
-                    || guard_state.is_spike(loss_v, &cfg.guard));
-            if bad {
-                telemetry::count("train.guard.skipped_batches", 1);
-                resilience.skipped_batches += 1;
-                consecutive_bad += 1;
-                if consecutive_bad >= cfg.guard.max_consecutive_bad {
-                    consecutive_bad = 0;
-                    if resilience.rollbacks < cfg.guard.max_rollbacks {
-                        // Roll back to the last epoch boundary with a
-                        // backed-off learning rate. Stepped gradients are
-                        // norm-bounded, so the snapshot state is always
-                        // finite and loadable.
-                        store.load_from(&snap_params).expect("snapshot layout matches");
-                        opt.load_state(snap_adam.clone(), &store).expect("snapshot state valid");
-                        lr_scale *= cfg.guard.lr_backoff;
-                        opt.set_lr(cfg.lr * 0.92f32.powi(epoch as i32) * lr_scale);
-                        resilience.rollbacks += 1;
-                        telemetry::count("train.guard.rollbacks", 1);
-                    }
-                }
-                continue;
-            }
-            consecutive_bad = 0;
-            guard_state.observe(loss_v);
-            {
-                let _t = telemetry::span("train.step");
-                opt.step(&mut store, &grads);
-            }
-            epoch_loss += loss_v;
-            batches += 1;
-        }
-        if batches > 0 {
-            epoch_losses.push(epoch_loss / batches as f32);
-        } else {
-            // No usable batch this epoch: keep the loss series finite by
-            // repeating the last finite loss and record the skip explicitly
-            // (this also covers the old zero-batch NaN case).
-            let prev = epoch_losses.iter().rev().copied().find(|l| l.is_finite()).unwrap_or(0.0);
-            epoch_losses.push(prev);
-            resilience.skipped_epochs.push(epoch);
-            telemetry::count("train.guard.skipped_epochs", 1);
-        }
-        // Refresh the rollback target at the epoch boundary.
-        snap_params = store.clone();
-        snap_adam = opt.state();
+        state.run_epoch(problem, &windows, 1.0, &TRAIN_NAMES);
         // Persist the boundary if checkpointing is on.
         if let Some(path) = &opts.checkpoint_path {
-            let every = opts.checkpoint_every.max(1);
-            if (epoch + 1) % every == 0 || epoch + 1 == end_epoch {
-                let ck = TrainCheckpoint {
-                    config_fingerprint: fingerprint,
-                    epochs_done: epoch + 1,
-                    lr_scale,
-                    sim_used,
-                    sim_random,
-                    epoch_losses: epoch_losses.clone(),
-                    guard: guard_state.snapshot(&resilience),
-                    params: snap_params.clone(),
-                    adam: snap_adam.clone(),
-                };
-                ck.save_atomic(path)?;
-                resilience.checkpoints_written += 1;
+            if state.epoch % opts.checkpoint_every.max(1) == 0 || state.epoch == end_epoch {
+                state.checkpoint().save_atomic(path)?;
+                state.resilience.checkpoints_written += 1;
                 telemetry::count("train.checkpoint.written", 1);
             }
         }
         record_epoch_phases(&phases_before);
         telemetry::record_duration("train.epoch", epoch_t0.elapsed());
     }
-    resilience.lr_scale = lr_scale;
+    let EpochState {
+        cfg, store, model, epoch, epoch_losses, sim_used, sim_random, resilience, ..
+    } = state;
+    // Table 8's means are over the epochs that ran, resumed ones included.
+    let epochs_run = epoch.max(1) as f32;
     let report = TrainReport {
         epoch_losses,
         train_seconds: start.elapsed().as_secs_f64(),
-        mean_masked_similarity: sim_used / cfg.epochs.max(1) as f32,
-        mean_random_similarity: sim_random / cfg.epochs.max(1) as f32,
+        mean_masked_similarity: sim_used / epochs_run,
+        mean_random_similarity: sim_random / epochs_run,
         resilience,
         telemetry: telemetry::enabled().then(telemetry::snapshot),
     };
-    Ok((TrainedStsm { cfg: cfg.clone(), store, model }, report))
+    Ok((TrainedStsm { cfg, store, model }, report))
 }
 
 /// Span names of the four training phases timed inside every batch, in the
@@ -394,80 +568,6 @@ fn record_epoch_phases(before: &[u64; 4]) {
     }
 }
 
-/// Computes the batch loss and raw parameter gradients *without* stepping —
-/// the divergence guard decides whether the step happens. The tape (and
-/// with it the immutable parameter borrow) is dropped before returning.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn batch_loss_and_grads(
-    problem: &ProblemInstance,
-    cfg: &StsmConfig,
-    model: &StModel,
-    store: &ParamStore,
-    masked_locals: &[usize],
-    unmasked_rows: &Tensor,
-    pseudo_weights: &[f32],
-    a_s: &Arc<CsrLinMap>,
-    a_dtw: &Arc<CsrLinMap>,
-    windows: &[WindowIndex],
-    chunk: &[usize],
-    obs_rows: &Tensor,
-) -> (f32, Vec<(stsm_tensor::ParamId, Tensor)>) {
-    let tape = Tape::new();
-    let mut binder = ParamBinder::new(&tape);
-    let mut fwd = Fwd::new(store, &mut binder);
-    let spd = problem.steps_per_day();
-    let mut pred_losses: Vec<Var> = Vec::with_capacity(chunk.len());
-    let mut z_orig: Vec<Var> = Vec::with_capacity(chunk.len());
-    let mut z_masked: Vec<Var> = Vec::with_capacity(chunk.len());
-    for &wi in chunk {
-        let w = windows[wi];
-        let abs_start = problem.train_time.start + w.input_start;
-        let gather_t = telemetry::span("train.gather");
-        let x_masked = mask_window(
-            obs_rows,
-            masked_locals,
-            unmasked_rows,
-            pseudo_weights,
-            abs_start,
-            cfg.t_in,
-            cfg.pseudo_observations,
-        );
-        // The unmasked full window is only materialized when the
-        // contrastive branch actually feeds it to a second forward pass.
-        let x_full =
-            cfg.contrastive.then(|| window_tensor(&window_view(obs_rows, abs_start, cfg.t_in)));
-        let y = window_tensor(&window_view(obs_rows, abs_start + cfg.t_in, cfg.t_out));
-        let tf = StModel::time_features(abs_start, cfg.t_in, spd);
-        drop(gather_t);
-        let _fwd_t = telemetry::span("train.forward");
-        let out_m: ForwardOutput = model.forward(&mut fwd, &x_masked, &tf, a_s, a_dtw);
-        let lp = fwd.tape().mse_loss(out_m.prediction, &y);
-        pred_losses.push(lp);
-        if let Some(x_full) = &x_full {
-            // The full view feeds only the contrastive term: its readout
-            // alone, over the readout's receptive field.
-            z_orig.push(model.forward_readout(&mut fwd, x_full, &tf, a_s, a_dtw));
-            z_masked.push(out_m.graph_repr);
-        }
-    }
-    // Mean prediction loss over the batch.
-    let mut loss = pred_losses[0];
-    for &l in &pred_losses[1..] {
-        loss = tape.add(loss, l);
-    }
-    loss = tape.mul_scalar(loss, 1.0 / pred_losses.len() as f32);
-    if cfg.contrastive && z_orig.len() >= 2 {
-        let zo = tape.concat(&z_orig, 0);
-        let zm = tape.concat(&z_masked, 0);
-        let lcl = nt_xent(&tape, zo, zm, cfg.tau);
-        let lcl = tape.mul_scalar(lcl, cfg.lambda);
-        loss = tape.add(loss, lcl);
-    }
-    let _bwd_t = telemetry::span("train.backward");
-    tape.backward(loss);
-    (tape.value(loss).item(), binder.grads())
-}
-
 /// A `(rows, len)` stride-aware view of the time window `[start, start+len)`
 /// inside a pre-gathered `(rows, T_total)` row matrix — no data is copied.
 fn window_view(rows: &Tensor, start: usize, len: usize) -> TensorView<'_> {
@@ -489,13 +589,12 @@ fn window_tensor(w: &TensorView<'_>) -> Tensor {
 /// blended from strided views of the unmasked row matrix (Eq. 3).
 fn mask_window(
     obs_rows: &Tensor,
-    masked_locals: &[usize],
-    unmasked_rows: &Tensor,
-    pseudo_weights: &[f32],
+    mask: &EpochMask,
     start: usize,
     len: usize,
     pseudo_observations: bool,
 ) -> Tensor {
+    let EpochMask { masked_locals, unmasked_rows, pseudo_weights, .. } = mask;
     let (n_obs, t_total) = (obs_rows.dim(0), obs_rows.dim(1));
     let n_unmasked = unmasked_rows.dim(0);
     let pseudo = if masked_locals.is_empty() {

@@ -85,6 +85,29 @@ fn kill_and_resume_is_bit_identical() {
         params_identical(&plain, &resumed),
         "resumed final parameters must be bit-identical to the uninterrupted run"
     );
+    assert_eq!(
+        plain_report.mean_masked_similarity.to_bits(),
+        resumed_report.mean_masked_similarity.to_bits()
+    );
+    assert_eq!(
+        plain_report.mean_random_similarity.to_bits(),
+        resumed_report.mean_random_similarity.to_bits()
+    );
+}
+
+/// The Table 8 similarity means average over the epochs that ran: a run
+/// stopped after 2 of 4 epochs reports what a 2-epoch run does, since each
+/// epoch's masks depend only on `(seed, epoch)`.
+#[test]
+fn stopped_run_averages_similarities_over_epochs_run() {
+    let p = problem_from(tiny_dataset(94));
+    let cfg = tiny_cfg(94);
+    let stopped = TrainOptions { stop_after_epoch: Some(2), ..TrainOptions::default() };
+    let (_, cut) = train_stsm_with(&p, &cfg, &stopped).expect("trains");
+    let (_, two) = train_stsm(&p, &StsmConfig { epochs: 2, ..cfg }).expect("trains");
+    assert_eq!(cut.epoch_losses.len(), 2);
+    assert_eq!(cut.mean_masked_similarity.to_bits(), two.mean_masked_similarity.to_bits());
+    assert_eq!(cut.mean_random_similarity.to_bits(), two.mean_random_similarity.to_bits());
 }
 
 #[test]

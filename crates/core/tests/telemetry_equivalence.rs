@@ -9,7 +9,8 @@
 use std::sync::Mutex;
 
 use stsm_core::{
-    evaluate_stsm, train_stsm, DistanceMode, ProblemInstance, StsmConfig, TrainedStsm,
+    evaluate_stsm, train_stsm, DistanceMode, OnlineConfig, OnlineTrainer, ProblemInstance,
+    StsmConfig, TrainedStsm,
 };
 use stsm_synth::{space_split, FaultPlan, SplitAxis};
 use stsm_tensor::telemetry;
@@ -118,13 +119,11 @@ fn train_and_evaluate_bitwise_identical_with_telemetry_on_and_off() {
     );
 }
 
-#[test]
-fn guard_counters_match_resilience_report_under_faults() {
-    let _g = lock();
-    let clean = tiny_dataset(93);
-    // Same fault recipe as the resilience suite: corrupt the observed
-    // region's readings inside the training period so the divergence guard
-    // has real work to do.
+/// The problem behind `seed`'s tiny dataset, with the resilience suite's
+/// fault recipe applied: the observed region's readings are corrupted inside
+/// the training period so the divergence guard has real work to do.
+fn faulted_problem(seed: u64) -> ProblemInstance {
+    let clean = tiny_dataset(seed);
     let observed = problem_from(clean.clone()).observed;
     let plan = FaultPlan {
         seed: 7,
@@ -138,7 +137,13 @@ fn guard_counters_match_resilience_report_under_faults() {
     };
     let (faulted, log) = plan.apply(&clean);
     assert!(log.total() > 0, "the plan must actually corrupt something");
-    let p = problem_from(faulted);
+    problem_from(faulted)
+}
+
+#[test]
+fn guard_counters_match_resilience_report_under_faults() {
+    let _g = lock();
+    let p = faulted_problem(93);
     let mut cfg = tiny_cfg(93);
     cfg.guard.max_consecutive_bad = 2;
 
@@ -156,4 +161,47 @@ fn guard_counters_match_resilience_report_under_faults() {
     assert_eq!(counter("train.guard.skipped_batches"), res.skipped_batches);
     assert_eq!(counter("train.guard.rollbacks"), res.rollbacks);
     assert_eq!(counter("train.guard.skipped_epochs"), res.skipped_epochs.len() as u64);
+}
+
+/// Fine-tuning reports its guard activity under `online.guard.*` only: the
+/// counters move exactly as `OnlineTrainer::resilience()` does, and no
+/// `train.guard.*` counter moves.
+#[test]
+fn online_guard_counters_match_resilience_under_faults() {
+    let _g = lock();
+    let p = faulted_problem(93);
+    let mut cfg = tiny_cfg(93);
+    cfg.guard.max_consecutive_bad = 2;
+    let (trained, _) = telemetry::with_telemetry(false, || train_stsm(&p, &cfg).expect("trains"));
+    let online_cfg = OnlineConfig { replay_windows: usize::MAX, ..OnlineConfig::default() };
+    let mut online = OnlineTrainer::from_trained(&p, &trained, online_cfg).expect("wraps");
+    let before = online.resilience().clone();
+    let snap = telemetry::with_telemetry(true, || {
+        telemetry::reset();
+        for _ in 0..3 {
+            online.fine_tune_epoch(&p, p.train_time.end).expect("fine-tuning survives faults");
+        }
+        telemetry::snapshot()
+    });
+    let after = online.resilience();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert!(
+        after.skipped_batches > before.skipped_batches,
+        "fault plan produced no guard activity while fine-tuning; the check would be vacuous"
+    );
+    assert_eq!(
+        counter("online.guard.skipped_batches"),
+        after.skipped_batches - before.skipped_batches
+    );
+    assert_eq!(counter("online.guard.rollbacks"), after.rollbacks - before.rollbacks);
+    assert_eq!(
+        counter("online.guard.skipped_epochs"),
+        (after.skipped_epochs.len() - before.skipped_epochs.len()) as u64
+    );
+    assert_eq!(counter("online.fine_tune_epochs"), 3);
+    for name in
+        ["train.guard.skipped_batches", "train.guard.rollbacks", "train.guard.skipped_epochs"]
+    {
+        assert_eq!(counter(name), 0, "{name} moved during fine-tuning");
+    }
 }

@@ -95,7 +95,9 @@ cargo test -q -p stsm-serve --test serve_equivalence
 # The online-adaptation contracts (DESIGN.md, "Online adaptation"): rolling
 # DTW frontier/row bitwise identity with the batch search under grown
 # series and churn, churn-renormalized pseudo-weights vs a fresh survivor
-# fit, one fine-tune epoch vs the batch-resumed epoch, and the scenario
+# fit, one fine-tune epoch vs the batch-resumed epoch (both run the one
+# shared epoch body, so this checks the replay slice and the checkpoint
+# hand-off), and the scenario
 # matrix ({growth, churn, regime shift} × {STSM, baseline}) with finite,
 # bit-deterministic accuracy curves and post-churn recovery — pinned by
 # name.
@@ -122,3 +124,5 @@ cargo run -q -p stsm-bench --release --bin bench_scale -- --smoke
 cargo run -q -p stsm-bench --release --bin bench_serve -- --smoke
 cargo run -q -p stsm-bench --release --bin bench_online -- --smoke
 cargo clippy --workspace --all-targets -q -- -D warnings
+# The subtraction measure: Rust lines in the tracked sources (print only).
+echo "rust lines (crates/ src/ tests/ offline/): $(git ls-files -z -- 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'offline/*.rs' | xargs -0 cat | wc -l)"

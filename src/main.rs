@@ -11,8 +11,9 @@
 
 use std::sync::Arc;
 use stsm::core::{
-    evaluate_detailed, evaluate_stsm, train_stsm_with, DistanceMode, OnlineConfig, OnlineTrainer,
-    Predictor, ProblemInstance, StsmConfig, StsmError, TrainOptions, TrainedStsm, Variant,
+    evaluate_detailed, evaluate_stsm, train_stsm_with, DistanceMode, DtwCandidates, OnlineConfig,
+    OnlineTrainer, Predictor, ProblemInstance, StsmConfig, StsmError, TrainOptions, TrainedStsm,
+    Variant,
 };
 use stsm::serve::{ForecastRequest, ServeConfig, Server, SharedModel};
 use stsm::synth::{dataset_from_json, dataset_to_json, presets, space_split, Dataset, SplitAxis};
@@ -117,6 +118,7 @@ fn print_usage() {
          USAGE:\n\
            stsm generate --preset <pems-bay|pems-07|pems-08|melbourne|airq|metro> [--sensors N] [--days N] [--seed N] --out FILE\n\
            stsm train    --data FILE [--variant stsm|stsm-r|stsm-nc|stsm-rnc|stsm-trans] [--epochs N] --out FILE\n\
+                         (honors STSM_DTW_CANDIDATES=exact|spatial:<k>)\n\
            stsm evaluate --data FILE --model FILE\n\
            stsm forecast --data FILE --model FILE   (adds per-horizon breakdown)\n\
            stsm serve    --data FILE --model FILE [--steps N]   (in-process serving demo over the test period;\n\
@@ -197,6 +199,12 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     let epochs: usize = num_flag(args, "--epochs", 8)?;
     let mut cfg = StsmConfig::default().for_dataset(&problem.dataset.name).with_variant(variant);
     cfg.epochs = epochs;
+    // STSM_DTW_CANDIDATES (`exact` or `spatial:<k>`) picks the DTW neighbour
+    // candidates; unset or unparseable means exact.
+    cfg.dtw_candidates = std::env::var("STSM_DTW_CANDIDATES")
+        .ok()
+        .and_then(|v| DtwCandidates::parse(&v))
+        .unwrap_or_default();
     // Keep top-K within the observed count for small datasets.
     cfg.top_k = cfg.top_k.min(problem.n_observed());
     println!(
