@@ -143,51 +143,24 @@ fn parse_num<T: std::str::FromStr>(field: &str, what: &str) -> Result<T, Checkpo
 }
 
 impl TrainCheckpoint {
+    /// This checkpoint as a [`CheckpointRef`] over its own fields.
+    pub(crate) fn borrowed(&self) -> CheckpointRef<'_> {
+        CheckpointRef {
+            config_fingerprint: self.config_fingerprint,
+            epochs_done: self.epochs_done,
+            lr_scale: self.lr_scale,
+            sim_used: self.sim_used,
+            sim_random: self.sim_random,
+            epoch_losses: &self.epoch_losses,
+            guard: self.guard.clone(),
+            params: &self.params,
+            adam: &self.adam,
+        }
+    }
+
     /// Serializes the checkpoint to its line-oriented text form.
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("STSM-CKPT {CHECKPOINT_VERSION}\n"));
-        s.push_str(&format!("fingerprint {:016x}\n", self.config_fingerprint));
-        s.push_str(&format!("epochs_done {}\n", self.epochs_done));
-        s.push_str(&format!("lr_scale {:08x}\n", self.lr_scale.to_bits()));
-        s.push_str(&format!(
-            "sim {:08x} {:08x}\n",
-            self.sim_used.to_bits(),
-            self.sim_random.to_bits()
-        ));
-        s.push_str(&format!(
-            "guard {:08x} {} {} {}\n",
-            self.guard.ema.to_bits(),
-            self.guard.ema_count,
-            self.guard.skipped_batches,
-            self.guard.rollbacks
-        ));
-        s.push_str("skipped_epochs");
-        for e in &self.guard.skipped_epochs {
-            s.push_str(&format!(" {e}"));
-        }
-        s.push('\n');
-        s.push_str("epoch_losses");
-        push_f32s(&mut s, &self.epoch_losses);
-        s.push('\n');
-        s.push_str(&format!("params {}\n", self.params.len()));
-        for (_, name, value) in self.params.iter() {
-            let dims: Vec<String> = value.shape().dims().iter().map(|d| d.to_string()).collect();
-            s.push_str(&format!("{name} {}", dims.join(",")));
-            push_f32s(&mut s, value.data());
-            s.push('\n');
-        }
-        s.push_str(&format!("adam_t {}\n", self.adam.t));
-        for (label, table) in [("adam_m", &self.adam.m), ("adam_v", &self.adam.v)] {
-            s.push_str(&format!("{label} {}\n", table.len()));
-            for slot in table {
-                s.push_str(if slot.is_empty() { "-" } else { "+" });
-                push_f32s(&mut s, slot);
-                s.push('\n');
-            }
-        }
-        s.push_str("end\n");
-        s
+        self.borrowed().to_text()
     }
 
     /// Parses [`TrainCheckpoint::to_text`] output, rejecting anything
@@ -322,11 +295,7 @@ impl TrainCheckpoint {
     /// Writes the snapshot atomically: serialize to `<path>.tmp`, then rename
     /// over `path`. A crash mid-write never destroys the previous snapshot.
     pub fn save_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, self.to_text())
-            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
-        fs::rename(&tmp, path)
-            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", path.display())))
+        self.borrowed().save_atomic(path)
     }
 
     /// Loads and parses a snapshot written by [`TrainCheckpoint::save_atomic`].
@@ -334,6 +303,96 @@ impl TrainCheckpoint {
         let text = fs::read_to_string(path)
             .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
         Self::from_text(&text)
+    }
+}
+
+/// A [`TrainCheckpoint`] that borrows its bulky parts — the parameters, the
+/// Adam moments and the loss history — so a trainer can write its
+/// epoch-boundary state without copying them first. It serializes to the
+/// same bytes as the owned checkpoint it mirrors.
+pub(crate) struct CheckpointRef<'a> {
+    pub config_fingerprint: u64,
+    pub epochs_done: usize,
+    pub lr_scale: f32,
+    pub sim_used: f32,
+    pub sim_random: f32,
+    pub epoch_losses: &'a [f32],
+    pub guard: GuardSnapshot,
+    pub params: &'a ParamStore,
+    pub adam: &'a AdamState,
+}
+
+impl CheckpointRef<'_> {
+    /// An owned copy, the value [`TrainCheckpoint::load`] would return.
+    pub(crate) fn to_checkpoint(&self) -> TrainCheckpoint {
+        TrainCheckpoint {
+            config_fingerprint: self.config_fingerprint,
+            epochs_done: self.epochs_done,
+            lr_scale: self.lr_scale,
+            sim_used: self.sim_used,
+            sim_random: self.sim_random,
+            epoch_losses: self.epoch_losses.to_vec(),
+            guard: self.guard.clone(),
+            params: self.params.clone(),
+            adam: self.adam.clone(),
+        }
+    }
+
+    /// [`TrainCheckpoint::to_text`].
+    pub(crate) fn to_text(&self) -> String {
+        let mut s = String::new();
+        s.push_str(&format!("STSM-CKPT {CHECKPOINT_VERSION}\n"));
+        s.push_str(&format!("fingerprint {:016x}\n", self.config_fingerprint));
+        s.push_str(&format!("epochs_done {}\n", self.epochs_done));
+        s.push_str(&format!("lr_scale {:08x}\n", self.lr_scale.to_bits()));
+        s.push_str(&format!(
+            "sim {:08x} {:08x}\n",
+            self.sim_used.to_bits(),
+            self.sim_random.to_bits()
+        ));
+        s.push_str(&format!(
+            "guard {:08x} {} {} {}\n",
+            self.guard.ema.to_bits(),
+            self.guard.ema_count,
+            self.guard.skipped_batches,
+            self.guard.rollbacks
+        ));
+        s.push_str("skipped_epochs");
+        for e in &self.guard.skipped_epochs {
+            s.push_str(&format!(" {e}"));
+        }
+        s.push('\n');
+        s.push_str("epoch_losses");
+        push_f32s(&mut s, self.epoch_losses);
+        s.push('\n');
+        s.push_str(&format!("params {}\n", self.params.len()));
+        for (_, name, value) in self.params.iter() {
+            let dims: Vec<String> = value.shape().dims().iter().map(|d| d.to_string()).collect();
+            s.push_str(&format!("{name} {}", dims.join(",")));
+            push_f32s(&mut s, value.data());
+            s.push('\n');
+        }
+        s.push_str(&format!("adam_t {}\n", self.adam.t));
+        for (label, table) in [("adam_m", &self.adam.m), ("adam_v", &self.adam.v)] {
+            s.push_str(&format!("{label} {}\n", table.len()));
+            for slot in table {
+                s.push_str(if slot.is_empty() { "-" } else { "+" });
+                push_f32s(&mut s, slot);
+                s.push('\n');
+            }
+        }
+        s.push_str("end\n");
+        s
+    }
+
+    /// [`TrainCheckpoint::save_atomic`]: the text goes to `<path>.tmp`,
+    /// which is then renamed over `path`.
+    pub(crate) fn save_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
+        let tmp = path.with_extension("tmp");
+        fs::write(&tmp, self.to_text())
+            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
+        fs::rename(&tmp, path)
+            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", path.display())))
     }
 }
 

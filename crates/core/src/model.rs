@@ -33,14 +33,12 @@ struct GcnLayer {
 
 impl GcnLayer {
     /// One fused node: aggregate neighbours once, then both feature maps,
-    /// the gate and the product in one GEMM pass ([`Fwd::gated_gcn`]),
-    /// routed as a `route_rows`-row product: `z` may hold only some of the
-    /// full-length pass's rows (see [`StModel::forward_readout`]).
-    fn forward(&self, fwd: &mut Fwd, adj: &Arc<CsrLinMap>, z: Var, route_rows: usize) -> Var {
+    /// the gate and the product in one GEMM pass ([`Fwd::gated_gcn`]).
+    fn forward(&self, fwd: &mut Fwd, adj: &Arc<CsrLinMap>, z: Var) -> Var {
         let value = self.value.bind(fwd);
         let gate = self.gate.bind(fwd);
         let map = Arc::clone(adj) as Arc<dyn stsm_tensor::LinMap>;
-        fwd.gated_gcn(map, z, value, gate, Some(route_rows))
+        fwd.gated_gcn(map, z, value, gate)
     }
 
     /// The composed chain the fused node replaces — `linmap`, two `addmm`,
@@ -371,7 +369,7 @@ impl StModel {
                 z = if composed_gcn {
                     layer.forward_reference(fwd, adj, z)
                 } else {
-                    layer.forward(fwd, adj, z, n * t_len)
+                    layer.forward(fwd, adj, z)
                 };
                 best = Some(match best {
                     None => z,

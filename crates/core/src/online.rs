@@ -28,7 +28,7 @@ use crate::temporal_adj::DtwContext;
 use crate::trainer::{EpochNames, EpochState, TrainedStsm};
 use stsm_tensor::telemetry;
 use stsm_tensor::ParamStore;
-use stsm_timeseries::sliding_windows;
+use stsm_timeseries::WindowIndex;
 
 /// Knobs of the online fine-tuning loop. Environment overrides (all
 /// optional) are read by [`OnlineConfig::from_env`]:
@@ -150,13 +150,11 @@ impl OnlineTrainer {
         let cfg = &self.state.cfg;
         let end = now.min(self.state.obs_rows.dim(1));
         let span = end.saturating_sub(problem.train_time.start);
-        let all = sliding_windows(span, cfg.t_in, cfg.t_out, 1);
-        if all.is_empty() {
+        let replay = replay_tail(span, cfg.t_in, cfg.t_out, self.online.replay_windows.max(1));
+        if replay.is_empty() {
             return Err(StsmError::TrainingPeriodTooShort { span, needed: cfg.t_in + cfg.t_out });
         }
-        // Bounded replay: keep only the most recent windows.
-        let skip = all.len().saturating_sub(self.online.replay_windows.max(1));
-        let mean = self.state.run_epoch(problem, &all[skip..], self.online.lr_scale, &ONLINE_NAMES);
+        let mean = self.state.run_epoch(problem, &replay, self.online.lr_scale, &ONLINE_NAMES);
         telemetry::count("online.fine_tune_epochs", 1);
         Ok(mean)
     }
@@ -174,7 +172,7 @@ impl OnlineTrainer {
     /// Serializes the current state as a [`TrainCheckpoint`] (last epoch
     /// boundary, like the batch trainer persists).
     pub fn checkpoint(&self) -> TrainCheckpoint {
-        self.state.checkpoint()
+        self.state.checkpoint().to_checkpoint()
     }
 
     /// Churn-aware pseudo-observation weights from `targets` to the full
@@ -221,5 +219,31 @@ impl OnlineTrainer {
     /// The online-loop knobs this trainer was built with.
     pub fn online_config(&self) -> &OnlineConfig {
         &self.online
+    }
+}
+
+/// The last `keep` of the stride-1 `(t_in, t_out)` windows over `span`
+/// steps — `sliding_windows(span, t_in, t_out, 1)`'s tail, built without
+/// the windows before it.
+fn replay_tail(span: usize, t_in: usize, t_out: usize, keep: usize) -> Vec<WindowIndex> {
+    let count = (span + 1).saturating_sub(t_in + t_out);
+    let first = count.saturating_sub(keep);
+    (first..count).map(|input_start| WindowIndex { input_start, t_in, t_out }).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stsm_timeseries::sliding_windows;
+
+    #[test]
+    fn replay_tail_is_the_sliding_windows_tail() {
+        for span in [0, 5, 23, 24, 25, 100, 857] {
+            for keep in [1, 3, 64, 1000] {
+                let all = sliding_windows(span, 12, 12, 1);
+                let tail = &all[all.len().saturating_sub(keep)..];
+                assert_eq!(replay_tail(span, 12, 12, keep), tail, "span {span}, keep {keep}");
+            }
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! [`TrainedStsm::quantize`] converts every learned parameter to a narrower
 //! storage dtype (round-to-nearest-even, exactly the hardware `VCVTPS2PH`
 //! semantics — see `stsm_tensor::dtype`). Nothing about the compute path
-//! changes: kernels decode the 16-bit weights to f32 at pack time (or through
-//! a one-shot dequantize for the naive routes) and accumulate in f32, so a
+//! changes: the one packed GEMM path decodes the 16-bit weights to f32 while
+//! packing and accumulates in f32, so a product against a quantized weight
+//! is bitwise the f32 product of the decoded weight, at every size, and a
 //! quantized forward differs from the f32 forward only by the one rounding
 //! step applied to the weights. Training is untouched — quantization is a
 //! pure post-processing step over an already-trained [`TrainedStsm`].

@@ -20,7 +20,7 @@
 //! batches rolls parameters and optimizer state back to the last epoch
 //! boundary with a backed-off learning rate. See `DESIGN.md`.
 
-use crate::checkpoint::{CheckpointError, GuardSnapshot, TrainCheckpoint};
+use crate::checkpoint::{CheckpointError, CheckpointRef, GuardSnapshot, TrainCheckpoint};
 use crate::config::{GuardConfig, MaskingMode, StsmConfig};
 use crate::contrastive::nt_xent;
 use crate::error::StsmError;
@@ -290,18 +290,19 @@ impl EpochState {
         Ok(())
     }
 
-    /// The state at the last epoch boundary, as a [`TrainCheckpoint`].
-    pub(crate) fn checkpoint(&self) -> TrainCheckpoint {
-        TrainCheckpoint {
+    /// The state at the last epoch boundary, borrowed: serializing it
+    /// copies no parameter or moment table.
+    pub(crate) fn checkpoint(&self) -> CheckpointRef<'_> {
+        CheckpointRef {
             config_fingerprint: self.cfg.fingerprint(),
             epochs_done: self.epoch,
             lr_scale: self.lr_scale,
             sim_used: self.sim_used,
             sim_random: self.sim_random,
-            epoch_losses: self.epoch_losses.clone(),
+            epoch_losses: &self.epoch_losses,
             guard: self.guard.snapshot(&self.resilience),
-            params: self.snap_params.clone(),
-            adam: self.snap_adam.clone(),
+            params: &self.snap_params,
+            adam: &self.snap_adam,
         }
     }
 

@@ -1,4 +1,7 @@
-//! Cache-blocked GEMM driver over the [`crate::simd`] micro-kernels.
+//! Cache-blocked GEMM driver over the [`crate::simd`] micro-kernels: the
+//! one path every dense product of the crate takes, at every size
+//! (`kernels.rs` keeps the plain i-k-j loop only as the test oracle
+//! `matmul_raw`).
 //!
 //! ## Blocking and packing layout
 //!
@@ -18,11 +21,11 @@
 //! extent in ascending order inside one micro-kernel call. Every output
 //! element is therefore produced by exactly one tile call with a fixed
 //! per-element operation order — bit-identical for any thread count, any
-//! chunking, and run-to-run, matching the [`crate::pool`] contract. No
-//! zero-skip shortcut exists on this path: the dense FMA loop propagates
-//! `0 × NaN = NaN` by construction, so no finiteness verdict is needed
-//! (the naive small-shape path keeps the cached-verdict zero-skip; see
-//! `kernels.rs`).
+//! chunking, and run-to-run, matching the [`crate::pool`] contract. A row's
+//! value does not depend on how many other rows the product has, so a
+//! product over some rows of a longer one is bitwise those rows of it. No
+//! term is ever skipped: the dense FMA loop propagates `0 × NaN = NaN` by
+//! construction, so no finiteness check is needed.
 
 use crate::dtype::{self, DType};
 use crate::simd::{self, GatedSaved, GatedTileArgs, SimdLevel, TileArgs, MR, NR};
@@ -480,19 +483,7 @@ pub fn bmm_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                let av = a[i * k + kk];
-                for j in 0..n {
-                    out[i * n + j] += av * b[kk * n + j];
-                }
-            }
-        }
-        out
-    }
+    use crate::kernels::matmul_raw as naive;
 
     fn fill(len: usize, seed: usize) -> Vec<f32> {
         (0..len).map(|i| (((i * 31 + seed * 17) % 97) as f32) * 0.03 - 1.5).collect()

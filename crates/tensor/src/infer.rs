@@ -170,25 +170,18 @@ impl InferSession {
         self.push(out)
     }
 
-    pub(crate) fn addmm_routed(&mut self, x: Var, w: Var, b: Var, route_rows: usize) -> Var {
-        let out = kernels::addmm_routed(self.val(x), self.val(w), self.val(b), route_rows);
-        self.push(out)
-    }
-
     pub(crate) fn gated_gcn(
         &mut self,
         map: Arc<dyn LinMap>,
         z: Var,
         value: (Var, Var),
         gate: (Var, Var),
-        route_rows: Option<usize>,
     ) -> Var {
         let out = {
             let agg = map.apply(self.val(z));
             let (wv, bv) = (self.val(value.0), self.val(value.1));
             let (wg, bg) = (self.val(gate.0), self.val(gate.1));
-            let route_rows = route_rows.unwrap_or(agg.numel() / wv.dim(0).max(1));
-            kernels::gated_gcn(&agg, wv, bv, wg, bg, false, route_rows).0
+            kernels::gated_gcn(&agg, wv, bv, wg, bg, false).0
         };
         self.push(out)
     }

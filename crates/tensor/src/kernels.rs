@@ -3,30 +3,29 @@
 //! softmax, and the shared polynomial sigmoid. These are the hot paths of
 //! model training; everything else composes out of elementwise maps.
 //!
-//! Matrix products route by size: at or above [`PACK_THRESHOLD`] multiply-
-//! adds they take the cache-blocked packed SIMD path ([`crate::gemm`]);
-//! below it they keep the naive i-k-j kernel whose constant factors win when
-//! packing cannot amortize. Both paths accept strided [`gemm::MatRef`]
-//! operands, so the `_nt`/`_tn` transpose entries read the original storage
-//! in place instead of materializing a transposed copy. All kernels split
-//! *output* ranges over the persistent worker pool ([`crate::pool`]) once
-//! the problem is large enough to amortize dispatch: every output element is
-//! computed by exactly one thread with a serial inner loop, so results are
-//! bit-identical to the serial path for any thread count.
+//! Every matrix product — `matmul` and its `_nt`/`_tn` transpose entries,
+//! the `bmm*` family, `addmm`, the conv GEMMs and the fused gated GCN,
+//! forward and backward — takes the one cache-blocked packed SIMD path
+//! ([`crate::gemm`]), at every size. Each output element therefore has one
+//! rounding, whatever the product's shape: a product over some of the rows
+//! of a longer one is bitwise that product's rows. The packed path accepts
+//! strided [`gemm::MatRef`] operands, so the transpose entries read the
+//! original storage in place instead of materializing a transposed copy.
+//! All kernels split *output* ranges over the persistent worker pool
+//! ([`crate::pool`]) once the problem is large enough to amortize dispatch:
+//! every output element is computed by exactly one thread with a serial
+//! inner loop, so results are bit-identical to the serial path for any
+//! thread count.
 //!
-//! ## Zero-skip and the finiteness verdict
+//! ## Non-finite values
 //!
-//! The naive kernel skips `a == 0` terms, which is only sound when `b`
-//! carries no NaN/Inf (`0 · NaN` must stay NaN). That verdict comes from the
-//! cached [`Tensor::all_finite`] atomic tag — computed at most once per
-//! tensor, never rescanned per call — and is consulted *lazily*, only when a
-//! product actually routes to the naive path. The packed path needs no
-//! verdict at all: its dense FMA loop never skips a term, so non-finite
-//! values propagate by construction. The conv and the spmm never skip: the
-//! conv's products pass no verdict, and the spmm uses every stored entry.
+//! No product skips a term: the packed path's dense FMA loop multiplies
+//! every `a` element into every `b` element it meets, so `0 · NaN` and
+//! `0 · ∞` propagate as NaN at every size, with no finiteness check. The
+//! spmm likewise uses every stored entry.
 
 use crate::alloc;
-use crate::dtype::{self, DType};
+use crate::dtype::DType;
 use crate::gemm::{self, AnyMatRef, BatchedMatRef, HalfMatRef, MatRef};
 use crate::pool::{self, SliceWriter};
 use crate::simd;
@@ -34,87 +33,27 @@ use crate::sparse::CsrRowGroups;
 use crate::telemetry;
 use crate::tensor::Tensor;
 
-/// Products with at least this many multiply-adds take the packed blocked
-/// SIMD path; packing `B` costs `O(k·n)` against `O(m·k·n)` compute, so
-/// below this the naive kernel's lower constant factors win.
-const PACK_THRESHOLD: usize = 1 << 15;
-
-/// Packed-path threshold when `B` is half-precision. A quantized `B` must be
-/// decoded to f32 either way — into a scratch matrix for the naive kernel or
-/// into panels while packing — so the pack pass is no longer an *extra*
-/// `O(k·n)` cost relative to the naive route and the crossover sits lower.
-/// Route selection for a half `B` therefore differs from the f32 product of
-/// the dequantized matrix in the `[PACK_THRESHOLD_HALF, PACK_THRESHOLD)`
-/// band (values agree within the packed-vs-naive tolerance; each route stays
-/// bitwise deterministic and bitwise equal to the dequantized product taken
-/// through the *same* route).
-const PACK_THRESHOLD_HALF: usize = PACK_THRESHOLD / 4;
-
-/// Multiplies row-major `a` (m×k) by `b` (k×n) into a new m×n buffer using
-/// the naive i-k-j kernel unconditionally. Production entry points go
-/// through [`matmul`]; this slice-level wrapper is the property-test
-/// reference the packed path is checked against.
+/// Multiplies row-major `a` (m×k) by `b` (k×n) into a new m×n buffer with
+/// the plain i-k-j loop: the test oracle the packed path is checked
+/// against. Production products go through [`matmul`].
 pub fn matmul_raw(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    // The zero-skip fast path is only sound when `b` is free of non-finite
-    // values (0·NaN must stay NaN, 0·∞ likewise); one cheap scan of `b`
-    // decides for the whole product. Tensor-level entry points use the
-    // cached [`Tensor::all_finite`] verdict instead of rescanning.
-    let skip_zeros = b.iter().all(|v| v.is_finite());
-    let mut out = alloc::buf_zeroed(m * n);
-    naive_into(
-        MatRef::contiguous(a, 0, k),
-        MatRef::contiguous(b, 0, n),
-        &mut out,
-        m,
-        k,
-        n,
-        skip_zeros,
-    );
-    out
-}
-
-/// Naive i-k-j product over strided operands: serial, zero-skipping.
-/// `skip_zeros` must only be set when `b` contains no NaN/Inf, or zeros in
-/// `a` would swallow them. For contiguous operands this performs exactly the
-/// additions of the historical row kernel, in the same order; strided
-/// operands read the same logical elements through their strides, so a view
-/// route is bitwise identical to the materialized-copy route it replaces.
-fn naive_into(
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    skip_zeros: bool,
-) {
+    assert_eq!(a.len(), m * k, "matmul_raw lhs holds {} elements, not {m}x{k}", a.len());
+    assert_eq!(b.len(), k * n, "matmul_raw rhs holds {} elements, not {k}x{n}", b.len());
+    let mut out = vec![0.0; m * n];
     for i in 0..m {
-        let orow = &mut out[i * n..(i + 1) * n];
         for kk in 0..k {
-            let av = a.data[a.base + i * a.rs + kk * a.cs];
-            if skip_zeros && av == 0.0 {
-                continue;
-            }
-            if b.cs == 1 {
-                let bb = b.base + kk * b.rs;
-                let brow = &b.data[bb..bb + n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            } else {
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o += av * b.data[b.base + kk * b.rs + j * b.cs];
-                }
+            let av = a[i * k + kk];
+            for j in 0..n {
+                out[i * n + j] += av * b[kk * n + j];
             }
         }
     }
+    out
 }
 
 /// The `B`-side operand of a product, in whatever precision the tensor
 /// stores: f32 tensors feed the kernels in place, half tensors hand over
-/// their raw bits for pack-time (or scratch-time) dequantization.
+/// their raw bits for pack-time dequantization.
 fn mat_any(t: &Tensor, base: usize, cols: usize) -> AnyMatRef<'_> {
     match t.dtype() {
         DType::F32 => AnyMatRef::F32(MatRef::contiguous(t.data(), base, cols)),
@@ -122,100 +61,28 @@ fn mat_any(t: &Tensor, base: usize, cols: usize) -> AnyMatRef<'_> {
     }
 }
 
-/// Dequantizes a strided half matrix into a contiguous row-major `(k, n)`
-/// f32 scratch — the naive path's half route (the packed path converts
-/// during packing instead and never materializes this).
-fn dequant_mat(b: HalfMatRef<'_>, k: usize, n: usize) -> Vec<f32> {
-    let mut out = alloc::buf_with_capacity(k * n);
-    out.resize(k * n, 0.0);
-    if b.cs == 1 {
-        for kk in 0..k {
-            let src = b.base + kk * b.rs;
-            dtype::decode_slice(b.dtype, &b.bits[src..src + n], &mut out[kk * n..(kk + 1) * n]);
-        }
-    } else {
-        for kk in 0..k {
-            for j in 0..n {
-                out[kk * n + j] = dtype::decode_one(b.dtype, b.bits[b.base + kk * b.rs + j * b.cs]);
-            }
-        }
-    }
+/// `a · b` (+ a bias row) for logical shapes `(m, k) × (k, n)` into a new
+/// `(m, n)` buffer, through the packed path. A half `b` dequantizes during
+/// packing, so the result is bitwise the f32 product of the decoded matrix.
+fn mm(
+    a: MatRef<'_>,
+    b: AnyMatRef<'_>,
+    bias: Option<&[f32]>,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
+    let mut out = alloc::buf_zeroed(m * n);
+    gemm::gemm_into_any(a, b, bias, &mut out, m, k, n);
     out
-}
-
-/// True when an `m·k·n`-MAC product against `b` takes the packed blocked
-/// path: at or above [`PACK_THRESHOLD`] MACs for an f32 `b`,
-/// [`PACK_THRESHOLD_HALF`] for a half one.
-fn packs(b: &AnyMatRef<'_>, macs: usize) -> bool {
-    macs >= match b {
-        AnyMatRef::F32(_) => PACK_THRESHOLD,
-        AnyMatRef::Half(_) => PACK_THRESHOLD_HALF,
-    }
-}
-
-/// Size-routed product core into the zeroed `out`, plus an optional bias
-/// row: the packed blocked path when [`packs`] says so, the naive path
-/// below it. The packed path adds the bias in the tile epilogue; the naive
-/// path adds it in a pass over the finished product — the same add on the
-/// same accumulator either way. `naive_skip` produces the zero-skip
-/// soundness verdict and is only invoked on the naive route (the packed
-/// path propagates non-finite values without needing one). A half `b`
-/// dequantizes during packing on the blocked path, or into pooled f32
-/// scratch on the naive path — either way the arithmetic (and the result,
-/// given equal inputs routed the same way) is exactly the f32 kernel's.
-#[allow(clippy::too_many_arguments)]
-fn mm_into(
-    a: MatRef<'_>,
-    b: AnyMatRef<'_>,
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    naive_skip: impl FnOnce() -> bool,
-) {
-    mm_into_as(a, b, bias, out, m, k, n, m * k * n, naive_skip)
-}
-
-/// [`mm_into`] routed by `route_macs` instead of its own `m·k·n`: a product
-/// over a subset of the rows of a longer one (a pruned forward, see
-/// [`addmm_routed`]) takes the path the full-length product would, so
-/// every element it computes is bitwise that product's.
-#[allow(clippy::too_many_arguments)]
-fn mm_into_as(
-    a: MatRef<'_>,
-    b: AnyMatRef<'_>,
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    route_macs: usize,
-    naive_skip: impl FnOnce() -> bool,
-) {
-    if packs(&b, route_macs) {
-        gemm::gemm_into_any(a, b, bias, out, m, k, n);
-        return;
-    }
-    match b {
-        AnyMatRef::F32(b) => naive_into(a, b, out, m, k, n, naive_skip()),
-        AnyMatRef::Half(hb) => {
-            let scratch = dequant_mat(hb, k, n);
-            naive_into(a, MatRef::contiguous(&scratch, 0, n), out, m, k, n, naive_skip());
-            alloc::recycle(scratch);
-        }
-    }
-    if let Some(bias) = bias {
-        add_bias_rows(out, bias);
-    }
 }
 
 /// 2-D matrix product of tensors. Shapes must be (m,k) and (k,n).
 ///
 /// `b` may be half-precision (a quantized weight matrix): its bits are
-/// widened to f32 inside the kernel (during packing on the blocked path),
-/// with f32 accumulation throughout. A half `a` — which normal execution
-/// never produces, activations stay f32 — is upcast whole.
+/// widened to f32 during packing, with f32 accumulation throughout. A half
+/// `a` — which normal execution never produces, activations stay f32 — is
+/// upcast whole.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let _t = telemetry::span("kernel.matmul");
     if a.dtype().is_half() {
@@ -226,10 +93,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.dim(0), a.dim(1));
     let (k2, n) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul inner dims mismatch: {} vs {}", a.shape(), b.shape());
-    let mut out = alloc::buf_zeroed(m * n);
-    mm_into(MatRef::contiguous(a.data(), 0, k), mat_any(b, 0, n), None, &mut out, m, k, n, || {
-        b.all_finite()
-    });
+    let out = mm(MatRef::contiguous(a.data(), 0, k), mat_any(b, 0, n), None, m, k, n);
     Tensor::from_vec([m, n], out)
 }
 
@@ -239,32 +103,17 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// `matmul(a, &b.t())` because the same logical elements are combined in
 /// the same order.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_nt_routed(a, b, a.dim(0))
-}
-
-/// [`matmul_nt`] routed as if `a` had `route_rows` rows (see [`mm_into_as`]).
-fn matmul_nt_routed(a: &Tensor, b: &Tensor, route_rows: usize) -> Tensor {
     let _t = telemetry::span("kernel.matmul");
     if a.dtype().is_half() {
-        return matmul_nt_routed(&a.to_dtype(DType::F32), b, route_rows);
+        return matmul_nt(&a.to_dtype(DType::F32), b);
     }
     assert_eq!(a.rank(), 2, "matmul_nt lhs must be 2-D, got {}", a.shape());
     assert_eq!(b.rank(), 2, "matmul_nt rhs must be 2-D, got {}", b.shape());
     let (m, k) = (a.dim(0), a.dim(1));
     let (n, k2) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul_nt inner dims mismatch: {} vs {}", a.shape(), b.shape());
-    let mut out = alloc::buf_zeroed(m * n);
-    mm_into_as(
-        MatRef::contiguous(a.data(), 0, k),
-        mat_any(b, 0, k).transposed(),
-        None,
-        &mut out,
-        m,
-        k,
-        n,
-        route_rows * k * n,
-        || b.all_finite(),
-    );
+    let bt = mat_any(b, 0, k).transposed();
+    let out = mm(MatRef::contiguous(a.data(), 0, k), bt, None, m, k, n);
     Tensor::from_vec([m, n], out)
 }
 
@@ -272,41 +121,23 @@ fn matmul_nt_routed(a: &Tensor, b: &Tensor, route_rows: usize) -> Tensor {
 /// reading `a` through a transposed stride view. Bitwise identical to
 /// `matmul(&a.t(), b)`.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    matmul_tn_routed(a, b, a.dim(0))
-}
-
-/// [`matmul_tn`] routed as if both operands had `route_rows` rows — a
-/// contraction over that many rows (see [`mm_into_as`]).
-fn matmul_tn_routed(a: &Tensor, b: &Tensor, route_rows: usize) -> Tensor {
     let _t = telemetry::span("kernel.matmul");
     if a.dtype().is_half() {
-        return matmul_tn_routed(&a.to_dtype(DType::F32), b, route_rows);
+        return matmul_tn(&a.to_dtype(DType::F32), b);
     }
     assert_eq!(a.rank(), 2, "matmul_tn lhs must be 2-D, got {}", a.shape());
     assert_eq!(b.rank(), 2, "matmul_tn rhs must be 2-D, got {}", b.shape());
     let (m, k) = (a.dim(0), a.dim(1));
     let (m2, n) = (b.dim(0), b.dim(1));
     assert_eq!(m, m2, "matmul_tn inner dims mismatch: {} vs {}", a.shape(), b.shape());
-    let mut out = alloc::buf_zeroed(k * n);
-    mm_into_as(
-        MatRef::contiguous(a.data(), 0, k).transposed(),
-        mat_any(b, 0, n),
-        None,
-        &mut out,
-        k,
-        m,
-        n,
-        k * route_rows * n,
-        || b.all_finite(),
-    );
+    let at = MatRef::contiguous(a.data(), 0, k).transposed();
+    let out = mm(at, mat_any(b, 0, n), None, k, m, n);
     Tensor::from_vec([k, n], out)
 }
 
-/// Size-routed batched product core shared by the `bmm*` entries. Large
-/// per-batch products take the packed path (which also amortizes packing
-/// across batches when `b` is batch-broadcast); small ones run the naive
-/// kernel parallel over batch entries.
-#[allow(clippy::too_many_arguments)]
+/// Batched product core shared by the `bmm*` entries, through the packed
+/// path (which amortizes packing across batches when `b` is
+/// batch-broadcast).
 fn bmm_core(
     a: BatchedMatRef<'_>,
     b: BatchedMatRef<'_>,
@@ -314,25 +145,9 @@ fn bmm_core(
     m: usize,
     k: usize,
     n: usize,
-    naive_skip: impl FnOnce() -> bool,
 ) -> Vec<f32> {
     let mut out = alloc::buf_zeroed(bs * m * n);
-    if m * k * n >= PACK_THRESHOLD {
-        gemm::bmm_into(a, b, &mut out, bs, m, k, n);
-    } else {
-        // One whole-tensor verdict (cached on `b`) instead of one scan per
-        // batch: more conservative when only some batches carry NaN/Inf, but
-        // the skip path never changes values, so results are identical.
-        let skip_zeros = naive_skip();
-        let writer = SliceWriter::new(&mut out);
-        pool::par_chunks_weighted(bs, m * k * n, |batches| {
-            for i in batches {
-                // Safety: batch blocks are disjoint output regions.
-                let chunk = unsafe { writer.slice(i * m * n..(i + 1) * m * n) };
-                naive_into(a.mat(i), b.mat(i), chunk, m, k, n, skip_zeros);
-            }
-        });
-    }
+    gemm::bmm_into(a, b, &mut out, bs, m, k, n);
     out
 }
 
@@ -357,7 +172,6 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         k,
         n,
-        || b.all_finite(),
     );
     Tensor::from_vec([bs, m, n], out)
 }
@@ -383,7 +197,6 @@ pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Tensor {
         m,
         k,
         n,
-        || b.all_finite(),
     );
     Tensor::from_vec([bs, m, n], out)
 }
@@ -408,7 +221,6 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
         k,
         m,
         n,
-        || b.all_finite(),
     );
     Tensor::from_vec([bs, k, n], out)
 }
@@ -424,11 +236,11 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
 ///   read zeros (causal "same"-length padding).
 ///
 /// The K taps unfold into a transient (N·T, K·C_in) matrix ([`unfold_taps`])
-/// that multiplies the (K·C_in, C_out) permuted weight through the
-/// size-routed product core — the packed SIMD path at STSM's shapes, which
-/// adds the bias row in its tile epilogue. The unfold goes straight back to
-/// the buffer pool. The product is dense: padding taps are explicit zeros and no term
-/// is skipped, so non-finite values propagate like any dense product.
+/// that multiplies the (K·C_in, C_out) permuted weight through the packed
+/// SIMD path, which adds the bias row in its tile epilogue. The unfold goes
+/// straight back to the buffer pool. The product is dense: padding taps are
+/// explicit zeros and no term is skipped, so non-finite values propagate
+/// like any dense product.
 pub fn conv1d_ntc(
     input: &Tensor,
     weight: &Tensor,
@@ -452,16 +264,13 @@ pub fn conv1d_ntc(
     let (rows, kc) = (n * t, k * cin);
     let unfold = unfold_taps(input.data(), n, t, cin, k, dilation);
     let wp = taps_weight(weight.data(), cout, cin, k);
-    let mut out = alloc::buf_zeroed(rows * cout);
-    mm_into(
+    let out = mm(
         MatRef::contiguous(&unfold, 0, kc),
         AnyMatRef::F32(MatRef::contiguous(&wp, 0, cout)),
         bias.map(Tensor::data),
-        &mut out,
         rows,
         kc,
         cout,
-        || false,
     );
     alloc::recycle(unfold);
     alloc::recycle(wp);
@@ -472,7 +281,7 @@ pub fn conv1d_ntc(
 /// for output gradient `grad_out` (N, T, C_out).
 ///
 /// Rebuilds the tap unfold `U` from the saved input and takes both products
-/// of the affine backward on the size-routed core: `G·Wpᵀ` (the unfold's
+/// of the affine backward on the packed path: `G·Wpᵀ` (the unfold's
 /// gradient) and `Uᵀ·G` (the permuted weight's). The unfold gradient folds
 /// back onto the input rows with adds in ascending tap order, and the
 /// weight gradient is permuted back to (C_out, C_in, K). Every step is an
@@ -495,27 +304,21 @@ pub fn conv1d_ntc_backward(
     let g = grad_out.data();
     let unfold = unfold_taps(input.data(), n, t, cin, k, dilation);
     let wp = taps_weight(weight.data(), cout, cin, k);
-    let mut gu = alloc::buf_zeroed(rows * kc);
-    mm_into(
+    let gu = mm(
         MatRef::contiguous(g, 0, cout),
         AnyMatRef::F32(MatRef::contiguous(&wp, 0, cout).transposed()),
         None,
-        &mut gu,
         rows,
         cout,
         kc,
-        || false,
     );
-    let mut gwp = alloc::buf_zeroed(kc * cout);
-    mm_into(
+    let gwp = mm(
         MatRef::contiguous(&unfold, 0, kc).transposed(),
         AnyMatRef::F32(MatRef::contiguous(g, 0, cout)),
         None,
-        &mut gwp,
         kc,
         rows,
         cout,
-        || false,
     );
     alloc::recycle(unfold);
     alloc::recycle(wp);
@@ -627,15 +430,6 @@ fn taps_weight(w: &[f32], cout: usize, cin: usize, k: usize) -> Vec<f32> {
         }
     }
     wp
-}
-
-/// Adds the bias row to every row of a row-major `out`.
-fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
-    for orow in out.chunks_exact_mut(bias.len()) {
-        for (o, &bv) in orow.iter_mut().zip(bias) {
-            *o += bv;
-        }
-    }
 }
 
 /// Column sums of a row-major matrix with `n` columns, rows added in order
@@ -789,22 +583,12 @@ fn upcast(t: &Tensor) -> Tensor {
 
 /// Fused affine map `x·W + b` with `x` (m×k), `W` (k×n) and a broadcast bias
 /// row `b` (n). Bit-identical to `matmul(x, w)` followed by a broadcast add:
-/// the product routes through the same size-selected kernel as `matmul`,
-/// and the bias is added once to each finished accumulator — in the packed
-/// tile's epilogue, or in a pass over the naive product.
+/// the product is `matmul`'s packed product, and the tile epilogue adds the
+/// bias once to each finished accumulator.
 pub fn addmm(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
-    addmm_routed(x, w, b, x.dim(0))
-}
-
-/// [`addmm`] on the path an `x` of `route_rows` rows would take: for `x`
-/// holding some of the rows of a longer `(route_rows, k)` input, every
-/// output row is bitwise the longer product's (the naive and packed paths
-/// each compute a row independently of `m`, but round differently from one
-/// another).
-pub fn addmm_routed(x: &Tensor, w: &Tensor, b: &Tensor, route_rows: usize) -> Tensor {
     let _t = telemetry::span("kernel.addmm");
     if x.dtype().is_half() {
-        return addmm_routed(&x.to_dtype(DType::F32), w, b, route_rows);
+        return addmm(&x.to_dtype(DType::F32), w, b);
     }
     assert_eq!(x.rank(), 2, "addmm lhs must be 2-D, got {}", x.shape());
     assert_eq!(w.rank(), 2, "addmm rhs must be 2-D, got {}", w.shape());
@@ -813,18 +597,8 @@ pub fn addmm_routed(x: &Tensor, w: &Tensor, b: &Tensor, route_rows: usize) -> Te
     assert_eq!(k, k2, "addmm inner dims mismatch: {} vs {}", x.shape(), w.shape());
     assert_eq!(b.numel(), n, "addmm bias must have {} elements, got {}", n, b.shape());
     let bias = upcast(b);
-    let mut out = alloc::buf_zeroed(m * n);
-    mm_into_as(
-        MatRef::contiguous(x.data(), 0, k),
-        mat_any(w, 0, n),
-        Some(bias.data()),
-        &mut out,
-        m,
-        k,
-        n,
-        route_rows * k * n,
-        || w.all_finite(),
-    );
+    let x = MatRef::contiguous(x.data(), 0, k);
+    let out = mm(x, mat_any(w, 0, n), Some(bias.data()), m, k, n);
     Tensor::from_vec([m, n], out)
 }
 
@@ -833,16 +607,10 @@ pub fn addmm_routed(x: &Tensor, w: &Tensor, b: &Tensor, route_rows: usize) -> Te
 /// standard `G·Wᵀ` / `Xᵀ·G` products (read through transpose views — no
 /// materialized `Wᵀ`/`Xᵀ`), and the bias gradient sums `g` over rows in
 /// row-major order — the same addition sequence as
-/// `Tensor::reduce_to(g, bias_shape)`. Both products take the path of the
-/// `route_rows`-row forward (see [`addmm_routed`]).
-pub fn addmm_backward(
-    x: &Tensor,
-    w: &Tensor,
-    g: &Tensor,
-    route_rows: usize,
-) -> (Tensor, Tensor, Tensor) {
-    let gx = matmul_nt_routed(g, w, route_rows);
-    let gw = matmul_tn_routed(x, g, route_rows);
+/// `Tensor::reduce_to(g, bias_shape)`.
+pub fn addmm_backward(x: &Tensor, w: &Tensor, g: &Tensor) -> (Tensor, Tensor, Tensor) {
+    let gx = matmul_nt(g, w);
+    let gw = matmul_tn(x, g);
     let n = g.dim(1);
     (gx, gw, Tensor::from_vec([n], col_sums(g.data(), n)))
 }
@@ -854,15 +622,10 @@ pub fn addmm_backward(
 /// `save` also the `(m, n)` activations `v = agg·W_v + b_v` and
 /// `s = σ(agg·W_g + b_g)` the backward pass needs.
 ///
-/// Bitwise equal to the composed chain `addmm`, `addmm`, `sigmoid`, `mul`.
-/// When both products reach the packed path by [`mm_into`]'s size rule —
-/// applied per weight, to `m·k·n` and each weight's own dtype threshold —
-/// they run as one [`gemm::gated_gemm_into`] pass whose tile epilogue
-/// computes the bias adds, the sigmoid and the product in registers. Below
-/// that (tiny graphs), the composed kernels run as they are, so the naive
-/// route's arithmetic is kept too. Routing counts `route_rows` rows in
-/// place of `m` (see [`addmm_routed`]); pass `m` for the node's own route.
-#[allow(clippy::too_many_arguments)]
+/// Both products run as one [`gemm::gated_gemm_into`] pass whose tile
+/// epilogue computes the bias adds, the sigmoid and the product in
+/// registers — bitwise equal to the composed chain `addmm`, `addmm`,
+/// `sigmoid`, `mul`, at every size.
 pub fn gated_gcn(
     agg: &Tensor,
     wv: &Tensor,
@@ -870,11 +633,11 @@ pub fn gated_gcn(
     wg: &Tensor,
     bg: &Tensor,
     save: bool,
-    route_rows: usize,
 ) -> (Tensor, Option<(Tensor, Tensor)>) {
     if agg.dtype().is_half() {
-        return gated_gcn(&agg.to_dtype(DType::F32), wv, bv, wg, bg, save, route_rows);
+        return gated_gcn(&agg.to_dtype(DType::F32), wv, bv, wg, bg, save);
     }
+    let _t = telemetry::span("kernel.gated_gcn");
     assert!(agg.rank() >= 1, "gated_gcn input must have at least one dim");
     let k = agg.dim(agg.rank() - 1);
     assert_eq!(wv.dims(), wg.dims(), "gated_gcn value and gate weights differ in shape");
@@ -885,25 +648,13 @@ pub fn gated_gcn(
     let m = agg.numel() / k.max(1);
     let mut out_dims = agg.dims().to_vec();
     *out_dims.last_mut().expect("rank checked above") = n;
-    let (value, gate) = (mat_any(wv, 0, n), mat_any(wg, 0, n));
-    let route_macs = route_rows * k * n;
-    if !(packs(&value, route_macs) && packs(&gate, route_macs)) {
-        let x = agg.reshape([m, k]);
-        let v = addmm_routed(&x, wv, bv, route_rows);
-        let s = sigmoid(&addmm_routed(&x, wg, bg, route_rows));
-        let out = v.zip(&s, |a, b| a * b).reshape(out_dims);
-        return (out, save.then_some((v, s)));
-    }
-    // Opened after the fallback, so the composed kernels above report under
-    // their own spans and a trace counts no time twice.
-    let _t = telemetry::span("kernel.gated_gcn");
     let (bias_v, bias_g) = (upcast(bv), upcast(bg));
     let mut out = alloc::buf_zeroed(m * n);
     let mut saved = save.then(|| (alloc::buf_zeroed(m * n), alloc::buf_zeroed(m * n)));
     gemm::gated_gemm_into(
         MatRef::contiguous(agg.data(), 0, k),
-        value,
-        gate,
+        mat_any(wv, 0, n),
+        mat_any(wg, 0, n),
         bias_v.data(),
         bias_g.data(),
         &mut out,
@@ -916,13 +667,6 @@ pub fn gated_gcn(
     (Tensor::from_vec(out_dims, out), saved)
 }
 
-/// True when every element of columns `[c0, c0 + n)` of the row-major
-/// `stride`-column matrix `d` is finite: the naive route's zero-skip
-/// verdict for one column block.
-fn cols_finite(d: &[f32], c0: usize, n: usize, stride: usize) -> bool {
-    d.chunks_exact(stride).all(|row| row[c0..c0 + n].iter().all(|v| v.is_finite()))
-}
-
 /// Backward pass of [`gated_gcn`] for output gradient `g`, given the saved
 /// aggregate `agg` and activations `v`, `s`: `(grad_agg, grad_w_v,
 /// grad_b_v, grad_w_g, grad_b_g)`. It replays the composed chain's
@@ -930,15 +674,12 @@ fn cols_finite(d: &[f32], c0: usize, n: usize, stride: usize) -> bool {
 ///
 /// * `dv = g·s` and `dĝ = (g·v)·(s·(1 − s))` — the mul and sigmoid
 ///   backward expressions — go into one `(m, 2n)` buffer `[dv | dĝ]`;
-/// * the weight gradients are `aggᵀ·dv` and `aggᵀ·dĝ`, two size-routed
-///   products over strided views of that buffer, each with its own
-///   zero-skip verdict on the naive route;
+/// * the weight gradients are `aggᵀ·dv` and `aggᵀ·dĝ`, two packed products
+///   over strided views of that buffer;
 /// * the bias gradients are column sums in row order;
 /// * `grad_agg = dĝ·W_gᵀ`, then `+= dv·W_vᵀ` — the order the tape
 ///   accumulated the two `addmm` contributions in. These stay two products:
 ///   one `K = 2n` product would round differently.
-///
-/// Every product routes as the `route_rows`-row forward's does.
 pub fn gated_gcn_backward(
     agg: &Tensor,
     wv: &Tensor,
@@ -946,10 +687,9 @@ pub fn gated_gcn_backward(
     v: &Tensor,
     s: &Tensor,
     g: &Tensor,
-    route_rows: usize,
 ) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
     if agg.dtype().is_half() {
-        return gated_gcn_backward(&agg.to_dtype(DType::F32), wv, wg, v, s, g, route_rows);
+        return gated_gcn_backward(&agg.to_dtype(DType::F32), wv, wg, v, s, g);
     }
     let _t = telemetry::span("kernel.gated_gcn_bwd");
     let k = agg.dim(agg.rank() - 1);
@@ -967,21 +707,12 @@ pub fn gated_gcn_backward(
     let dv = MatRef { data: &d, base: 0, rs: n2, cs: 1 };
     let dg = MatRef { data: &d, base: n, rs: n2, cs: 1 };
     let agg_t = MatRef::contiguous(agg.data(), 0, k).transposed();
-    let macs = route_rows * k * n;
-    let (mut dwv, mut dwg) = (alloc::buf_zeroed(k * n), alloc::buf_zeroed(k * n));
-    mm_into_as(agg_t, AnyMatRef::F32(dv), None, &mut dwv, k, m, n, macs, || {
-        cols_finite(&d, 0, n, n2)
-    });
-    mm_into_as(agg_t, AnyMatRef::F32(dg), None, &mut dwg, k, m, n, macs, || {
-        cols_finite(&d, n, n, n2)
-    });
+    let dwv = mm(agg_t, AnyMatRef::F32(dv), None, k, m, n);
+    let dwg = mm(agg_t, AnyMatRef::F32(dg), None, k, m, n);
     let mut db = col_sums(&d, n2);
     let dbg = db.split_off(n);
-    let (wg_t, wv_t) = (mat_any(wg, 0, n).transposed(), mat_any(wv, 0, n).transposed());
-    let mut dagg = alloc::buf_zeroed(m * k);
-    mm_into_as(dg, wg_t, None, &mut dagg, m, n, k, macs, || wg.all_finite());
-    let mut part = alloc::buf_zeroed(m * k);
-    mm_into_as(dv, wv_t, None, &mut part, m, n, k, macs, || wv.all_finite());
+    let mut dagg = mm(dg, mat_any(wg, 0, n).transposed(), None, m, n, k);
+    let part = mm(dv, mat_any(wv, 0, n).transposed(), None, m, n, k);
     for (o, &p) in dagg.iter_mut().zip(&part) {
         *o += p;
     }
@@ -1129,10 +860,10 @@ mod tests {
 
     #[test]
     fn quantized_b_matches_dequantize_then_multiply_bitwise() {
-        // Covers the naive (< PACK_THRESHOLD) and packed routes: either way,
-        // a product against quantized weights must equal multiplying the
-        // decoded values at full precision, bit for bit.
-        for (m, k, n) in [(3, 4, 5), (40, 50, 40)] {
+        // At every size — tiny, 12,288 MACs (2^13 ≤ m·k·n < 2^15) and past
+        // 2^15 — a product against quantized weights must equal multiplying
+        // the decoded values at full precision, bit for bit.
+        for (m, k, n) in [(3, 4, 5), (1, 16, 16), (16, 32, 24), (40, 50, 40)] {
             let x = Tensor::from_vec([m, k], pseudo_fill(m * k, 2654435761, 1000, 997.0));
             let w = Tensor::from_vec([k, n], pseudo_fill(k * n, 40503, 1000, 991.0));
             let wt = Tensor::from_vec([n, k], pseudo_fill(n * k, 40503, 1000, 991.0));
@@ -1148,6 +879,8 @@ mod tests {
                 let qx = x.to_dtype(dt);
                 assert_eq!(matmul_tn(&qx, &g), matmul_tn(&qx.to_dtype(DType::F32), &g));
                 assert_eq!(addmm(&x, &qw, &qb), addmm(&x, &dw, &db), "{dt} addmm");
+                let (q, _) = gated_gcn(&x, &qw, &qb, &qw, &qb, false);
+                assert_eq!(q, gated_gcn(&x, &dw, &db, &dw, &db, false).0, "{dt} gated_gcn");
             }
         }
     }
@@ -1214,7 +947,7 @@ mod tests {
         let g = Tensor::from_vec([5, 3], pseudo_fill(15, 31, 101, 97.0));
         let x = Tensor::from_vec([5, 2], pseudo_fill(10, 7, 53, 51.0));
         let w = Tensor::from_vec([2, 3], pseudo_fill(6, 11, 29, 23.0));
-        let (gx, gw, gb) = addmm_backward(&x, &w, &g, x.dim(0));
+        let (gx, gw, gb) = addmm_backward(&x, &w, &g);
         assert_eq!(gx, matmul(&g, &w.t()));
         assert_eq!(gw, matmul(&x.t(), &g));
         assert_eq!(gb, Tensor::reduce_to(&g, &crate::Shape::new(&[3])));

@@ -92,8 +92,9 @@ impl Conv1d {
     /// Otherwise each output row's taps are gathered (`index_select0`, a
     /// zero row for taps before step 0) into the unfold row the full conv
     /// builds, and the rows multiply the `(K·C_in, C_out)` permuted weight
-    /// in one `addmm` routed as the `N·t_len`-row product. So every output
-    /// row is bitwise the full conv's; and where the rows left out carry
+    /// in one `addmm`. Every product takes the one packed path, which
+    /// computes each row alone, so every output row is bitwise the full
+    /// conv's; and where the rows left out carry
     /// zero gradient, so is every gradient: the dropped terms were exact
     /// zeros in ascending sums. An input row's tap gradients add in output
     /// order here, in tap order in the full conv — the same sum for the
@@ -138,7 +139,7 @@ impl Conv1d {
         let b = fwd.p(self.b);
         let wp = fwd.permute(w, &[2, 1, 0]);
         let wp = fwd.reshape(wp, [self.kernel * cin, self.out_channels]);
-        let y = fwd.addmm_routed(taps, wp, b, n * t_len);
+        let y = fwd.addmm(taps, wp, b);
         fwd.reshape(y, [n, outs.len(), self.out_channels])
     }
 }
@@ -200,9 +201,8 @@ mod tests {
 
     #[test]
     fn forward_steps_bitwise_matches_forward_rows() {
-        // 100 series of 12 steps: the full conv's product packs, the same
-        // product over two output steps alone would not — the routed
-        // product must still match, in value and in every gradient.
+        // 100 series of 12 steps, two output steps kept: the pruned product
+        // must match the full conv's rows, in value and in every gradient.
         let mut rng = StdRng::seed_from_u64(11);
         let mut store = ParamStore::new();
         let conv = Conv1d::new(&mut store, "c", 4, 4, 2, 3, &mut rng);

@@ -132,22 +132,11 @@ impl<'a, 't> Fwd<'a, 't> {
         fn linmap(map: Arc<dyn LinMap>, x: Var) -> Var;
         /// Fused `x @ w + b` (row-broadcast bias).
         fn addmm(x: Var, w: Var, b: Var) -> Var;
-        /// [`Fwd::addmm`] on the path an `x` of `route_rows` rows takes, so
-        /// a product over some rows of a longer input is bitwise equal to
-        /// those rows of the longer product, forward and backward.
-        fn addmm_routed(x: Var, w: Var, b: Var, route_rows: usize) -> Var;
         /// Fused gated GCN layer `(A z W_v + b_v) ⊙ σ(A z W_g + b_g)` with
         /// `value = (W_v, b_v)` and `gate = (W_g, b_g)` (see
         /// [`Linear::bind`]); bitwise equal to `linmap`, two `addmm`,
-        /// `sigmoid` and `mul`. `Some(route_rows)` routes its products as a
-        /// `route_rows`-row aggregate's, like [`Fwd::addmm_routed`].
-        fn gated_gcn(
-            map: Arc<dyn LinMap>,
-            z: Var,
-            value: (Var, Var),
-            gate: (Var, Var),
-            route_rows: Option<usize>
-        ) -> Var;
+        /// `sigmoid` and `mul`.
+        fn gated_gcn(map: Arc<dyn LinMap>, z: Var, value: (Var, Var), gate: (Var, Var)) -> Var;
         /// Fused GRU reset-gate stage: `sigmoid(ar) * h`.
         fn gru_rh(ar: Var, h: Var) -> Var;
         /// Fused GRU output stage: `(1 - z) * n + z * h`.

@@ -29,7 +29,7 @@
 //! from 0.0 in ascending order and are bitwise equal; the scalar tile may
 //! differ from them in the last ulp (FMA does not round the intermediate
 //! product), and stays within the `kernel_tiling_equivalence` tolerance of
-//! the naive reference. The spmm group kernel and the polynomial `exp` use
+//! the i-k-j oracle `matmul_raw`. The spmm group kernel and the polynomial `exp` use
 //! separate multiplies and adds at every level, so all three are bitwise
 //! equal there.
 

@@ -242,21 +242,12 @@ impl Tape {
     /// [`kernels::addmm`]). Used by `nn::Linear`: one tape node instead of
     /// two, no broadcast intermediate.
     pub fn addmm(&self, x: Var, w: Var, b: Var) -> Var {
-        let rows = self.shape_of(x).dim(0);
-        self.addmm_routed(x, w, b, rows)
-    }
-
-    /// [`Tape::addmm`] whose products, forward and backward, take the path
-    /// an `x` of `route_rows` rows would (see [`kernels::addmm_routed`]): a
-    /// product over some rows of a longer input stays bitwise equal, row
-    /// for row, to the longer product.
-    pub fn addmm_routed(&self, x: Var, w: Var, b: Var, route_rows: usize) -> Var {
         let (tx, tw, tb) = (self.value(x), self.value(w), self.value(b));
-        let out = kernels::addmm_routed(&tx, &tw, &tb, route_rows);
+        let out = kernels::addmm(&tx, &tw, &tb);
         self.push(
             out,
             Some(Box::new(move |g| {
-                let (gx, gw, gb) = kernels::addmm_backward(&tx, &tw, g, route_rows);
+                let (gx, gw, gb) = kernels::addmm_backward(&tx, &tw, g);
                 vec![(x.0, gx), (w.0, gw), (b.0, gb)]
             })),
         )
@@ -269,28 +260,24 @@ impl Tape {
     /// and `mul` in forward and backward. The node keeps `agg`, `v` and `s`
     /// for its hand-written backward ([`kernels::gated_gcn_backward`]) —
     /// not the gate pre-activation, and no gradient slots for the inner
-    /// values. Given `route_rows`, every product, forward and backward,
-    /// takes the path of a `route_rows`-row aggregate (see
-    /// [`kernels::addmm_routed`]); `None` routes by `agg`'s own rows.
+    /// values.
     pub fn gated_gcn(
         &self,
         map: Arc<dyn LinMap>,
         z: Var,
         value: (Var, Var),
         gate: (Var, Var),
-        route_rows: Option<usize>,
     ) -> Var {
         let agg = map.apply(&self.value(z));
         let (wv, wg) = (self.value(value.0), self.value(gate.0));
-        let route_rows = route_rows.unwrap_or(agg.numel() / wv.dim(0).max(1));
         let (bv, bg) = (self.value(value.1), self.value(gate.1));
-        let (out, saved) = kernels::gated_gcn(&agg, &wv, &bv, &wg, &bg, true, route_rows);
+        let (out, saved) = kernels::gated_gcn(&agg, &wv, &bv, &wg, &bg, true);
         let (v, s) = saved.expect("gated_gcn saves its activations when asked");
         self.push(
             out,
             Some(Box::new(move |g| {
                 let (dagg, dwv, dbv, dwg, dbg) =
-                    kernels::gated_gcn_backward(&agg, &wv, &wg, &v, &s, g, route_rows);
+                    kernels::gated_gcn_backward(&agg, &wv, &wg, &v, &s, g);
                 vec![
                     (z.0, map.apply_transpose(&dagg)),
                     (value.0 .0, dwv),

@@ -25,15 +25,7 @@ use crate::dtype::{self, DType};
 use crate::shape::{Layout, Shape};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-
-/// Finiteness verdict not yet computed for this tensor.
-const FIN_UNKNOWN: u8 = 0;
-/// Every element is finite.
-const FIN_FINITE: u8 = 1;
-/// At least one element is NaN or infinite.
-const FIN_NONFINITE: u8 = 2;
 
 /// Dtype-tagged storage: f32 buffers for everything the tape touches, raw
 /// 16-bit patterns for quantized (f16/bf16) weights.
@@ -64,16 +56,11 @@ impl Clone for Storage {
 pub struct Tensor {
     shape: Shape,
     data: Storage,
-    /// Cached [`Tensor::all_finite`] verdict (`FIN_*`), so kernels that gate
-    /// fast paths on finiteness (matmul zero-skip) scan a reused operand —
-    /// e.g. a weight matrix seen again in `addmm`'s backward — only once.
-    /// Reset to unknown by [`Tensor::data_mut`]; not serialized.
-    finite: AtomicU8,
 }
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        Tensor { shape: self.shape.clone(), data: self.data.clone(), finite: self.finite_hint() }
+        Tensor { shape: self.shape.clone(), data: self.data.clone() }
     }
 }
 
@@ -117,7 +104,7 @@ impl Tensor {
             shape,
             shape.numel()
         );
-        Tensor { shape, data: Storage::F32(Arc::new(data)), finite: AtomicU8::new(FIN_UNKNOWN) }
+        Tensor { shape, data: Storage::F32(Arc::new(data)) }
     }
 
     /// Builds a half-precision tensor from raw 16-bit patterns of `dt`
@@ -133,17 +120,7 @@ impl Tensor {
             shape,
             shape.numel()
         );
-        Tensor {
-            shape,
-            data: Storage::Half(dt, Arc::new(bits)),
-            finite: AtomicU8::new(FIN_UNKNOWN),
-        }
-    }
-
-    /// The cached finiteness verdict, packaged for a new tensor whose
-    /// elements are exactly this tensor's elements (possibly reordered).
-    fn finite_hint(&self) -> AtomicU8 {
-        AtomicU8::new(self.finite.load(Ordering::Relaxed))
+        Tensor { shape, data: Storage::Half(dt, Arc::new(bits)) }
     }
 
     /// A scalar tensor.
@@ -248,7 +225,6 @@ impl Tensor {
     /// tensors are immutable (re-quantize from f32 instead of editing bits in
     /// place).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        self.finite.store(FIN_UNKNOWN, Ordering::Relaxed);
         match &mut self.data {
             Storage::F32(v) => {
                 if Arc::get_mut(v).is_none() {
@@ -279,25 +255,14 @@ impl Tensor {
                 let mut bits = alloc::buf_u16_with_capacity(n);
                 bits.resize(n, 0);
                 dtype::encode_slice(dt, v, &mut bits);
-                // Quantization can overflow a finite f32 to ±Inf (f16 range
-                // is narrower), so the cached verdict does not carry over.
-                Tensor {
-                    shape: self.shape.clone(),
-                    data: Storage::Half(dt, Arc::new(bits)),
-                    finite: AtomicU8::new(FIN_UNKNOWN),
-                }
+                Tensor { shape: self.shape.clone(), data: Storage::Half(dt, Arc::new(bits)) }
             }
             (Storage::Half(h, bits), DType::F32) => {
                 crate::telemetry::count("dtype.dequantize", 1);
                 let mut out = alloc::buf_with_capacity(n);
                 out.resize(n, 0.0);
                 dtype::decode_slice(*h, bits, &mut out);
-                // Decoding is exact, so finiteness is preserved.
-                Tensor {
-                    shape: self.shape.clone(),
-                    data: Storage::F32(Arc::new(out)),
-                    finite: self.finite_hint(),
-                }
+                Tensor { shape: self.shape.clone(), data: Storage::F32(Arc::new(out)) }
             }
             (Storage::Half(..), _) => self.to_dtype(DType::F32).to_dtype(dt),
         }
@@ -348,7 +313,7 @@ impl Tensor {
             self.shape,
             shape
         );
-        Tensor { shape, data: self.data.clone(), finite: self.finite_hint() }
+        Tensor { shape, data: self.data.clone() }
     }
 
     /// Applies `f` to every element, returning a new (f32) tensor.
@@ -454,11 +419,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor {
-            shape: target.clone(),
-            data: Storage::F32(Arc::new(out)),
-            finite: self.finite_hint(),
-        }
+        Tensor { shape: target.clone(), data: Storage::F32(Arc::new(out)) }
     }
 
     /// Reduces a broadcasted gradient back to this tensor's original shape by
@@ -518,9 +479,7 @@ impl Tensor {
                 out[j * m + i] = data[i * n + j];
             }
         }
-        let mut t = Tensor::from_vec([n, m], out);
-        t.finite = self.finite_hint();
-        t
+        Tensor::from_vec([n, m], out)
     }
 
     /// Permutes dimensions: `out[idx] = self[idx[perm]]` semantics of
@@ -558,7 +517,7 @@ impl Tensor {
                 idx[i] = 0;
             }
         }
-        Tensor { shape: out_shape, data: Storage::F32(Arc::new(out)), finite: self.finite_hint() }
+        Tensor { shape: out_shape, data: Storage::F32(Arc::new(out)) }
     }
 
     /// Slices along `axis`, keeping indices in `[start, end)`.
@@ -706,28 +665,13 @@ impl Tensor {
         self.data().iter().map(|&x| x * x).sum()
     }
 
-    /// True if every element is finite (no NaN/Inf). The verdict is cached
-    /// on the tensor and shared by clones taken *after* it is computed;
-    /// [`Tensor::data_mut`] invalidates it. Kernels use this to decide
-    /// whether zero-skip fast paths are sound without rescanning reused
-    /// operands (e.g. the weight matrix in `addmm` forward and backward).
+    /// True if every element is finite (no NaN/Inf): one scan per call.
     /// Half storage is checked at the bit level (exponent all-ones), no
     /// decode needed.
     pub fn all_finite(&self) -> bool {
-        match self.finite.load(Ordering::Relaxed) {
-            FIN_FINITE => true,
-            FIN_NONFINITE => false,
-            _ => {
-                let ok = match &self.data {
-                    Storage::F32(v) => v.iter().all(|x| x.is_finite()),
-                    Storage::Half(dt, b) => {
-                        let dt = *dt;
-                        b.iter().all(|&x| dtype::bits_finite(dt, x))
-                    }
-                };
-                self.finite.store(if ok { FIN_FINITE } else { FIN_NONFINITE }, Ordering::Relaxed);
-                ok
-            }
+        match &self.data {
+            Storage::F32(v) => v.iter().all(|x| x.is_finite()),
+            Storage::Half(dt, b) => b.iter().all(|&x| dtype::bits_finite(*dt, x)),
         }
     }
 
@@ -1183,15 +1127,15 @@ mod tests {
     }
 
     #[test]
-    fn finite_verdict_cached_and_invalidated() {
+    fn finiteness_follows_the_data() {
         let mut t = Tensor::from_vec([2], vec![1.0, 2.0]);
         assert!(t.all_finite());
-        let shared = t.clone(); // taken after the verdict: inherits it
+        let shared = t.clone();
         assert!(shared.all_finite());
-        t.data_mut()[0] = f32::NAN; // copy-on-write detaches t and resets its verdict
+        t.data_mut()[0] = f32::NAN; // copy-on-write detaches t
         assert!(t.has_non_finite());
-        assert!(shared.all_finite(), "clone must keep the pre-mutation storage and verdict");
-        // The verdict travels through element-preserving reshapes.
+        assert!(shared.all_finite(), "clone must keep the pre-mutation storage");
+        // Element-preserving reshapes keep the non-finite element.
         let m = Tensor::from_vec([1, 2], vec![f32::INFINITY, 0.0]);
         assert!(m.has_non_finite());
         assert!(m.t().has_non_finite());

@@ -1,14 +1,16 @@
 //! Tiling/packing equivalence contract for the blocked SIMD matmul path
 //! (DESIGN.md, "Kernel architecture"), pinned by name in `scripts/check.sh`:
 //!
-//! * the packed blocked kernel agrees with the naive reference within 1e-5
-//!   relative tolerance on shapes that are not multiples of the tile sizes,
-//!   at every SIMD level the host can run;
+//! * the packed blocked kernel — the one path every product takes — agrees
+//!   with the i-k-j test oracle `matmul_raw` within 1e-5 relative tolerance
+//!   on shapes that are not multiples of the tile sizes, large and tiny, at
+//!   every SIMD level the host can run;
 //! * every product is bitwise deterministic across thread counts and across
 //!   repeated runs at a fixed SIMD level;
 //! * transpose-view routes (`matmul_nt`/`matmul_tn`/`bmm_nt`/`bmm_tn`) are
 //!   bitwise identical to their materialized-transpose counterparts;
-//! * non-finite values in the packed operand propagate (no zero-skip there).
+//! * non-finite values in `b` propagate through zeros in `a` at every size
+//!   (no product skips a term).
 
 use stsm_tensor::simd::{self, SimdLevel};
 use stsm_tensor::{bmm, bmm_nt, bmm_tn, matmul, matmul_nt, matmul_raw, matmul_tn, pool, Tensor};
@@ -45,8 +47,8 @@ fn assert_close(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Odd shapes (no dimension a multiple of the 8×16 tile) big enough to take
-/// the packed route, plus tiny ones that stay on the naive route.
+/// Odd shapes (no dimension a multiple of the 8×16 tile), from past 2^15
+/// multiply-adds down to tiny ones.
 const SHAPES: [(usize, usize, usize); 6] =
     [(33, 37, 41), (65, 9, 129), (129, 17, 31), (8, 513, 9), (3, 5, 7), (20, 1, 33)];
 
@@ -101,7 +103,7 @@ fn bmm_bitwise_deterministic_across_thread_counts() {
 fn view_routes_bitwise_match_materialized_transposes() {
     for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
-            // Sizes chosen so both the packed and the naive route are hit.
+            // One product past 2^15 multiply-adds, one tiny.
             for (m, k, n) in [(33, 37, 41), (5, 6, 7)] {
                 let a = tensor([m, k], 21);
                 let bt = tensor([n, k], 22); // (n, k): b = btᵀ
@@ -129,19 +131,21 @@ fn view_routes_bitwise_match_materialized_transposes() {
 
 #[test]
 fn non_finite_b_propagates_through_packed_path() {
-    // Zeros in `a` must not swallow a NaN in `b` even on the packed route
-    // (which never zero-skips) — m·k·n here is above the packing threshold.
+    // Zeros in `a` must not swallow a NaN in `b` at any size: m·k·n past
+    // 2^15 multiply-adds, and a tiny product far below it.
     for lvl in simd::supported_levels() {
         simd::with_level(lvl, || {
-            let a = Tensor::zeros([33, 37]);
-            let mut bv = pseudo_random(37 * 41, 5);
-            bv[40] = f32::NAN;
-            let b = Tensor::from_vec([37, 41], bv);
-            let out = matmul(&a, &b);
-            assert!(
-                out.data().iter().any(|v| v.is_nan()),
-                "NaN swallowed on packed route ({lvl:?})"
-            );
+            for (m, k, n) in [(33, 37, 41), (2, 3, 4)] {
+                let a = Tensor::zeros([m, k]);
+                let mut bv = pseudo_random(k * n, 5);
+                bv[n - 1] = f32::NAN;
+                let b = Tensor::from_vec([k, n], bv);
+                let out = matmul(&a, &b);
+                assert!(
+                    out.data().chunks_exact(n).all(|row| row[n - 1].is_nan()),
+                    "NaN swallowed at {m}x{k}x{n} ({lvl:?})"
+                );
+            }
         });
     }
 }

@@ -53,7 +53,7 @@ fn kernel_sweep() -> Vec<Vec<u32>> {
     let z = tape.leaf(uniform([16, 8, 16], -1.0, 1.0, &mut rng));
     let mut param = |dims: &[usize]| tape.leaf(uniform(dims, -0.5, 0.5, &mut rng));
     let (wv, bv, wg, bg) = (param(&[16, 16]), param(&[16]), param(&[16, 16]), param(&[16]));
-    let gated = tape.gated_gcn(adj, z, (wv, bv), (wg, bg), None);
+    let gated = tape.gated_gcn(adj, z, (wv, bv), (wg, bg));
     tape.backward(tape.sum_all(tape.square(gated)));
     // A tensor over a foreign-capacity buffer (100 elements, not a class
     // size): the pool turns it away on drop, bumping `alloc.refused`.
