@@ -26,6 +26,7 @@
 
 use serde_json::{json, Value};
 use std::time::Instant;
+use stsm_bench::Scale;
 use stsm_core::{
     train_stsm, DistanceMode, OnlineConfig, OnlineTrainer, Predictor, ProblemInstance, StsmConfig,
 };
@@ -222,8 +223,7 @@ fn run_scenario(kind: ScenarioKind, sensors: usize, days: usize) -> Curves {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("STSM_SCALE").is_ok_and(|v| v.eq_ignore_ascii_case("smoke"));
+    let smoke = std::env::args().any(|a| a == "--smoke") || Scale::from_env() == Scale::Smoke;
     // Adjacency: (population, day span); scenarios: (population, day span).
     let (adj_n, adj_days, sc_n, sc_days) = if smoke { (120, 4, 24, 8) } else { (1_000, 7, 48, 8) };
     println!(

@@ -19,7 +19,7 @@
 
 use serde_json::{json, Value};
 use std::time::Instant;
-use stsm_bench::{peak_rss_bytes, reset_peak_rss};
+use stsm_bench::{peak_rss_bytes, reset_peak_rss, Scale};
 use stsm_synth::presets;
 use stsm_timeseries::{daily_profile, dtw_all_pairs, dtw_top_q, SparseNeighbors};
 
@@ -127,8 +127,7 @@ fn run_case(n: usize, days: usize, with_dense: bool) -> Case {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("STSM_SCALE").is_ok_and(|v| v.eq_ignore_ascii_case("smoke"));
+    let smoke = std::env::args().any(|a| a == "--smoke") || Scale::from_env() == Scale::Smoke;
     let (sizes, days): (&[usize], usize) =
         if smoke { (&[60, 200], 1) } else { (&[200, 1_000, 5_000, 20_000], 2) };
     let rss_supported = reset_peak_rss();

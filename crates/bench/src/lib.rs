@@ -1,24 +1,23 @@
 //! # stsm-bench
 //!
 //! The experiment harness reproducing every table and figure of the STSM
-//! paper's evaluation (§5). Each `src/bin/*` binary regenerates one paper
-//! artefact (Table 4–11, Fig. 7–11) at a scale selected via `STSM_SCALE`
-//! (`smoke` | `quick` | `full`); `all_experiments` runs the whole set and
-//! emits the rows recorded in `EXPERIMENTS.md`.
+//! paper's evaluation (§5). [`EXPERIMENTS`] registers one in-process entry
+//! per paper artefact (Table 4–11, Figs. 5–11) plus the extra ablations; the
+//! `repro` binary runs them at the scale `STSM_SCALE` selects (`smoke` |
+//! `quick` | `full`), prints each Markdown block, and outside smoke scale
+//! writes `results/<id>.json` and the matching EXPERIMENTS.md block. The
+//! `bench_*` binaries time the kernels, inference, DTW scaling and online
+//! adaptation.
 
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod rss;
 pub mod runner;
 pub mod scale;
 pub mod table;
 
+pub use experiments::{Experiment, Output, EXPERIMENTS, SEED};
 pub use rss::{peak_rss_bytes, reset_peak_rss};
-pub use runner::{
-    apply_sensor_cap, average_results, distance_mode_for, run_dataset_lineup,
-    run_dataset_lineup_with_splits, run_model, ModelId, RunResult,
-};
 pub use scale::Scale;
-pub use table::{
-    improvement_vs_best_baseline, print_metrics_table, print_timing_table, save_results,
-};
+pub use table::{publish, splice};

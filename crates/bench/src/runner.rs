@@ -4,7 +4,7 @@
 use crate::scale::Scale;
 use serde::{Deserialize, Serialize};
 use stsm_baselines::{run_gegan, run_ignnk, run_increase};
-use stsm_core::{evaluate_stsm, train_stsm, DistanceMode, ProblemInstance, Variant};
+use stsm_core::{evaluate_stsm, train_stsm, DistanceMode, ProblemInstance, StsmConfig, Variant};
 use stsm_synth::{four_standard_splits, Dataset, SpaceSplit};
 use stsm_timeseries::Metrics;
 
@@ -65,36 +65,15 @@ pub struct RunResult {
 
 /// Runs one model on one prepared problem.
 pub fn run_model(problem: &ProblemInstance, model: ModelId, scale: Scale, seed: u64) -> RunResult {
-    match model {
-        ModelId::GeGan => {
-            let r = run_gegan(problem, &scale.baseline_config(seed));
-            baseline_result(r)
-        }
-        ModelId::Ignnk => {
-            let r = run_ignnk(problem, &scale.baseline_config(seed));
-            baseline_result(r)
-        }
-        ModelId::Increase => {
-            let r = run_increase(problem, &scale.baseline_config(seed));
-            baseline_result(r)
-        }
+    let run = match model {
+        ModelId::GeGan => run_gegan,
+        ModelId::Ignnk => run_ignnk,
+        ModelId::Increase => run_increase,
         ModelId::Stsm(v) => {
-            let cfg = scale.stsm_config(&problem.dataset.name, seed).with_variant(v);
-            let (trained, report) = train_stsm(problem, &cfg).expect("trains");
-            let eval = evaluate_stsm(&trained, problem).expect("evaluates");
-            RunResult {
-                model: v.name().to_string(),
-                metrics: eval.metrics,
-                train_seconds: report.train_seconds,
-                test_seconds: eval.test_seconds,
-                masked_similarity: Some(report.mean_masked_similarity),
-                random_similarity: Some(report.mean_random_similarity),
-            }
+            return run_stsm(problem, v, scale.stsm_config(&problem.dataset.name, seed))
         }
-    }
-}
-
-fn baseline_result(r: stsm_baselines::BaselineReport) -> RunResult {
+    };
+    let r = run(problem, &scale.baseline_config(seed));
     RunResult {
         model: r.name.to_string(),
         metrics: r.metrics,
@@ -102,6 +81,23 @@ fn baseline_result(r: stsm_baselines::BaselineReport) -> RunResult {
         test_seconds: r.test_seconds,
         masked_similarity: None,
         random_similarity: None,
+    }
+}
+
+/// Trains and evaluates an STSM variant on top of an explicit base
+/// configuration — the one entry behind [`run_model`] and every sweep or
+/// ablation that overrides a field of the scale's config.
+pub fn run_stsm(problem: &ProblemInstance, variant: Variant, cfg: StsmConfig) -> RunResult {
+    let cfg = cfg.with_variant(variant);
+    let (trained, report) = train_stsm(problem, &cfg).expect("trains");
+    let eval = evaluate_stsm(&trained, problem).expect("evaluates");
+    RunResult {
+        model: variant.name().to_string(),
+        metrics: eval.metrics,
+        train_seconds: report.train_seconds,
+        test_seconds: eval.test_seconds,
+        masked_similarity: Some(report.mean_masked_similarity),
+        random_similarity: Some(report.mean_random_similarity),
     }
 }
 

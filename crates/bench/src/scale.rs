@@ -1,6 +1,7 @@
 //! Experiment scales. The paper trained on a V100 over months-long datasets;
-//! this reproduction runs on CPU, so each experiment binary supports three
-//! scales selected by the `STSM_SCALE` environment variable:
+//! this reproduction runs on CPU, so `repro` (and the smoke modes of
+//! `bench_scale` and `bench_online`) read one of three scales from the
+//! `STSM_SCALE` environment variable:
 //!
 //! * `smoke` — seconds per run; for CI and tests (tiny subsets);
 //! * `quick` — the default; minutes per table, preserves the paper's sensor
@@ -23,12 +24,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `STSM_SCALE` (smoke|quick|full), defaulting to `Quick`.
+    /// Reads `STSM_SCALE` (smoke|quick|full, any case), defaulting to
+    /// `Quick` when unset or empty.
+    ///
+    /// # Panics
+    /// On any other value, naming the accepted ones, so a typo never runs
+    /// the wrong scale.
     pub fn from_env() -> Scale {
-        match std::env::var("STSM_SCALE").unwrap_or_default().to_lowercase().as_str() {
-            "smoke" => Scale::Smoke,
-            "full" => Scale::Full,
-            _ => Scale::Quick,
+        let raw = std::env::var("STSM_SCALE").unwrap_or_default();
+        Scale::parse(&raw)
+            .unwrap_or_else(|| panic!("STSM_SCALE={raw:?} is not one of smoke|quick|full"))
+    }
+
+    /// Parses a scale name (smoke|quick|full, any case; empty means `Quick`).
+    fn parse(name: &str) -> Option<Scale> {
+        match name.to_lowercase().as_str() {
+            "smoke" => Some(Scale::Smoke),
+            "quick" | "" => Some(Scale::Quick),
+            "full" => Some(Scale::Full),
+            _ => None,
         }
     }
 
@@ -44,8 +58,7 @@ impl Scale {
     /// Number of space splits averaged per dataset (the paper uses 4).
     pub fn splits(&self) -> usize {
         match self {
-            Scale::Smoke => 1,
-            Scale::Quick => 1,
+            Scale::Smoke | Scale::Quick => 1,
             Scale::Full => 4,
         }
     }
@@ -67,44 +80,31 @@ impl Scale {
         }
     }
 
+    /// Hidden width, training epochs and windows per epoch, shared by STSM
+    /// and the baselines.
+    fn training(&self) -> (usize, usize, usize) {
+        match self {
+            Scale::Smoke => (8, 2, 6),
+            Scale::Quick => (16, 8, 24),
+            Scale::Full => (16, 10, 24),
+        }
+    }
+
     /// STSM configuration at this scale for a dataset (applies Table 3
     /// hyper-parameters on top).
     pub fn stsm_config(&self, dataset_name: &str, seed: u64) -> StsmConfig {
-        let t = self.window();
-        let base = match self {
-            Scale::Smoke => StsmConfig {
-                t_in: t,
-                t_out: t,
-                hidden: 8,
-                blocks: 1,
-                gcn_depth: 2,
-                epochs: 2,
-                windows_per_epoch: 6,
-                batch_windows: 3,
-                ..Default::default()
-            },
-            Scale::Quick => StsmConfig {
-                t_in: t,
-                t_out: t,
-                hidden: 16,
-                blocks: 2,
-                gcn_depth: 2,
-                epochs: 8,
-                windows_per_epoch: 24,
-                batch_windows: 4,
-                ..Default::default()
-            },
-            Scale::Full => StsmConfig {
-                t_in: t,
-                t_out: t,
-                hidden: 16,
-                blocks: 2,
-                gcn_depth: 2,
-                epochs: 10,
-                windows_per_epoch: 24,
-                batch_windows: 4,
-                ..Default::default()
-            },
+        let (t, (hidden, epochs, windows_per_epoch)) = (self.window(), self.training());
+        let (blocks, batch_windows) = if *self == Scale::Smoke { (1, 3) } else { (2, 4) };
+        let base = StsmConfig {
+            t_in: t,
+            t_out: t,
+            hidden,
+            blocks,
+            gcn_depth: 2,
+            epochs,
+            windows_per_epoch,
+            batch_windows,
+            ..Default::default()
         };
         let mut cfg = base.for_dataset(dataset_name);
         cfg.seed = seed;
@@ -117,35 +117,16 @@ impl Scale {
 
     /// Baseline configuration at this scale.
     pub fn baseline_config(&self, seed: u64) -> BaselineConfig {
-        let t = self.window();
-        let mut cfg = match self {
-            Scale::Smoke => BaselineConfig {
-                t_in: t,
-                t_out: t,
-                hidden: 8,
-                epochs: 2,
-                windows_per_epoch: 6,
-                ..Default::default()
-            },
-            Scale::Quick => BaselineConfig {
-                t_in: t,
-                t_out: t,
-                hidden: 16,
-                epochs: 8,
-                windows_per_epoch: 24,
-                ..Default::default()
-            },
-            Scale::Full => BaselineConfig {
-                t_in: t,
-                t_out: t,
-                hidden: 16,
-                epochs: 10,
-                windows_per_epoch: 24,
-                ..Default::default()
-            },
-        };
-        cfg.seed = seed;
-        cfg
+        let (t, (hidden, epochs, windows_per_epoch)) = (self.window(), self.training());
+        BaselineConfig {
+            t_in: t,
+            t_out: t,
+            hidden,
+            epochs,
+            windows_per_epoch,
+            seed,
+            ..Default::default()
+        }
     }
 }
 
@@ -160,6 +141,14 @@ mod tests {
         assert!(Scale::Full.splits() == 4);
         assert!(Scale::Smoke.sensor_cap().is_some());
         assert!(Scale::Quick.sensor_cap().is_none());
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!(Scale::parse("SMOKE"), Some(Scale::Smoke));
+        assert_eq!(Scale::parse(""), Some(Scale::Quick));
+        assert_eq!(Scale::parse("full"), Some(Scale::Full));
+        assert_eq!(Scale::parse("qiuck"), None);
     }
 
     #[test]

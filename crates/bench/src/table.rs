@@ -1,9 +1,10 @@
-//! Table rendering and result persistence. Every experiment binary prints a
-//! markdown table shaped like the paper's and appends a JSON record under
-//! `results/`.
+//! Table rendering and result persistence. Every experiment renders its
+//! paper-shaped Markdown into a `String`, so stdout and EXPERIMENTS.md carry
+//! the same text; [`publish`] writes `results/<id>.json` and splices the
+//! block into EXPERIMENTS.md.
 
 use crate::runner::RunResult;
-use std::io::Write;
+use crate::scale::Scale;
 use std::path::Path;
 
 /// Formats one metrics row: model, RMSE, MAE, MAPE, R².
@@ -14,48 +15,45 @@ pub fn metrics_row(r: &RunResult) -> String {
     )
 }
 
-/// Prints a paper-style metrics table for one dataset.
-pub fn print_metrics_table(title: &str, rows: &[RunResult]) {
-    println!("\n### {title}\n");
-    println!("| Model        |    RMSE↓ |     MAE↓ |  MAPE↓ |     R2↑  |");
-    println!("|--------------|----------|----------|--------|----------|");
+/// A paper-style metrics table for one dataset, with the best RMSE named.
+pub fn metrics_table(title: &str, rows: &[RunResult]) -> String {
+    let mut md = format!("\n### {title}\n\n");
+    md += "| Model        |    RMSE↓ |     MAE↓ |  MAPE↓ |     R2↑  |\n";
+    md += "|--------------|----------|----------|--------|----------|\n";
     for r in rows {
-        println!("{}", metrics_row(r));
+        md += &metrics_row(r);
+        md += "\n";
     }
     // Best-of annotations like the paper's bold/underline markers.
     if let Some(best) =
         rows.iter().min_by(|a, b| a.metrics.rmse.partial_cmp(&b.metrics.rmse).expect("finite"))
     {
-        println!("\nBest RMSE: **{}** ({:.3})", best.model, best.metrics.rmse);
+        md += &format!("\nBest RMSE: **{}** ({:.3})\n", best.model, best.metrics.rmse);
     }
+    md
 }
 
-/// Prints a Table 5-style timing table.
-pub fn print_timing_table(title: &str, datasets: &[(&str, Vec<RunResult>)]) {
-    println!("\n### {title}\n");
-    print!("| Model        | Time      |");
+/// A Table 5-style timing table: train and test seconds per model and dataset.
+pub fn timing_table(title: &str, datasets: &[(String, Vec<RunResult>)]) -> String {
+    let mut md = format!("\n### {title}\n\n| Model        | Time      |");
     for (name, _) in datasets {
-        print!(" {name:>9} |");
+        md += &format!(" {name:>9} |");
     }
-    println!();
-    print!("|--------------|-----------|");
-    for _ in datasets {
-        print!("-----------|");
-    }
-    println!();
-    let models: Vec<String> = datasets[0].1.iter().map(|r| r.model.clone()).collect();
-    for (mi, model) in models.iter().enumerate() {
-        print!("| {model:<12} | Train (s) |");
+    md += "\n|--------------|-----------|";
+    md += &"-----------|".repeat(datasets.len());
+    md += "\n";
+    for (mi, r) in datasets[0].1.iter().enumerate() {
+        md += &format!("| {:<12} | Train (s) |", r.model);
         for (_, rows) in datasets {
-            print!(" {:>9.1} |", rows[mi].train_seconds);
+            md += &format!(" {:>9.1} |", rows[mi].train_seconds);
         }
-        println!();
-        print!("| {:<12} | Test (s)  |", "");
+        md += &format!("\n| {:<12} | Test (s)  |", "");
         for (_, rows) in datasets {
-            print!(" {:>9.2} |", rows[mi].test_seconds);
+            md += &format!(" {:>9.2} |", rows[mi].test_seconds);
         }
-        println!();
+        md += "\n";
     }
+    md
 }
 
 /// Computes the paper's "Improvement" row: error reduction of the best STSM
@@ -91,21 +89,62 @@ pub fn improvement_vs_best_baseline(rows: &[RunResult]) -> Option<(f64, f64, f64
     ))
 }
 
-/// Appends a JSON record of an experiment to `results/<id>.json`.
-pub fn save_results(experiment_id: &str, payload: &serde_json::Value) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create results/ directory; skipping save");
-        return;
+/// The "Improvement vs best baseline" line under a table, or nothing when
+/// the rows lack a baseline or an STSM variant.
+pub fn improvement_line(rows: &[RunResult]) -> String {
+    let Some((rmse, mae, mape, r2)) = improvement_vs_best_baseline(rows) else {
+        return String::new();
+    };
+    let pct = |v: f64| if v.is_nan() { "N/A".to_string() } else { format!("{v:+.2}%") };
+    format!(
+        "Improvement vs best baseline: RMSE {} | MAE {} | MAPE {} | R2 {}\n",
+        pct(rmse),
+        pct(mae),
+        pct(mape),
+        pct(r2)
+    )
+}
+
+/// Replaces the text between `<!-- ID -->` and `<!-- /ID -->` (`ID` is the
+/// upper-cased experiment id) with `block`. Splicing the same block twice
+/// gives the same document; a missing or out-of-order marker is an error.
+pub fn splice(doc: &str, id: &str, block: &str) -> Result<String, String> {
+    let open = format!("<!-- {} -->", id.to_uppercase());
+    let close = format!("<!-- /{} -->", id.to_uppercase());
+    let start = doc.find(&open).ok_or_else(|| format!("missing marker {open}"))? + open.len();
+    let end = start
+        + doc[start..]
+            .find(&close)
+            .ok_or_else(|| format!("missing marker {close} after {open}"))?;
+    Ok(format!("{}\n\n{}\n\n{}", &doc[..start], block.trim(), &doc[end..]))
+}
+
+/// Writes `results/<id>.json` and splices `block` into `EXPERIMENTS.md`
+/// under `root`. At [`Scale::Smoke`] it writes nothing and returns `false`,
+/// so wiring runs never overwrite the recorded quick-scale results.
+pub fn publish(
+    root: &Path,
+    id: &str,
+    block: &str,
+    json: &serde_json::Value,
+    scale: Scale,
+) -> Result<bool, String> {
+    if scale == Scale::Smoke {
+        return Ok(false);
     }
-    let path = dir.join(format!("{experiment_id}.json"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = writeln!(f, "{}", serde_json::to_string_pretty(payload).expect("serialize"));
-            println!("\n[saved {}]", path.display());
-        }
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    let doc_path = root.join("EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(&doc_path)
+        .map_err(|e| format!("cannot read {}: {e}", doc_path.display()))?;
+    let doc = splice(&doc, id, block)?;
+    let dir = root.join("results");
+    let json_path = dir.join(format!("{id}.json"));
+    let text = serde_json::to_string_pretty(json).expect("serialize") + "\n";
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&json_path, text))
+        .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
+    std::fs::write(&doc_path, doc)
+        .map_err(|e| format!("cannot write {}: {e}", doc_path.display()))?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -138,6 +177,7 @@ mod tests {
         let rows = vec![r("IGNNK", 10.0, -0.5), r("STSM", 9.0, 0.2)];
         let (_, _, _, r2) = improvement_vs_best_baseline(&rows).unwrap();
         assert!(r2.is_nan(), "negative baseline R² must yield N/A");
+        assert!(improvement_line(&rows).ends_with("R2 N/A\n"));
     }
 
     #[test]

@@ -366,8 +366,7 @@ impl HistogramReport {
     /// Upper-bound estimate of the `q`-quantile (`0.0..=1.0`) from the
     /// bucket counts: the upper boundary, in **microseconds**, of the first
     /// bucket at or above that rank (clamped to the recorded max). Log2
-    /// buckets make this an upper bound within 2× of the true quantile —
-    /// exactly the resolution `bench_serve` reports p50/p99 at.
+    /// buckets make this an upper bound within 2× of the true quantile.
     pub fn percentile_upper_micros(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

@@ -120,10 +120,18 @@ cargo run -q -p stsm-bench --release --bin bench_kernels -- --smoke
 # Smoke runs never rewrite the BENCH_*.json artefacts.
 cargo run -q -p stsm-bench --release --bin bench_infer -- --smoke
 cargo run -q -p stsm-bench --release --bin bench_scale -- --smoke
-# Serving load-generator wiring: telemetry on/off forecast bits asserted
-# identical in-process; smoke never rewrites BENCH_serve.json.
-cargo run -q -p stsm-bench --release --bin bench_serve -- --smoke
 cargo run -q -p stsm-bench --release --bin bench_online -- --smoke
+# The paper's evaluation harness: every registered experiment in one process
+# at smoke scale (seconds). Smoke must leave results/ and EXPERIMENTS.md
+# untouched, and an unknown experiment id must exit 2.
+recorded="$(cat EXPERIMENTS.md results/*.json | cksum)"
+STSM_SCALE=smoke cargo run -q -p stsm-bench --release --bin repro
+[[ "$(cat EXPERIMENTS.md results/*.json | cksum)" == "$recorded" ]] \
+  || { echo "repro at smoke scale rewrote results/ or EXPERIMENTS.md" >&2; exit 1; }
+status=0
+STSM_SCALE=smoke cargo run -q -p stsm-bench --release --bin repro -- no-such-id 2>/dev/null \
+  || status=$?
+[[ "$status" == 2 ]] || { echo "repro no-such-id exited $status, expected 2" >&2; exit 1; }
 cargo clippy --workspace --all-targets -q -- -D warnings
 # The subtraction measure: Rust lines in the source trees (print only).
 # A file walk, so a plain copy without git history counts the same lines.
