@@ -166,7 +166,7 @@ pub fn run_increase(problem: &ProblemInstance, cfg: &BaselineConfig) -> Baseline
         .collect();
     let test_windows = sliding_windows(problem.test_time.len(), cfg.t_in, cfg.t_out, cfg.t_out);
     let mut acc = MetricAccumulator::new();
-    // Bind parameters once; every window reuses the tape-free session.
+    // Bind parameters once; every window reuses the forward-only session.
     let mut session = InferSession::new(&store);
     for w in &test_windows {
         let start = problem.test_time.start + w.input_start;

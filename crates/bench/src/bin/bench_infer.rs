@@ -1,6 +1,6 @@
 //! Measures forward-only (inference) throughput and allocator traffic for
 //! the two execution modes — a fresh Train-mode tape per window vs the
-//! bind-once tape-free Infer session — and writes `BENCH_infer.json` at the
+//! bind-once forward-only Infer session — and writes `BENCH_infer.json` at the
 //! repository root.
 //!
 //! The workload is a tensor-level GRU + Linear-head forward over a stream of
@@ -100,7 +100,7 @@ fn run_train_mode(store: &ParamStore, gru: &GruCell, head: &Linear, xs: &[Tensor
     }
 }
 
-/// Forward every window through one bind-once Infer session (the tape-free
+/// Forward every window through one bind-once Infer session (the forward-only
 /// evaluation path: parameters bound once, arena reset per window).
 fn run_infer_mode(store: &ParamStore, gru: &GruCell, head: &Linear, xs: &[Tensor]) -> RunStats {
     alloc::clear();

@@ -243,13 +243,13 @@ fn fig8(scale: Scale) -> Output {
 
 /// RMSE of STSM `variants` on the horizontal split of each named dataset as
 /// `apply` sets the swept parameter `key` to each of `values` (Figs. 9 and
-/// 10).
+/// 10), which sees the dataset and its split.
 fn stsm_sweep<P: Copy + std::fmt::Display + serde::Serialize>(
     scale: Scale,
     datasets: &[&str],
     variants: &[Variant],
     key: &str,
-    values: impl Fn(&Dataset) -> Vec<P>,
+    values: impl Fn(&Dataset, &SpaceSplit) -> Vec<P>,
     apply: impl Fn(&mut StsmConfig, P),
 ) -> Output {
     let names: Vec<&str> = variants.iter().map(|v| v.name()).collect();
@@ -265,7 +265,7 @@ fn stsm_sweep<P: Copy + std::fmt::Display + serde::Serialize>(
         block += &format!("\n### {}\n\n{header}", dataset.name);
         let split = horizontal(&dataset);
         let mut series = Vec::new();
-        for p in values(&dataset) {
+        for p in values(&dataset, &split) {
             let mut point = Map::new();
             point.insert(key.to_string(), to_json(p));
             block += &format!("| {p} |");
@@ -294,9 +294,20 @@ fn fig9(scale: Scale) -> Output {
         &["PEMS-Bay", "Melbourne", "AirQ"],
         &[Variant::Stsm, Variant::StsmNc],
         "k",
-        |d| if d.n < 60 { vec![5usize, 10, 20] } else { vec![5, 15, 25, 35, 45] },
+        |d, split| top_k_sweep(d.n, split.observed().len()),
         |cfg, k| cfg.top_k = k,
     )
+}
+
+/// Fig. 9's K values for a dataset of `n` sensors with `observed` of them
+/// observed. Masking ranks one sub-graph per observed sensor, so any K at or
+/// above `observed` keeps them all: such K are clamped to `observed` and
+/// repeats dropped.
+fn top_k_sweep(n: usize, observed: usize) -> Vec<usize> {
+    let ks: &[usize] = if n < 60 { &[5, 10, 20] } else { &[5, 15, 25, 35, 45] };
+    let mut ks: Vec<usize> = ks.iter().map(|&k| k.min(observed)).collect();
+    ks.dedup();
+    ks
 }
 
 /// Fig. 10: RMSE of the four main STSM variants as the sub-graph threshold
@@ -307,7 +318,7 @@ fn fig10(scale: Scale) -> Output {
         &["PEMS-Bay", "Melbourne"],
         &[Variant::Stsm, Variant::StsmNc, Variant::StsmR, Variant::StsmRnc],
         "eps_sg",
-        |_| vec![0.3f32, 0.4, 0.5, 0.6, 0.7],
+        |_, _| vec![0.3f32, 0.4, 0.5, 0.6, 0.7],
         |cfg, eps| cfg.epsilon_sg = eps,
     )
 }
@@ -484,4 +495,18 @@ fn ablation(scale: Scale) -> Output {
     }
     json.insert("horizon_rmse".into(), to_json(curve));
     Output { block, json: Value::Object(json) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn top_k_sweep_is_bounded_by_the_observed_count() {
+        // AirQ: 63 sensors, 31 observed — 35 and 45 both keep all 31.
+        assert_eq!(top_k_sweep(63, 31), vec![5, 15, 25, 31]);
+        assert_eq!(top_k_sweep(325, 162), vec![5, 15, 25, 35, 45]);
+        assert_eq!(top_k_sweep(40, 20), vec![5, 10, 20]);
+        assert_eq!(top_k_sweep(40, 8), vec![5, 8]);
+    }
 }

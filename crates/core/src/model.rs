@@ -411,7 +411,7 @@ impl StModel {
     }
 }
 
-/// Convenience: run a single tape-free (Infer-mode) forward pass; returns
+/// Convenience: run a single forward-only (Infer-mode) forward pass; returns
 /// the prediction tensor. For repeated windows, prefer
 /// [`crate::Predictor`], which binds the session once.
 pub fn predict_once(

@@ -2,7 +2,7 @@
 //!
 //! [`Predictor`] packages everything test-time forecasting needs — the
 //! full-graph spatial and DTW adjacencies, the pseudo-observation weights of
-//! Eq. 3, and a tape-free [`InferSession`] with all parameters bound — so
+//! Eq. 3, and a forward-only [`InferSession`] with all parameters bound — so
 //! evaluation loops stop rebuilding binder state per window. One `Predictor`
 //! serves any number of windows: each call resets the session arena, which
 //! recycles the previous window's intermediates straight into the next one.
@@ -283,7 +283,7 @@ impl<'m> Predictor<'m> {
 
     /// Predicts one test window starting at absolute step `abs_start`:
     /// builds the `(N, T, 1)` input (real observed rows, pseudo-observed
-    /// unobserved rows) and time features, then runs a tape-free forward.
+    /// unobserved rows) and time features, then runs a forward-only forward.
     /// Returns scaled predictions `(N, T', 1)`. Assumes finite inputs; use
     /// [`Predictor::predict_window_checked`] for degraded data.
     pub fn predict_window(&mut self, problem: &ProblemInstance, abs_start: usize) -> Tensor {
@@ -346,7 +346,7 @@ impl<'m> Predictor<'m> {
         (self.predict(&x, &tf), quality)
     }
 
-    /// Runs one tape-free forward on an already-assembled input, reusing the
+    /// Runs one forward-only forward on an already-assembled input, reusing the
     /// bound session. For f32 sessions the result is bitwise identical to the
     /// Train-mode forward value; quantized sessions differ from f32 only by
     /// the round-to-nearest-even step applied to the stored weights (compute

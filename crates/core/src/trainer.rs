@@ -672,7 +672,7 @@ impl TrainedStsm {
 
 /// Evaluates a trained model on the unobserved region over the test period.
 ///
-/// Inference runs tape-free through a bind-once [`crate::Predictor`]: the
+/// Inference runs forward-only through a bind-once [`crate::Predictor`]: the
 /// parameters are bound to the Infer session a single time and every test
 /// window reuses the same workspace. Each window's input is scanned for
 /// non-finite readings and sanitized if needed; the aggregated

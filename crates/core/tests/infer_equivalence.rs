@@ -1,6 +1,6 @@
 //! Bitwise Train/Infer equivalence for the full STSM model.
 //!
-//! For the same parameters, inputs and adjacencies, the tape-free Infer
+//! For the same parameters, inputs and adjacencies, the forward-only Infer
 //! forward (`predict_once` / `Predictor`) must produce values bit-identical
 //! to the Train-mode forward (`tape.value(out.prediction)`), for both
 //! temporal variants. The fused gated-GCN node is held to the composed

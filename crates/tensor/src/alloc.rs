@@ -205,6 +205,14 @@ fn session_put_u16(class: usize, buf: Vec<u16>) -> Option<Vec<u16>> {
     })
 }
 
+/// Number of buffers the calling thread's session cache holds in the class
+/// serving `n`-element requests.
+#[cfg(test)]
+pub(crate) fn session_cached_in_class_of(n: usize) -> usize {
+    let Some(class) = request_class(n) else { return 0 };
+    SESSION.with(|s| s.borrow().as_ref().map_or(0, |c| c.classes[class].len()))
+}
+
 /// Class index serving requests of `n` elements (capacity rounded up), or
 /// `None` when `n` is outside the pooled range.
 fn request_class(n: usize) -> Option<usize> {

@@ -8,9 +8,9 @@
 //!
 //! * [`Tensor`] — contiguous row-major tensors with copy-on-write storage;
 //! * [`Tape`] — a per-forward-pass autograd arena ([`Tape::backward`]);
-//! * [`InferSession`] — the tape-free eager executor behind [`nn::Fwd`]'s
-//!   Infer mode: parameters bound once, no backward closures, bitwise
-//!   identical outputs to the Train-mode forward;
+//! * [`InferSession`] — the forward-only tape behind [`nn::Fwd`]'s Infer
+//!   mode: parameters bound once, no backward closures, and the same ops as
+//!   the Train-mode forward, so bitwise identical outputs;
 //! * [`nn`] — Linear / dilated causal Conv1d / GRU / LayerNorm /
 //!   multi-head attention / transformer encoder layers;
 //! * [`optim`] — SGD and Adam with gradient clipping;

@@ -129,7 +129,7 @@ fn tape_infer_and_fused_gates_share_the_kernel() {
 
     let store = ParamStore::new();
     let mut session = InferSession::new(&store);
-    let mut fwd = Fwd::infer(&store, &mut session);
+    let fwd = Fwd::infer(&store, &mut session);
     let v = fwd.constant(x.clone());
     let y = fwd.sigmoid(v);
     assert_eq!(bits(fwd.value(y).data()), want, "infer");

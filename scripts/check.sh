@@ -26,12 +26,19 @@ cargo test -q -p stsm-core --test pool_equivalence
 # The pool-admission contract: repeated fits and fine-tune epochs leave the
 # buffer pool's per-class occupancy unchanged (no per-fit growth).
 cargo test -q -p stsm-core --test pool_steady
-# The Train/Infer execution-mode bit-identity contract (DESIGN.md,
-# "Execution modes"), likewise pinned by name.
+# The Train/Infer execution modes (DESIGN.md, "Execution modes") run the one
+# Tape op set, so their bit-identity holds by construction; these suites
+# guard it against regressions, likewise pinned by name.
 cargo test -q -p stsm-tensor --test infer_equivalence
 cargo test -q -p stsm-core --test infer_equivalence
-# The readout pass (contrastive full view) bitwise equal to the full forward's graph_repr.
-cargo test -q -p stsm-core --test infer_equivalence readout_pass_stsm_batch_bitwise_matches_full_forward
+# The readout pass (contrastive full view) bitwise equal to the full forward's
+# graph_repr. A filter that matches nothing still exits 0, so the name must
+# match exactly and be the one test that ran.
+readout="$(cargo test -q -p stsm-core --test infer_equivalence \
+  readout_pass_stsm_batch_bitwise_matches_full_forward -- --exact)"
+echo "$readout"
+grep -q "test result: ok. 1 passed" <<<"$readout" \
+  || { echo "readout_pass_stsm_batch_bitwise_matches_full_forward did not run exactly once" >&2; exit 1; }
 # Fault-tolerance contracts (DESIGN.md, "Fault tolerance"): kill-and-resume
 # bit-identity, checkpoint rejection, guard survival under injected faults,
 # degraded-input sanitization — pinned by name.
