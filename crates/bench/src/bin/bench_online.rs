@@ -1,23 +1,12 @@
-//! Online-adaptation benchmark (ISSUE 10) — writes `BENCH_online.json` at
-//! the repository root.
+//! Online-adaptation benchmark — writes `BENCH_online.json` at the
+//! repository root.
 //!
-//! Two measurements:
-//!
-//! 1. **Adjacency maintenance.** A population of sensor series grows window
-//!    by window. The incremental route appends each window's suffix to the
-//!    [`RollingNeighbors`] frontiers and warm-refreshes the top-q rows; the
-//!    reference route refits `dtw_top_q` from scratch on the full prefixes
-//!    every window. After every window the rolling rows are asserted
-//!    bitwise identical to the refit before any timing is reported, and the
-//!    full run requires the incremental route to be at least
-//!    [`REQUIRED_SPEEDUP`]× faster at N=1k.
-//!
-//! 2. **Accuracy over time.** For each scripted scenario ({region growth,
-//!    sensor churn, regime shift} from [`ScenarioPlan`]) the disturbed
-//!    stream is forecast window by window by an STSM model that fine-tunes
-//!    online every few windows, and by the time-of-day historical-average
-//!    baseline. Both per-window RMSE curves (scored against the clean
-//!    ground truth) land in the report.
+//! **Accuracy over time.** For each scripted scenario ({region growth,
+//! sensor churn, regime shift} from [`ScenarioPlan`]) the disturbed stream
+//! is forecast window by window by an STSM model that fine-tunes online
+//! every few windows, and by the time-of-day historical-average baseline.
+//! Both per-window RMSE curves (scored against the clean ground truth) land
+//! in the report.
 //!
 //! ```bash
 //! cargo run -p stsm-bench --release --bin bench_online            # full run
@@ -25,82 +14,15 @@
 //! ```
 
 use serde_json::{json, Value};
-use std::time::Instant;
 use stsm_bench::Scale;
 use stsm_core::{
     train_stsm, DistanceMode, OnlineConfig, OnlineTrainer, Predictor, ProblemInstance, StsmConfig,
 };
 use stsm_synth::{space_split, test_support, ScenarioKind, ScenarioPlan, SplitAxis};
-use stsm_timeseries::{dtw_top_q, sliding_windows, Metrics, RollingNeighbors};
+use stsm_timeseries::{sliding_windows, Metrics};
 
-const BAND: usize = 6;
 const TOP_Q: usize = 8;
 const SEED: u64 = 4242;
-/// Full-run acceptance floor for incremental vs per-window refit at N=1k.
-const REQUIRED_SPEEDUP: f64 = 3.0;
-
-// ------------------------------------------------------------- adjacency
-
-struct AdjCase {
-    n: usize,
-    start_len: usize,
-    step: usize,
-    windows: usize,
-    incremental_secs: f64,
-    refit_secs: f64,
-}
-
-impl AdjCase {
-    fn speedup(&self) -> f64 {
-        self.refit_secs / self.incremental_secs
-    }
-}
-
-/// Streams `n` synthetic series from half their length to full length in
-/// `step`-sized windows, timing incremental maintenance against a
-/// from-scratch refit and asserting bitwise row agreement every window.
-fn run_adjacency(n: usize, days: usize, step: usize) -> AdjCase {
-    let dataset = test_support::tiny_dataset_sized("bench-online-adj", SEED, n, days);
-    let t_total = dataset.t_total;
-    let series: Vec<Vec<f32>> = (0..n).map(|i| dataset.series(i).to_vec()).collect();
-    drop(dataset);
-    let start_len = t_total / 2;
-
-    let prefixes: Vec<Vec<f32>> = series.iter().map(|s| s[..start_len].to_vec()).collect();
-    let mut rn = RollingNeighbors::from_series(&prefixes, BAND, TOP_Q);
-
-    let (mut len, mut windows) = (start_len, 0usize);
-    let (mut incremental_secs, mut refit_secs) = (0.0f64, 0.0f64);
-    while len < t_total {
-        let next = (len + step).min(t_total);
-        let t0 = Instant::now();
-        for (id, s) in series.iter().enumerate() {
-            rn.append(id, &s[len..next]);
-        }
-        rn.refresh();
-        incremental_secs += t0.elapsed().as_secs_f64();
-        len = next;
-        windows += 1;
-
-        let prefixes: Vec<Vec<f32>> = series.iter().map(|s| s[..len].to_vec()).collect();
-        let t0 = Instant::now();
-        let (want, _) = dtw_top_q(&prefixes, BAND, TOP_Q);
-        refit_secs += t0.elapsed().as_secs_f64();
-        let (_, got) = rn.to_sparse();
-        assert_eq!(got, want, "n={n}: rolling rows diverged from the refit at length {len}");
-    }
-    let case = AdjCase { n, start_len, step, windows, incremental_secs, refit_secs };
-    println!(
-        "n={n}: {windows} windows of {step} steps — incremental {:.3}s, refit {:.3}s \
-         ({:.1}x, rows bitwise identical)",
-        case.incremental_secs,
-        case.refit_secs,
-        case.speedup()
-    );
-    case
-}
-
-// ------------------------------------------------------------- scenarios
 
 struct Curves {
     kind: ScenarioKind,
@@ -224,24 +146,12 @@ fn run_scenario(kind: ScenarioKind, sensors: usize, days: usize) -> Curves {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke") || Scale::from_env() == Scale::Smoke;
-    // Adjacency: (population, day span); scenarios: (population, day span).
-    let (adj_n, adj_days, sc_n, sc_days) = if smoke { (120, 4, 24, 8) } else { (1_000, 7, 48, 8) };
+    // Scenarios: (population, day span).
+    let (sc_n, sc_days) = if smoke { (24, 8) } else { (48, 8) };
     println!(
-        "online adaptation bench (band {BAND}, top-{TOP_Q}, seed {SEED}){}\n",
+        "online adaptation bench (top-{TOP_Q}, seed {SEED}){}\n",
         if smoke { " — smoke sizes" } else { "" }
     );
-
-    let adj = run_adjacency(adj_n, adj_days, 6);
-    if !smoke {
-        assert!(
-            adj.speedup() >= REQUIRED_SPEEDUP,
-            "incremental maintenance must be at least {REQUIRED_SPEEDUP}x faster than \
-             per-window refit at n={} (got {:.2}x)",
-            adj.n,
-            adj.speedup()
-        );
-    }
-    println!();
 
     let scenarios: Vec<Curves> =
         ScenarioKind::ALL.iter().map(|&k| run_scenario(k, sc_n, sc_days)).collect();
@@ -260,31 +170,13 @@ fn main() {
         .collect();
     let report = json!({
         "workload": format!(
-            "incremental RollingNeighbors maintenance vs per-window dtw_top_q refit \
-             (band {BAND}, top-{TOP_Q}), plus per-window RMSE curves for scripted \
-             growth/churn/regime-shift scenarios (STSM with online fine-tuning vs \
-             time-of-day historical average, scored against clean truth)"
+            "per-window RMSE curves for scripted growth/churn/regime-shift scenarios \
+             (top-{TOP_Q}; STSM with online fine-tuning vs time-of-day historical \
+             average, scored against clean truth)"
         ),
         "smoke": smoke,
         "threads": stsm_tensor::pool::num_threads(),
         "host_cpus": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        "note": "single-CPU container; seconds are indicative. Rolling rows are asserted \
-                 bitwise identical to the from-scratch refit after every window before \
-                 this file is written.",
-        "adjacency": {
-            "n": adj.n,
-            "band": BAND,
-            "top_q": TOP_Q,
-            "start_len": adj.start_len,
-            "append_step": adj.step,
-            "windows": adj.windows,
-            "incremental_seconds": adj.incremental_secs,
-            "refit_seconds": adj.refit_secs,
-            "speedup": adj.speedup(),
-            "rows_bitwise_identical": true,
-            "required_speedup": REQUIRED_SPEEDUP,
-            "meets_required_speedup": adj.speedup() >= REQUIRED_SPEEDUP,
-        },
         "online_config": { "replay_windows": 24, "lr_scale": 0.25, "refresh_every": 2 },
         "scenarios": scenario_values,
     });

@@ -86,9 +86,7 @@ pub use model::{predict_once, ForwardOutput, StModel};
 pub use online::{OnlineConfig, OnlineTrainer};
 pub use predictor::{InferAssets, Predictor, SharedModel};
 pub use problem::ProblemInstance;
-pub use pseudo::{
-    blend_series, blend_series_strided, inverse_distance_weights, masked_inverse_distance_weights,
-};
+pub use pseudo::{blend_series, blend_series_strided, inverse_distance_weights};
 pub use quant::{QuantizedStsm, QUANT_RMSE_REL_EPSILON};
 pub use resilience::{carry_impute, DataQuality, ResilienceReport, TrainOptions};
 pub use temporal_adj::{pseudo_weights_for, DtwContext};

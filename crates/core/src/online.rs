@@ -22,9 +22,7 @@ use crate::config::StsmConfig;
 use crate::error::StsmError;
 use crate::model::StModel;
 use crate::problem::ProblemInstance;
-use crate::pseudo::masked_inverse_distance_weights;
 use crate::resilience::ResilienceReport;
-use crate::temporal_adj::DtwContext;
 use crate::trainer::{EpochNames, EpochState, TrainedStsm};
 use stsm_tensor::telemetry;
 use stsm_tensor::ParamStore;
@@ -173,26 +171,6 @@ impl OnlineTrainer {
     /// boundary, like the batch trainer persists).
     pub fn checkpoint(&self) -> TrainCheckpoint {
         self.state.checkpoint().to_checkpoint()
-    }
-
-    /// Churn-aware pseudo-observation weights from `targets` to the full
-    /// `sources` layout, zeroing dead sources: surviving columns are
-    /// bitwise what a fresh fit on the compacted survivor set yields (see
-    /// [`masked_inverse_distance_weights`]).
-    pub fn churn_pseudo_weights(
-        problem: &ProblemInstance,
-        targets: &[usize],
-        sources: &[usize],
-        alive: &[bool],
-    ) -> Vec<f32> {
-        let dist = problem.sub_distances(targets, sources, true);
-        masked_inverse_distance_weights(&dist, targets.len(), sources.len(), alive)
-    }
-
-    /// The DTW context the trainer fits adjacencies with (for churn-aware
-    /// neighbour queries via [`DtwContext::surviving_links`]).
-    pub fn dtw(&self) -> &DtwContext {
-        &self.state.dtw
     }
 
     /// Epochs completed so far (batch + online).

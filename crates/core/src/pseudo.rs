@@ -25,48 +25,6 @@ pub fn inverse_distance_weights(dist: &[f32], targets: usize, sources: usize) ->
     w
 }
 
-/// Churn-aware variant of [`inverse_distance_weights`]: sources whose
-/// `alive` flag is false get weight 0 and are excluded from the
-/// normalizing sum, so a blend over the full source layout ignores dead
-/// sensors instead of silently reusing their stale readings.
-///
-/// The arithmetic over the surviving columns — f64 inversion and
-/// accumulation in ascending column order, f32 rounding at the same points
-/// — is exactly the sequence a fresh [`inverse_distance_weights`] call
-/// performs on the compacted survivor matrix, so the surviving weights are
-/// bitwise equal to a from-scratch refit (the `online_equivalence` suite
-/// enforces this).
-pub fn masked_inverse_distance_weights(
-    dist: &[f32],
-    targets: usize,
-    sources: usize,
-    alive: &[bool],
-) -> Vec<f32> {
-    assert_eq!(dist.len(), targets * sources, "distance matrix shape mismatch");
-    assert_eq!(alive.len(), sources, "alive mask shape mismatch");
-    assert!(alive.iter().any(|&a| a), "need at least one surviving source");
-    let mut w = vec![0.0f32; targets * sources];
-    for ti in 0..targets {
-        let row = &dist[ti * sources..(ti + 1) * sources];
-        let mut sum = 0.0f64;
-        for (j, &d) in row.iter().enumerate() {
-            if !alive[j] {
-                continue;
-            }
-            let inv = 1.0 / (d.max(1e-3)) as f64;
-            w[ti * sources + j] = inv as f32;
-            sum += inv;
-        }
-        let inv_sum = (1.0 / sum) as f32;
-        for j in 0..sources {
-            if alive[j] {
-                w[ti * sources + j] *= inv_sum;
-            }
-        }
-    }
-    w
-}
-
 /// Computes pseudo-observation series for targets given source series.
 ///
 /// * `weights` — from [`inverse_distance_weights`], `targets × sources`;

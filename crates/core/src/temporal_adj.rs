@@ -117,30 +117,6 @@ impl DtwContext {
         self.stats
     }
 
-    /// Daily profile of observed local `i` (scaled training-period series,
-    /// order of `problem.observed`). The online layer seeds its rolling
-    /// neighbour structure from these so incremental rows stay comparable
-    /// to this context's batch rows.
-    pub fn profile(&self, i: usize) -> &[f32] {
-        &self.profiles[i]
-    }
-
-    /// Sakoe–Chiba half-width this context was built with.
-    pub fn band(&self) -> usize {
-        self.band
-    }
-
-    /// Churn-aware neighbour query: the first `count` neighbours of `i`
-    /// (ascending DTW distance, ties by index) whose `alive` flag is set.
-    /// Runs through [`DtwContext::ranked`]'s masked prefix scan over the
-    /// sparse row with the same exact fallback rescan when the truncated
-    /// row cannot prove the survivor prefix, so the result is identical to
-    /// re-ranking the surviving sensors from scratch.
-    pub fn surviving_links(&self, i: usize, count: usize, alive: &[bool]) -> Vec<u32> {
-        assert_eq!(alive.len(), self.n_observed(), "alive mask shape mismatch");
-        self.ranked(i, count, &|j| alive[j] && j != i)
-    }
-
     /// The DTW distance between observed locals `i` and `j`. Top-`q`
     /// neighbour distances come from the sparse structure; anything beyond
     /// it is recomputed on demand with the same kernel, so the value is
@@ -420,11 +396,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn construction_prunes_candidates() {
-        // Needs enough observed nodes that the top-`depth` threshold sits
-        // well below most candidates; at tiny N nearly every candidate is
-        // kept and nothing can be pruned.
+    /// 160 sensors (about 80 observed): enough that the top-`depth`
+    /// threshold sits well below most candidates and stored rows are
+    /// truncated (at tiny N nearly every candidate is kept).
+    fn wide_problem() -> ProblemInstance {
         let d = DatasetConfig {
             name: "prune".into(),
             network: NetworkKind::Highway,
@@ -440,8 +415,12 @@ mod tests {
         }
         .generate();
         let split = space_split(&d.coords, SplitAxis::Horizontal, false);
-        let p = ProblemInstance::new(d, split, DistanceMode::Euclidean);
-        let ctx = DtwContext::new(&p, 4, 2);
+        ProblemInstance::new(d, split, DistanceMode::Euclidean)
+    }
+
+    #[test]
+    fn construction_prunes_candidates() {
+        let ctx = DtwContext::new(&wide_problem(), 4, 2);
         let stats = ctx.prune_stats();
         assert!(stats.full_dtw > 0, "some candidates must reach the kernel");
         assert!(
@@ -480,21 +459,34 @@ mod tests {
 
     #[test]
     fn train_links_match_dense_reference_under_heavy_masking() {
-        // Mask so aggressively that the sparse rows cannot possibly hold
-        // enough unmasked survivors: the fallback rescan must reproduce the
-        // brute-force dense selection exactly.
-        let p = problem();
+        // Mask every peer node 0's truncated row stores, so that row holds
+        // no unmasked survivor: `ranked` must fall back to the rescan, and
+        // every node's links must still equal the brute-force dense
+        // selection.
+        let p = wide_problem();
         let ctx = DtwContext::new(&p, 4, 2);
         let n = ctx.n_observed();
-        // Leave only 4 unmasked locations.
-        let masked: Vec<bool> = (0..n).map(|i| i % (n / 4).max(1) != 0).collect();
+        let row0 = ctx.neighbors.neighbors(0);
+        let masked: Vec<bool> = (0..n).map(|i| row0.contains(&(i as u32))).collect();
         let unmasked: Vec<usize> = (0..n).filter(|&i| !masked[i]).collect();
         let masked_ids: Vec<usize> = (0..n).filter(|&i| masked[i]).collect();
         let mg: Vec<usize> = masked_ids.iter().map(|&l| p.observed[l]).collect();
         let ug: Vec<usize> = unmasked.iter().map(|&l| p.observed[l]).collect();
         let w = pseudo_weights_for(&p, &mg, &ug);
-        let q_kk = 2.min(unmasked.len() - 1);
-        let a = ctx.train_adjacency(&masked, &w, q_kk, 1);
+        let q_kk = 2;
+        assert!(unmasked.len() > q_kk, "need more than q_kk unmasked nodes");
+        let short_rows = unmasked
+            .iter()
+            .filter(|&&i| {
+                let row = ctx.neighbors.neighbors(i);
+                row.len() == ctx.neighbors.q()
+                    && row.iter().filter(|&&j| !masked[j as usize]).count() < q_kk
+            })
+            .count();
+        assert!(short_rows > 0, "some truncated row must hold fewer than q_kk unmasked peers");
+        let rescans = telemetry::counter_value("dtw.fallback_rescan");
+        let a = telemetry::with_telemetry(true, || ctx.train_adjacency(&masked, &w, q_kk, 1));
+        assert!(telemetry::counter_value("dtw.fallback_rescan") > rescans, "no rescan ran");
         for &i in &unmasked {
             let got: Vec<usize> = a.row(i).map(|(c, _)| c).collect();
             // Dense reference: rank every unmasked peer by (distance, index).

@@ -56,7 +56,6 @@ mod shape;
 pub mod simd;
 mod sparse;
 mod tape;
-mod tape_ext;
 pub mod telemetry;
 mod tensor;
 

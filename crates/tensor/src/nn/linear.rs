@@ -58,7 +58,7 @@ impl Linear {
     }
 
     /// The bound `(weight, bias)` [`Var`]s of a biased layer, for fused ops
-    /// that apply the affine map themselves ([`Fwd::gated_gcn`]). Binds in
+    /// that apply the affine map themselves ([`crate::Tape::gated_gcn`]). Binds in
     /// the order [`Linear::forward`] does.
     ///
     /// # Panics

@@ -162,13 +162,6 @@ impl Adam {
         }
     }
 
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Adds L2 weight decay (coupled, as in the original Adam).
     pub fn with_weight_decay(mut self, wd: f32) -> Self {
         self.weight_decay = wd;

@@ -1094,8 +1094,7 @@ mod tests {
         tape.nodes.borrow().iter().filter(|n| n.backward.is_some()).count()
     }
 
-    /// Runs every op `Fwd` exposes on its tape, `tape_ext`'s composites
-    /// included.
+    /// Runs every op `Fwd` exposes on its tape.
     fn run_every_op(fwd: &mut Fwd) {
         let x = vec![0.5, -1.2, 2.0, 0.1, -0.4, 1.5, 0.3, 0.9, -0.7, 1.1, -0.2, 0.6];
         let x = fwd.constant(Tensor::from_vec([4, 3], x));
@@ -1148,13 +1147,6 @@ mod tests {
             fwd.dropout(x, &Tensor::ones([4, 3]), 0.5),
             fwd.mse_loss(x, &Tensor::zeros([4, 3])),
             fwd.mae_loss(x, &Tensor::zeros([4, 3])),
-            fwd.min2(x, y),
-            fwd.clamp(x, -1.0, 1.0),
-            fwd.softplus(x),
-            fwd.gelu(x),
-            fwd.stack0(&[x, y]),
-            fwd.cross_entropy(x, &[0, 1, 2, 0]),
-            fwd.huber_loss(x, &Tensor::zeros([4, 3]), 1.0),
         ] {
             assert!(fwd.value(v).data().iter().all(|e| e.is_finite()));
         }

@@ -20,8 +20,8 @@
 //! 3. **Full banded DTW** only for survivors, scored 16 at a time by the
 //!    lane kernel ([`crate::dtw_banded_lanes`]), which is bitwise the
 //!    scalar [`crate::dtw_banded`] per candidate — so surviving distances are
-//!    bitwise identical to [`dtw_all_pairs`] entries and the selected top-q
-//!    sets (ranked by distance, ties by index) match the dense ranking
+//!    bitwise identical to [`crate::dtw_all_pairs`] entries and the selected
+//!    top-q sets (ranked by distance, ties by index) match the dense ranking
 //!    exactly.
 //!
 //! Pruning compares a lower bound against the threshold with a small
@@ -69,31 +69,12 @@ pub fn dtw_envelope(series: &[f32], band: usize) -> DtwEnvelope {
     let r = band.min(t);
     let mut lower = vec![0.0f32; t];
     let mut upper = vec![0.0f32; t];
-    fill_envelope_range(series, r, 0, t, &mut lower, &mut upper);
-    DtwEnvelope { lower, upper, first: series[0], last: series[t - 1] }
-}
-
-/// Fills `lower[i]`/`upper[i]` for `i ∈ [lo, hi)` with the min/max of
-/// `series` over the window `[i−r, i+r]` (clamped). The deque state at any
-/// position is a pure function of the window contents — elements left of
-/// the window are popped from the front, elements dominated inside it from
-/// the back — so a range fill produces bitwise the same values a full scan
-/// would.
-fn fill_envelope_range(
-    series: &[f32],
-    r: usize,
-    lo: usize,
-    hi: usize,
-    lower: &mut [f32],
-    upper: &mut [f32],
-) {
-    let t = series.len();
     // Monotonic deques of indices; front = current window extremum. Window
     // for position i is [i-r, i+r] clamped to the series.
     let mut max_dq: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     let mut min_dq: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut pushed = lo.saturating_sub(r);
-    for i in lo..hi {
+    let mut pushed = 0;
+    for i in 0..t {
         let end = (i + r).min(t - 1);
         while pushed <= end {
             while max_dq.back().is_some_and(|&b| series[b] <= series[pushed]) {
@@ -116,31 +97,7 @@ fn fill_envelope_range(
         upper[i] = series[*max_dq.front().expect("non-empty window")];
         lower[i] = series[*min_dq.front().expect("non-empty window")];
     }
-}
-
-/// Extends `env` — built by [`dtw_envelope`] from a prefix of `series` with
-/// the same `band` — to cover the full `series`, recomputing only the
-/// suffix whose windows reach the appended samples. Bitwise identical to a
-/// full rebuild: entries below `old_len − band` have windows wholly inside
-/// the old prefix and are untouched, and the recomputed tail runs the same
-/// monotonic-deque pass over the same windows.
-pub fn dtw_envelope_extend(env: &mut DtwEnvelope, series: &[f32], band: usize) {
-    let t = series.len();
-    let old = env.len();
-    assert!(t >= old, "series cannot shrink under extend");
-    if t == old {
-        return;
-    }
-    // A clamped radius (band ≥ old length) widens with the series; rebuild.
-    if old == 0 || band >= old {
-        *env = dtw_envelope(series, band);
-        return;
-    }
-    env.lower.resize(t, 0.0);
-    env.upper.resize(t, 0.0);
-    fill_envelope_range(series, band, old - band, t, &mut env.lower, &mut env.upper);
-    env.first = series[0];
-    env.last = series[t - 1];
+    DtwEnvelope { lower, upper, first: series[0], last: series[t - 1] }
 }
 
 /// Builds envelopes for every series in parallel on the shared pool.
@@ -210,7 +167,7 @@ pub fn lb_keogh(query: &[f32], env: &DtwEnvelope) -> f32 {
 /// kernel accumulate in different orders, so a bound a few ulps above the
 /// true distance must never prune a candidate that ties the threshold.
 #[inline]
-pub(crate) fn threshold_cut(tau: f32) -> f32 {
+fn threshold_cut(tau: f32) -> f32 {
     tau * (1.0 + 1e-5) + 1e-6
 }
 
@@ -246,7 +203,7 @@ fn lb_keogh_beats(query: &[f32], env: &DtwEnvelope, tau: f32) -> bool {
 
 /// Sparse top-q neighbour structure: for each of `n` nodes, up to `q`
 /// `(neighbour, distance)` entries sorted by ascending `(distance, index)` —
-/// exactly the first entries of the dense [`dtw_all_pairs`] ranking.
+/// exactly the first entries of the dense [`crate::dtw_all_pairs`] ranking.
 /// Storage is O(N·q); no N² buffer exists at any point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SparseNeighbors {
@@ -288,7 +245,7 @@ impl SparseNeighbors {
         self.neighbors(i).iter().copied().zip(self.distances(i).iter().copied())
     }
 
-    pub(crate) fn from_rows(q: usize, rows: Vec<Vec<(u32, f32)>>) -> SparseNeighbors {
+    fn from_rows(q: usize, rows: Vec<Vec<(u32, f32)>>) -> SparseNeighbors {
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         offsets.push(0usize);
         let total: usize = rows.iter().map(Vec::len).sum();
@@ -346,7 +303,7 @@ impl PruneStats {
 
 /// Bounded best-q set ordered by `(distance, index)`; the max-heap root is
 /// the current worst kept entry, i.e. the pruning threshold.
-pub(crate) struct BestQ {
+struct BestQ {
     q: usize,
     // (distance bits don't order correctly; keep f32 and compare lexically)
     heap: std::collections::BinaryHeap<HeapEntry>,
@@ -375,13 +332,13 @@ impl Ord for HeapEntry {
 }
 
 impl BestQ {
-    pub(crate) fn new(q: usize) -> BestQ {
+    fn new(q: usize) -> BestQ {
         BestQ { q, heap: std::collections::BinaryHeap::with_capacity(q + 1) }
     }
 
     /// Current threshold: no candidate whose distance provably exceeds this
     /// can enter the set. `None` until `q` entries are held.
-    pub(crate) fn threshold(&self) -> Option<f32> {
+    fn threshold(&self) -> Option<f32> {
         if self.heap.len() < self.q {
             None
         } else {
@@ -389,7 +346,7 @@ impl BestQ {
         }
     }
 
-    pub(crate) fn offer(&mut self, idx: u32, d: f32) {
+    fn offer(&mut self, idx: u32, d: f32) {
         if self.heap.len() < self.q {
             self.heap.push(HeapEntry { d, idx });
         } else if let Some(worst) = self.heap.peek() {
@@ -400,7 +357,7 @@ impl BestQ {
         }
     }
 
-    pub(crate) fn into_sorted(self) -> Vec<(u32, f32)> {
+    fn into_sorted(self) -> Vec<(u32, f32)> {
         let mut v: Vec<HeapEntry> = self.heap.into_vec();
         v.sort();
         v.into_iter().map(|e| (e.idx, e.d)).collect()
@@ -500,9 +457,9 @@ fn score_batch(
 }
 
 /// Exact sparse top-`q` DTW neighbours of every series against every other,
-/// replacing the dense [`dtw_all_pairs`] + per-row sort route. Nodes fan out
-/// over the shared worker pool; each node's scan is independent, so results
-/// (and the pruning counters) are identical for any thread count.
+/// replacing the dense [`crate::dtw_all_pairs`] + per-row sort route. Nodes
+/// fan out over the shared worker pool; each node's scan is independent, so
+/// results (and the pruning counters) are identical for any thread count.
 pub fn dtw_top_q(series: &[Vec<f32>], band: usize, q: usize) -> (SparseNeighbors, PruneStats) {
     dtw_top_q_with_envelopes(series, &dtw_envelopes(series, band), band, q, None)
 }

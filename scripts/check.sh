@@ -100,16 +100,12 @@ cargo test -q -p stsm-core --test quantized_equivalence
 # too.
 cargo test -q -p stsm-serve --test serve_chaos
 cargo test -q -p stsm-serve --test serve_equivalence
-# The online-adaptation contracts (DESIGN.md, "Online adaptation"): rolling
-# DTW frontier/row bitwise identity with the batch search under grown
-# series and churn, churn-renormalized pseudo-weights vs a fresh survivor
-# fit, one fine-tune epoch vs the batch-resumed epoch (both run the one
-# shared epoch body, so this checks the replay slice and the checkpoint
-# hand-off), and the scenario
-# matrix ({growth, churn, regime shift} × {STSM, baseline}) with finite,
-# bit-deterministic accuracy curves and post-churn recovery — pinned by
-# name.
-cargo test -q -p stsm-timeseries --test rolling_properties
+# The online-adaptation contracts (DESIGN.md, "Online adaptation"): one
+# fine-tune epoch vs the batch-resumed epoch (both run the one shared epoch
+# body, so this checks the replay slice and the checkpoint hand-off), and
+# the scenario matrix ({growth, churn, regime shift} × {STSM, baseline})
+# with finite, bit-deterministic accuracy curves and post-churn recovery —
+# pinned by name.
 cargo test -q -p stsm-core --test online_equivalence
 cargo test -q --test scenario_matrix
 
@@ -123,7 +119,7 @@ cargo run -q -p stsm-bench --release --bin bench_kernels -- --smoke
 # on/off bitwise contracts in-process (and the per-dtype f32/f16/bf16
 # serving pass with its f32-row bitwise assert);
 # scale asserts pruned-vs-dense top-q identity on a small metro layout;
-# online asserts rolling-vs-refit row identity after every appended window.
+# online asserts its scenario accuracy curves are finite.
 # Smoke runs never rewrite the BENCH_*.json artefacts.
 cargo run -q -p stsm-bench --release --bin bench_infer -- --smoke
 cargo run -q -p stsm-bench --release --bin bench_scale -- --smoke
@@ -140,6 +136,9 @@ STSM_SCALE=smoke cargo run -q -p stsm-bench --release --bin repro -- no-such-id 
   || status=$?
 [[ "$status" == 2 ]] || { echo "repro no-such-id exited $status, expected 2" >&2; exit 1; }
 cargo clippy --workspace --all-targets -q -- -D warnings
+# Every intra-doc link must resolve (a renamed or deleted item otherwise
+# leaves a dangling link behind).
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
 # The subtraction measure: Rust lines in the source trees (print only).
 # A file walk, so a plain copy without git history counts the same lines.
 echo "rust lines (crates/ src/ tests/ offline/): $(find crates src tests offline -name '*.rs' -type f -print0 | xargs -0 cat | wc -l)"
