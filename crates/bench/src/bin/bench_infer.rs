@@ -1,287 +1,194 @@
-//! Measures forward-only (inference) throughput and allocator traffic for
-//! the two execution modes — a fresh Train-mode tape per window vs the
-//! bind-once forward-only Infer session — and writes `BENCH_infer.json` at the
-//! repository root.
+//! Times STSM test-time forecasting through the bind-once
+//! [`stsm_core::Predictor`] on the PEMS-08 preset (400 sensors, 4 days, the
+//! model fitted for 2 epochs first) with f32, f16 and bf16 parameter
+//! storage, and writes `BENCH_infer.json` at the repository root. Per dtype
+//! it times two sweeps over the test period:
 //!
-//! The workload is a tensor-level GRU + Linear-head forward over a stream of
-//! windows — the same op mix as STSM's temporal module, without the graph
-//! machinery — so the per-window autograd overhead (node boxing, grad slots,
-//! leaf re-registration) is what the two modes differ by. The outputs of the
-//! two modes are asserted bitwise equal before the report is written. Timed
-//! passes run with telemetry off; fresh vs pool-reused buffer requests per
-//! window come from the `alloc.fresh` / `alloc.reused` telemetry counters of
-//! one extra untimed, telemetry-on pass per mode:
+//! * **rolling** — every stride-1 window in turn, the pattern of serving's
+//!   `Latest` requests: each window reuses the block steps the previous one
+//!   computed (DESIGN.md, "Rolling reuse");
+//! * **evaluate** — `evaluate_stsm`'s stride-`t_out` windows, which never
+//!   overlap, so every window runs the full forward.
+//!
+//! Before anything is written it asserts, per dtype: each rolling forecast
+//! is bitwise the cold forward of a fresh predictor; telemetry on and off
+//! give the same bits; the rolling sweep reuses on every window but its
+//! first and the evaluate sweep on none; a warm session takes no fresh
+//! buffer. perfbench's `forecast-pems08` times the f32 rolling sweep; the
+//! half-precision sessions are timed only here.
 //!
 //! ```bash
-//! cargo run -p stsm-bench --release --bin bench_infer
+//! cargo run -p stsm-bench --release --bin bench_infer            # rewrites BENCH_infer.json
+//! cargo run -p stsm-bench --release --bin bench_infer -- --smoke # 40 sensors, asserts only
 //! ```
-//!
-//! A per-dtype section additionally serves the same window stream from f32,
-//! f16 and bf16 parameter storage (quantized via `ParamStore::to_dtype`,
-//! f32 compute throughout) and reports bytes/window — the parameter bytes a
-//! bound session keeps resident per served window stream — next to
-//! windows/s (best-of-3). The f32 row is asserted bitwise identical to the
-//! plain Infer run, so quantization support cannot perturb the f32 path.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde_json::json;
+use std::sync::Arc;
 use std::time::Instant;
-use stsm_tensor::nn::{uniform, Fwd, GruCell, Linear};
-use stsm_tensor::{
-    alloc, pool, telemetry, DType, InferSession, ParamBinder, ParamStore, Tape, Tensor,
+use stsm_core::{
+    train_stsm, DistanceMode, InferAssets, Predictor, ProblemInstance, SharedModel, StsmConfig,
 };
+use stsm_synth::{presets, space_split, SplitAxis};
+use stsm_tensor::{pool, simd, telemetry, DType};
+use stsm_timeseries::sliding_windows;
 
-const BATCH: usize = 16;
-const T_IN: usize = 24;
-const HIDDEN: usize = 32;
-const T_OUT: usize = 12;
-const WARMUP: usize = 3;
+/// Timed passes per sweep; the fastest counts.
+const REPS: usize = 3;
 
-struct RunStats {
-    outputs: Vec<u32>,
-    windows_per_sec: f64,
-    /// Buffer-request counts per measured window; zero unless telemetry is
-    /// on during the run.
-    fresh_per_window: f64,
-    reused_per_window: f64,
-    /// Parameter storage bytes the bound session keeps resident (the
-    /// bytes/window numerator of the per-dtype report).
-    param_bytes: usize,
-    /// f32 activation arena bytes after warmup (identical across dtypes —
-    /// compute stays f32).
-    arena_bytes: usize,
+/// Absolute window starts of the test period at `stride`.
+fn starts(problem: &ProblemInstance, cfg: &StsmConfig, stride: usize) -> Vec<usize> {
+    let test = &problem.test_time;
+    sliding_windows(test.len(), cfg.t_in, cfg.t_out, stride)
+        .iter()
+        .map(|w| test.start + w.input_start)
+        .collect()
 }
 
-/// `(fresh, reused)` buffer requests recorded so far by the telemetry
-/// registry.
-fn alloc_counters() -> (u64, u64) {
-    (telemetry::counter_value("alloc.fresh"), telemetry::counter_value("alloc.reused"))
+/// Forecasts `starts` in order through `predictor`; the output bits.
+fn sweep(predictor: &mut Predictor, problem: &ProblemInstance, starts: &[usize]) -> Vec<Vec<u32>> {
+    starts
+        .iter()
+        .map(|&s| predictor.predict_window(problem, s).data().iter().map(|v| v.to_bits()).collect())
+        .collect()
 }
 
-fn window_inputs(rng: &mut StdRng, windows: usize) -> Vec<Tensor> {
-    (0..WARMUP + windows).map(|_| uniform([BATCH, T_IN, 1], -1.0, 1.0, rng)).collect()
+/// Counters one warm sweep moves, with telemetry on: its output bits and
+/// `(fresh buffers, reuse hits, reuse misses, block-steps reused)`.
+fn counted(
+    model: &SharedModel,
+    assets: &InferAssets,
+    problem: &ProblemInstance,
+    starts: &[usize],
+) -> (Vec<Vec<u32>>, [u64; 4]) {
+    telemetry::with_telemetry(true, || {
+        let mut predictor = Predictor::new_shared_with_assets(model.clone(), assets);
+        sweep(&mut predictor, problem, starts);
+        telemetry::reset();
+        let bits = sweep(&mut predictor, problem, starts);
+        let names = ["alloc.fresh", "infer.reuse.hit", "infer.reuse.miss", "infer.reuse.steps"];
+        (bits, names.map(telemetry::counter_value))
+    })
 }
 
-/// Forward every window through a fresh Train-mode tape (the pre-refactor
-/// evaluation path: new tape + binder + leaf re-registration per window).
-fn run_train_mode(store: &ParamStore, gru: &GruCell, head: &Linear, xs: &[Tensor]) -> RunStats {
-    alloc::clear();
-    let mut outputs = Vec::new();
-    let forward = |x: &Tensor, outputs: &mut Vec<u32>| {
-        let tape = Tape::new();
-        let mut binder = ParamBinder::new(&tape);
-        let mut fwd = Fwd::new(store, &mut binder);
-        let xv = fwd.constant(x.clone());
-        let h = gru.forward_seq(&mut fwd, xv);
-        let p = head.forward(&mut fwd, h);
-        outputs.extend(tape.value(p).data().iter().map(|v| v.to_bits()));
-    };
-    for x in &xs[..WARMUP] {
-        forward(x, &mut outputs);
-    }
-    outputs.clear();
-    let (fresh0, reused0) = alloc_counters();
-    let t0 = Instant::now();
-    for x in &xs[WARMUP..] {
-        forward(x, &mut outputs);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let (fresh, reused) = alloc_counters();
-    let (fresh, reused) = (fresh - fresh0, reused - reused0);
-    let windows = xs.len() - WARMUP;
-    RunStats {
-        outputs,
-        windows_per_sec: windows as f64 / elapsed,
-        fresh_per_window: fresh as f64 / windows as f64,
-        reused_per_window: reused as f64 / windows as f64,
-        param_bytes: store.storage_bytes(),
-        arena_bytes: 0,
-    }
-}
-
-/// Forward every window through one bind-once Infer session (the forward-only
-/// evaluation path: parameters bound once, arena reset per window).
-fn run_infer_mode(store: &ParamStore, gru: &GruCell, head: &Linear, xs: &[Tensor]) -> RunStats {
-    alloc::clear();
-    let mut outputs = Vec::new();
-    let mut session = InferSession::new(store);
-    let forward = |x: &Tensor, session: &mut InferSession, outputs: &mut Vec<u32>| {
-        session.reset();
-        let mut fwd = Fwd::infer(store, session);
-        let xv = fwd.constant(x.clone());
-        let h = gru.forward_seq(&mut fwd, xv);
-        let p = head.forward(&mut fwd, h);
-        outputs.extend(fwd.value(p).data().iter().map(|v| v.to_bits()));
-    };
-    for x in &xs[..WARMUP] {
-        forward(x, &mut session, &mut outputs);
-    }
-    outputs.clear();
-    let (fresh0, reused0) = alloc_counters();
-    let t0 = Instant::now();
-    for x in &xs[WARMUP..] {
-        forward(x, &mut session, &mut outputs);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let (fresh, reused) = alloc_counters();
-    let (fresh, reused) = (fresh - fresh0, reused - reused0);
-    let windows = xs.len() - WARMUP;
-    RunStats {
-        outputs,
-        windows_per_sec: windows as f64 / elapsed,
-        fresh_per_window: fresh as f64 / windows as f64,
-        reused_per_window: reused as f64 / windows as f64,
-        param_bytes: session.param_bytes(),
-        arena_bytes: session.arena_bytes(),
-    }
-}
-
-/// Serves the window stream from `dt` parameter storage: quantizes the
-/// store, runs `reps` full Infer-mode passes and keeps the fastest
-/// (windows/s is noisy in a shared container; bytes are exact). Outputs are
-/// asserted bitwise identical across repetitions — quantized inference is
-/// deterministic.
-fn run_dtype(
-    dt: DType,
-    store: &ParamStore,
-    gru: &GruCell,
-    head: &Linear,
-    xs: &[Tensor],
-    reps: usize,
-) -> RunStats {
-    let qstore = store.to_dtype(dt);
-    let mut best: Option<RunStats> = None;
-    for _ in 0..reps {
-        let r = run_infer_mode(&qstore, gru, head, xs);
-        if let Some(b) = &best {
-            assert_eq!(r.outputs, b.outputs, "{dt}: repeated runs must be bitwise deterministic");
-        }
-        if best.as_ref().is_none_or(|b| r.windows_per_sec > b.windows_per_sec) {
-            best = Some(r);
-        }
-    }
-    best.expect("reps >= 1")
+/// Windows per second of the fastest of [`REPS`] warm sweeps.
+fn timed(
+    model: &SharedModel,
+    assets: &InferAssets,
+    problem: &ProblemInstance,
+    starts: &[usize],
+) -> f64 {
+    let mut predictor = Predictor::new_shared_with_assets(model.clone(), assets);
+    sweep(&mut predictor, problem, starts);
+    (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            sweep(&mut predictor, problem, starts);
+            starts.len() as f64 / t0.elapsed().as_secs_f64()
+        })
+        .fold(0.0, f64::max)
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let windows = if smoke { 5 } else { 50 };
-    let threads = pool::num_threads();
+    let (sensors, days, epochs) = if smoke { (40, 2, 1) } else { (400, 4, 2) };
+    let dataset = presets::pems_08(sensors, days, 1).generate();
+    let split = space_split(&dataset.coords, SplitAxis::Vertical, false);
+    let problem = ProblemInstance::new(dataset, split, DistanceMode::Euclidean);
+    let cfg = StsmConfig { epochs, seed: 1, ..StsmConfig::default() }.for_dataset("PEMS-08");
+    let (trained, _) = train_stsm(&problem, &cfg).expect("the PEMS-08 fit succeeds");
+    let trained = Arc::new(trained);
+    let assets = InferAssets::new(&cfg, &problem);
+    let rolling = starts(&problem, &cfg, 1);
+    let evaluate = starts(&problem, &cfg, cfg.t_out);
+    let (nproc, threads) =
+        (std::thread::available_parallelism().map_or(1, |n| n.get()), pool::num_threads());
     println!(
-        "GRU(1->{HIDDEN}) + Linear({HIDDEN}->{T_OUT}), batch {BATCH}, {windows} measured \
-         forward-only windows, pool threads {threads}\n"
+        "STSM Predictor, PEMS-08 {sensors} sensors, {} rolling and {} evaluate windows, \
+         nproc {nproc}, pool threads {threads}, {:?}\n",
+        rolling.len(),
+        evaluate.len(),
+        simd::level()
     );
-    let mut rng = StdRng::seed_from_u64(2424);
-    let mut store = ParamStore::new();
-    let gru = GruCell::new(&mut store, "g", 1, HIDDEN, &mut rng);
-    let head = Linear::new(&mut store, "head", HIDDEN, T_OUT, &mut rng);
-    let xs = window_inputs(&mut rng, windows);
     stsm_bench::reset_peak_rss();
-    let train = run_train_mode(&store, &gru, &head, &xs);
-    let infer = run_infer_mode(&store, &gru, &head, &xs);
-    let peak_rss = stsm_bench::peak_rss_bytes();
-    assert_eq!(
-        train.outputs, infer.outputs,
-        "Train and Infer forward outputs must be bitwise identical"
-    );
-
-    // One untimed, instrumented pass per mode: allocation counts per window,
-    // plus the Infer session counters and kernel span totals in the
-    // telemetry table (stderr).
-    let (train_counted, infer_counted) = telemetry::with_telemetry(true, || {
-        telemetry::reset();
-        let train_counted = run_train_mode(&store, &gru, &head, &xs);
-        telemetry::reset();
-        let infer_counted = run_infer_mode(&store, &gru, &head, &xs);
-        assert!(
-            telemetry::counter_value("infer.session.new") >= 1,
-            "instrumented run must register the Infer session"
-        );
-        eprint!("\n{}", telemetry::snapshot().render_table());
-        (train_counted, infer_counted)
-    });
-    assert_eq!(train_counted.outputs, train.outputs, "telemetry must not change outputs");
-    assert_eq!(infer_counted.outputs, infer.outputs, "telemetry must not change outputs");
-    for (label, r, c) in
-        [("train mode", &train, &train_counted), ("infer mode", &infer, &infer_counted)]
-    {
-        println!(
-            "{label}  {:>8.2} windows/s   fresh allocs/window {:>8.1}   pool reuses/window {:>8.1}",
-            r.windows_per_sec, c.fresh_per_window, c.reused_per_window
-        );
-    }
-
-    // Per-dtype serving: same stream, narrower parameter storage.
-    println!();
-    let reps = if smoke { 1 } else { 3 };
-    let f32_run = run_dtype(DType::F32, &store, &gru, &head, &xs, reps);
-    assert_eq!(
-        f32_run.outputs, infer.outputs,
-        "f32 dtype row must be bitwise identical to the plain Infer run"
-    );
-    let mut dtype_rows = serde_json::Map::new();
+    let mut rows = serde_json::Map::new();
     for dt in [DType::F32, DType::F16, DType::Bf16] {
-        let half_run;
-        let r = if dt == DType::F32 {
-            &f32_run
+        let model = if dt.is_half() {
+            SharedModel::Quantized(Arc::new(trained.quantize(dt)))
         } else {
-            half_run = run_dtype(dt, &store, &gru, &head, &xs, reps);
-            &half_run
+            SharedModel::F32(Arc::clone(&trained))
         };
-        let bytes_per_window = r.param_bytes as f64;
-        let wps_ratio = r.windows_per_sec / f32_run.windows_per_sec;
-        let bpw_ratio = bytes_per_window / f32_run.param_bytes as f64;
+        let param_bytes = match &model {
+            SharedModel::F32(t) => t.store.storage_bytes(),
+            SharedModel::Quantized(q) => q.store().storage_bytes(),
+        };
+        let name = dt.name();
+        // Contracts first: rolling == cold, telemetry-invisible, reuse on
+        // every overlapping window only, and a warm session allocates
+        // nothing fresh.
+        let mut predictor = Predictor::new_shared_with_assets(model.clone(), &assets);
+        let bits = telemetry::with_telemetry(false, || sweep(&mut predictor, &problem, &rolling));
+        for (s, got) in rolling.iter().zip(&bits) {
+            let mut cold = Predictor::new_shared_with_assets(model.clone(), &assets);
+            assert_eq!(&sweep(&mut cold, &problem, &[*s])[0], got, "{name}: window {s} != cold");
+        }
+        let (bits_on, [fresh, hits, misses, steps]) = counted(&model, &assets, &problem, &rolling);
+        assert_eq!(bits_on, bits, "{name}: telemetry changed a rolling forecast");
+        assert_eq!((hits, misses), (rolling.len() as u64 - 1, 1), "{name}: rolling reuse");
+        assert_eq!(fresh, 0, "{name}: a warm rolling sweep allocated fresh buffers");
+        let (_, [eval_fresh, eval_hits, ..]) = counted(&model, &assets, &problem, &evaluate);
+        assert_eq!((eval_fresh, eval_hits), (0, 0), "{name}: the evaluate sweep reused");
+
+        let rolling_wps = timed(&model, &assets, &problem, &rolling);
+        let evaluate_wps = timed(&model, &assets, &problem, &evaluate);
+        let speedup = rolling_wps / evaluate_wps;
+        let steps_per_window = steps as f64 / rolling.len() as f64;
         println!(
-            "{:<5} storage  {:>8.2} windows/s ({wps_ratio:>5.2}x f32)   bytes/window {:>7.0} \
-             ({bpw_ratio:>5.2}x f32)   arena bytes {:>8}",
-            dt.name(),
-            r.windows_per_sec,
-            bytes_per_window,
-            r.arena_bytes,
+            "{name:<5} rolling {rolling_wps:>8.1} windows/s ({:.2} ms)   evaluate \
+             {evaluate_wps:>8.1} windows/s ({:.2} ms)   {speedup:.2}x   block-steps reused/window \
+             {steps_per_window:.1}   param bytes {param_bytes}",
+            1e3 / rolling_wps,
+            1e3 / evaluate_wps,
         );
-        dtype_rows.insert(
-            dt.name().to_string(),
+        rows.insert(
+            name.to_string(),
             json!({
-                "windows_per_sec": r.windows_per_sec,
-                "windows_per_sec_vs_f32": wps_ratio,
-                "param_bytes": r.param_bytes,
-                "bytes_per_window": bytes_per_window,
-                "bytes_per_window_vs_f32": bpw_ratio,
-                "arena_bytes": r.arena_bytes,
+                "param_bytes": param_bytes,
+                "rolling": {
+                    "windows_per_sec": rolling_wps,
+                    "ms_per_window": 1e3 / rolling_wps,
+                    "reuse_hits": hits,
+                    "reuse_misses": misses,
+                    "block_steps_reused_per_window": steps_per_window,
+                    "fresh_allocs_per_window": fresh as f64 / rolling.len() as f64,
+                },
+                "evaluate": {
+                    "windows_per_sec": evaluate_wps,
+                    "ms_per_window": 1e3 / evaluate_wps,
+                    "fresh_allocs_per_window": eval_fresh as f64 / evaluate.len() as f64,
+                },
+                "rolling_vs_evaluate": speedup,
             }),
         );
     }
-    let dtype_rows = serde_json::Value::Object(dtype_rows);
     let report = json!({
         "workload": format!(
-            "GRU(1->{HIDDEN}) + Linear({HIDDEN}->{T_OUT}), batch {BATCH}, T {T_IN}, \
-             {windows} forward-only windows"
+            "STSM Predictor on the PEMS-08 preset ({sensors} sensors, {days} days, fitted \
+             {epochs} epochs at seed 1): a stride-1 rolling sweep ({} windows) and \
+             evaluate_stsm's stride-{} sweep ({} windows) of the test period per dtype",
+            rolling.len(),
+            cfg.t_out,
+            evaluate.len()
         ),
-        "threads": threads,
-        "host_cpus": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        "peak_rss_bytes": peak_rss,
-        "note": "single-CPU container; windows/sec is indicative, allocations/window is exact. \
-                 Outputs asserted bitwise identical Train vs Infer before writing. Train mode \
-                 builds a fresh tape + binder per window; Infer mode binds parameters once and \
-                 resets the session arena per window.",
-        "train_mode": {
-            "windows_per_sec": train.windows_per_sec,
-            "fresh_allocs_per_window": train_counted.fresh_per_window,
-            "pool_reuses_per_window": train_counted.reused_per_window,
-        },
-        "infer_mode": {
-            "windows_per_sec": infer.windows_per_sec,
-            "fresh_allocs_per_window": infer_counted.fresh_per_window,
-            "pool_reuses_per_window": infer_counted.reused_per_window,
-        },
-        "dtypes_note": "Per-dtype Infer-mode serving of the same stream. bytes/window = parameter \
-                        storage bytes the bound session keeps resident per served window stream \
-                        (16-bit dtypes store half the bytes; compute and activations stay f32 — \
-                        arena_bytes reports those separately and is dtype-independent). \
-                        windows/s is best-of-3; the f32 row is asserted bitwise identical to \
-                        infer_mode before writing.",
-        "dtypes": dtype_rows,
+        "nproc": nproc,
+        "pool_threads": threads,
+        "simd": format!("{:?}", simd::level()),
+        "peak_rss_bytes": stsm_bench::peak_rss_bytes(),
+        "note": "windows/s is the fastest of 3 warm sweeps with telemetry off. Asserted before \
+                 writing, per dtype: every rolling forecast bitwise equals a fresh predictor's \
+                 cold forward; telemetry on/off bitwise equal; the rolling sweep reuses on every \
+                 window but the first and the evaluate sweep on none; a warm session takes no \
+                 fresh buffer. Half dtypes store the weights in 16 bits and compute in f32.",
+        "dtypes": serde_json::Value::Object(rows),
     });
     if smoke {
         println!("\nsmoke run: BENCH_infer.json left untouched");

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use stsm_graph::CsrLinMap;
 use stsm_tensor::nn::{Conv1d, Fwd, Linear, TransformerEncoderLayer};
-use stsm_tensor::{InferSession, ParamStore, Tensor, Var};
+use stsm_tensor::{telemetry, InferSession, ParamStore, Tensor, Var};
 
 /// Number of periodic time features per step (see [`StModel::time_features`]).
 pub const TIME_FEATURES: usize = 5;
@@ -62,14 +62,101 @@ struct StBlock {
 }
 
 /// The time steps one block computes. The GCN stacks mix nodes and
-/// features but never time, so they run at exactly the steps the block
-/// outputs; the two causal convs widen that set by their taps.
+/// features but never time, so a step of their output needs the block's
+/// input at that step alone; the two causal convs widen a step by their
+/// taps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct BlockSteps {
+    /// Steps at which the GCN stacks run: the steps the block outputs, or
+    /// in a rolling pass the steps whose block input changed.
+    gcn: Vec<usize>,
     /// Steps at which the first conv of the temporal module runs.
     mid: Vec<usize>,
-    /// Steps the block outputs: where its GCN stacks and last conv run.
+    /// Steps at which the last conv runs: the steps the block computes its
+    /// output at. A rolling pass takes every other step from its cache.
     out: Vec<usize>,
+}
+
+/// What a forward pass computes.
+enum Pass<'s> {
+    /// Every step and the output head; `composed_gcn` runs each gated GCN
+    /// layer as the composed oracle chain.
+    Full { composed_gcn: bool },
+    /// The readout's receptive field only, without the head.
+    Readout,
+    /// Every step and the head, taking the steps the previous window
+    /// already computed from `state`.
+    Rolling(&'s mut RollingState),
+}
+
+/// What a rolling forward keeps of the previous window (DESIGN.md,
+/// "Rolling reuse"): its input and time features, and per block the
+/// `(N, T, H)` GCN output and block output. Bound to the model, parameters
+/// and adjacencies of the one [`crate::Predictor`] that holds it.
+pub(crate) struct RollingState {
+    /// The previous window's input and time features; `None` before the
+    /// first window and after a pass that did not finish.
+    last: Option<(Tensor, Tensor)>,
+    blocks: Vec<BlockCache>,
+    /// Whether any shift lets a window reuse a step; without one
+    /// (STSM-trans) no window is kept.
+    reusable: bool,
+}
+
+/// One block's rows from the previous window, every step each.
+struct BlockCache {
+    /// The GCN stacks' output.
+    gcn: Option<Tensor>,
+    /// The block's output, when some window can read it: not the last
+    /// block's when every shift recomputes all its steps.
+    out: Option<Tensor>,
+    keep_out: bool,
+}
+
+impl RollingState {
+    /// The smallest shift `δ` in `1..T` at which this window's first
+    /// `T − δ` steps are bitwise the previous window's last `T − δ`, input
+    /// and time features alike.
+    fn shift_from_last(&self, x: &Tensor, tf: &Tensor) -> Option<usize> {
+        let (px, ptf) = self.last.as_ref()?;
+        let t_len = tf.dim(0);
+        (1..t_len).find(|&d| overlaps(ptf, tf, 1, t_len, d) && overlaps(px, x, x.dim(0), t_len, d))
+    }
+}
+
+/// Whether each of the `rows` series of `t_len` steps in `cur` starts with
+/// the last `t_len − shift` steps of its series in `prev`, bit for bit.
+fn overlaps(prev: &Tensor, cur: &Tensor, rows: usize, t_len: usize, shift: usize) -> bool {
+    let width = cur.numel() / rows;
+    let skip = shift * (width / t_len);
+    let (p, c) = (prev.data(), cur.data());
+    (0..rows).all(|r| {
+        let (p, c) = (&p[r * width..(r + 1) * width], &c[r * width..(r + 1) * width]);
+        p[skip..].iter().zip(c).all(|(a, b)| a.to_bits() == b.to_bits())
+    })
+}
+
+/// The output steps of `conv` over a `t_len`-step series that the previous
+/// window cannot supply when the input steps `fresh` changed: those with a
+/// tap on a step in `fresh`, or before step 0, where the zero padding stands
+/// in for a step the previous window read for real.
+fn fresh_steps(conv: &Conv1d, fresh: &[usize], t_len: usize) -> Vec<usize> {
+    (0..t_len)
+        .filter(|&t| {
+            t + 1 < conv.receptive_field()
+                || conv.input_steps(&[t]).iter().any(|s| fresh.binary_search(s).is_ok())
+        })
+        .collect()
+}
+
+/// What every block of one forward pass shares.
+#[derive(Clone, Copy)]
+struct BlockCtx<'a> {
+    n: usize,
+    t_len: usize,
+    a_s: &'a Arc<CsrLinMap>,
+    a_dtw: &'a Arc<CsrLinMap>,
+    composed_gcn: bool,
 }
 
 /// The full spatial-temporal model.
@@ -190,7 +277,7 @@ impl StModel {
         a_dtw: &Arc<CsrLinMap>,
     ) -> ForwardOutput {
         let (prediction, graph_repr) =
-            self.forward_with(fwd, x, time_feats, a_s, a_dtw, false, false);
+            self.forward_with(fwd, x, time_feats, a_s, a_dtw, Pass::Full { composed_gcn: false });
         ForwardOutput { prediction: prediction.expect("the full pass builds the head"), graph_repr }
     }
 
@@ -207,7 +294,7 @@ impl StModel {
         a_dtw: &Arc<CsrLinMap>,
     ) -> ForwardOutput {
         let (prediction, graph_repr) =
-            self.forward_with(fwd, x, time_feats, a_s, a_dtw, true, false);
+            self.forward_with(fwd, x, time_feats, a_s, a_dtw, Pass::Full { composed_gcn: true });
         ForwardOutput { prediction: prediction.expect("the full pass builds the head"), graph_repr }
     }
 
@@ -215,7 +302,7 @@ impl StModel {
     /// contrastive full view reads — computed only over the readout's
     /// receptive field: the readout takes the last step, so the last block
     /// runs at step `T − 1` and each earlier block at the steps the next
-    /// one's convs read ([`StModel::step_plan`]); the output head is never
+    /// one's convs read (`StModel::step_plan`); the output head is never
     /// built. Bitwise equal to [`StModel::forward`]'s `graph_repr`, and on
     /// a tape so is every gradient it sends back (DESIGN.md, "The readout
     /// pass"). The transformer variant attends over every step and keeps
@@ -228,7 +315,46 @@ impl StModel {
         a_s: &Arc<CsrLinMap>,
         a_dtw: &Arc<CsrLinMap>,
     ) -> Var {
-        self.forward_with(fwd, x, time_feats, a_s, a_dtw, false, true).1
+        self.forward_with(fwd, x, time_feats, a_s, a_dtw, Pass::Readout).1
+    }
+
+    /// A fresh [`RollingState`] for [`StModel::forward_rolling`].
+    pub(crate) fn rolling_state(&self) -> RollingState {
+        // A larger shift only recomputes more steps, so the smallest one
+        // tells what any window can reuse.
+        let plan = self.reuse_plan(Some(1));
+        let reusable = plan.iter().any(|b| b.gcn.len() < self.t_in);
+        let last = plan.len() - 1;
+        let blocks = (0..plan.len())
+            .map(|l| BlockCache {
+                gcn: None,
+                out: None,
+                keep_out: l < last || plan[last].out.len() < self.t_in,
+            })
+            .collect();
+        RollingState { last: None, blocks, reusable }
+    }
+
+    /// [`StModel::forward`]'s prediction, computing only the steps whose
+    /// receptive field moved since the window `state` last saw: when this
+    /// window's first `T − δ` input steps and time features are bitwise the
+    /// previous window's last ones, the rest come from `state`
+    /// ([`StModel::reuse_plan`]). Any other window runs every step. Either
+    /// way `state` then holds this window. Bitwise equal to
+    /// [`StModel::forward`], as long as `state` only ever sees this model,
+    /// its parameters and these adjacencies (DESIGN.md, "Rolling reuse").
+    pub(crate) fn forward_rolling(
+        &self,
+        fwd: &mut Fwd,
+        x: &Tensor,
+        time_feats: &Tensor,
+        a_s: &Arc<CsrLinMap>,
+        a_dtw: &Arc<CsrLinMap>,
+        state: &mut RollingState,
+    ) -> Var {
+        let (prediction, _) =
+            self.forward_with(fwd, x, time_feats, a_s, a_dtw, Pass::Rolling(state));
+        prediction.expect("the rolling pass builds the head")
     }
 
     /// Per block, the steps it computes so that the last block outputs the
@@ -252,18 +378,52 @@ impl StModel {
                     (all(), all())
                 }
             };
-            plan.push(BlockSteps { mid, out: need });
+            plan.push(BlockSteps { gcn: need.clone(), mid, out: need });
             need = input;
         }
         plan.reverse();
         plan
     }
 
-    /// The forward pass over the steps `step_plan` gives: every step with
-    /// the output head for [`StModel::forward`], the readout's receptive
-    /// field without it when `readout_only`. Returns the prediction (none
-    /// when `readout_only`) and the graph representation.
-    #[allow(clippy::too_many_arguments)]
+    /// Per block, the steps a window computes when its first `T − shift`
+    /// steps are the previous window's last ones, walking from the first
+    /// block on: the GCN stacks run where the block's input changed, and
+    /// the block output where the last conv's value can change — the
+    /// [`fresh_steps`] of the first conv's fresh steps, themselves the
+    /// fresh steps of the changed input. The rest are the previous window's
+    /// steps `shift` later. The first conv runs at every step the last one
+    /// reads, so no step of it needs keeping. A transformer block attends
+    /// over every step, so from there on every step runs; so it does in
+    /// each block without a shift, the plan of a window that reuses
+    /// nothing.
+    fn reuse_plan(&self, shift: Option<usize>) -> Vec<BlockSteps> {
+        let t_len = self.t_in;
+        let mut fresh: Vec<usize> = (t_len - shift.unwrap_or(t_len)..t_len).collect();
+        let mut plan = Vec::with_capacity(self.blocks.len());
+        for block in &self.blocks {
+            let steps = match &block.temporal {
+                TemporalSub::Conv(c1, c2) => {
+                    let out = fresh_steps(c2, &fresh_steps(c1, &fresh, t_len), t_len);
+                    BlockSteps { gcn: fresh, mid: c2.input_steps(&out), out }
+                }
+                TemporalSub::Transformer(..) => {
+                    let all: Vec<usize> = (0..t_len).collect();
+                    BlockSteps { gcn: all.clone(), mid: all.clone(), out: all }
+                }
+            };
+            fresh = steps.out.clone();
+            plan.push(steps);
+        }
+        plan
+    }
+
+    /// The forward pass over the steps its plan gives: every step with the
+    /// output head for [`Pass::Full`], the readout's receptive field
+    /// ([`StModel::step_plan`]) without it for [`Pass::Readout`], and the
+    /// steps the previous window did not compute ([`StModel::reuse_plan`])
+    /// with the head for [`Pass::Rolling`], spliced into every step with
+    /// the rows its state kept. Returns the prediction (none for the
+    /// readout) and the graph representation.
     fn forward_with(
         &self,
         fwd: &mut Fwd,
@@ -271,8 +431,7 @@ impl StModel {
         time_feats: &Tensor,
         a_s: &Arc<CsrLinMap>,
         a_dtw: &Arc<CsrLinMap>,
-        composed_gcn: bool,
-        readout_only: bool,
+        pass: Pass,
     ) -> (Option<Var>, Var) {
         let (n, t_len) = (x.dim(0), x.dim(1));
         assert_eq!(x.dims(), &[n, t_len, 1], "input must be (N, T, 1)");
@@ -293,12 +452,38 @@ impl StModel {
         let ht = fwd.broadcast_to(ht, [n, t_len, self.hidden]);
         let mut h = fwd.mul(hx, ht);
         let all: Vec<usize> = (0..t_len).collect();
-        let plan = self.step_plan(if readout_only { vec![t_len - 1] } else { all.clone() });
+        let readout_only = matches!(pass, Pass::Readout);
+        let (plan, composed_gcn, mut rolling) = match pass {
+            Pass::Full { composed_gcn } => (self.step_plan(all.clone()), composed_gcn, None),
+            Pass::Readout => (self.step_plan(vec![t_len - 1]), false, None),
+            Pass::Rolling(state) => {
+                let shift = state.shift_from_last(x, time_feats);
+                // Forget the last window until this pass has replaced every
+                // block's rows: a pass cut short must not be reused.
+                state.last = None;
+                let plan = self.reuse_plan(shift);
+                let reused: usize = plan.iter().map(|b| t_len - b.gcn.len()).sum();
+                telemetry::count(
+                    if reused > 0 { "infer.reuse.hit" } else { "infer.reuse.miss" },
+                    1,
+                );
+                telemetry::count("infer.reuse.steps", reused as u64);
+                (plan, false, Some((state, shift.unwrap_or(0))))
+            }
+        };
+        let ctx = BlockCtx { n, t_len, a_s, a_dtw, composed_gcn };
         // The steps `h` holds, in order.
         let mut have = &all[..];
-        for (block, steps) in self.blocks.iter().zip(&plan) {
-            h = self.block_forward(fwd, block, h, have, steps, n, t_len, a_s, a_dtw, composed_gcn);
-            have = &steps.out;
+        for (l, (block, steps)) in self.blocks.iter().zip(&plan).enumerate() {
+            let cache = rolling.as_mut().map(|(state, shift)| (&mut state.blocks[l], *shift));
+            let full = cache.is_some();
+            h = self.block_forward(fwd, block, h, have, steps, cache, &ctx);
+            have = if full { &all } else { &steps.out };
+        }
+        if let Some((state, _)) = rolling {
+            if state.reusable {
+                state.last = Some((x.clone(), time_feats.clone()));
+            }
         }
         // Eq. 13 head: flatten time so each horizon sees the full window;
         // inner ReLU, linear output (scaled space can be negative, so no
@@ -341,8 +526,51 @@ impl StModel {
         fwd.reshape(rows, [n, want.len(), self.hidden])
     }
 
-    /// One block over `h`, which holds the steps `have`; outputs the steps
-    /// `steps.out`.
+    /// `fresh`, `(N, |steps|, H)` at the ascending `steps`, completed to
+    /// every step: a step `t` it lacks is the previous window's step
+    /// `t + shift` of `prev` (`(N, T, H)`), in one gather. Either way a
+    /// kept `prev` then holds the result for the next window; without one,
+    /// `steps` must be every step.
+    fn splice(
+        &self,
+        fwd: &mut Fwd,
+        fresh: Var,
+        steps: &[usize],
+        prev: Option<&mut Option<Tensor>>,
+        shift: usize,
+        t_len: usize,
+    ) -> Var {
+        let full = if steps.len() == t_len {
+            fresh
+        } else {
+            let n = fwd.shape_of(fresh).dim(0);
+            let cached = prev.as_ref().and_then(|p| p.as_ref());
+            let cached = cached.expect("a reused step has a cached row");
+            let cached = cached.reshape([n * t_len, self.hidden]);
+            let base = n * steps.len();
+            let idx: Vec<usize> = (0..n)
+                .flat_map(|b| {
+                    (0..t_len).map(move |t| match steps.binary_search(&t) {
+                        Ok(pos) => b * steps.len() + pos,
+                        Err(_) => base + b * t_len + t + shift,
+                    })
+                })
+                .collect();
+            let rows = fwd.reshape(fresh, [base, self.hidden]);
+            let rows = fwd.index_select0_cat(rows, &cached, &idx);
+            fwd.reshape(rows, [n, t_len, self.hidden])
+        };
+        // Replacing the previous window's rows frees them for the blocks
+        // still to run.
+        if let Some(prev) = prev {
+            *prev = Some(fwd.value(full));
+        }
+        full
+    }
+
+    /// One block over `h`, which holds the steps `have`. Outputs the steps
+    /// `steps.out`, or with a `cache` (a rolling pass: its block rows and
+    /// the shift) every step, the rest taken from the cache.
     #[allow(clippy::too_many_arguments)]
     fn block_forward(
         &self,
@@ -351,19 +579,17 @@ impl StModel {
         h: Var,
         have: &[usize],
         steps: &BlockSteps,
-        n: usize,
-        t_len: usize,
-        a_s: &Arc<CsrLinMap>,
-        a_dtw: &Arc<CsrLinMap>,
-        composed_gcn: bool,
+        mut cache: Option<(&mut BlockCache, usize)>,
+        ctx: &BlockCtx,
     ) -> Var {
+        let BlockCtx { n, t_len, a_s, a_dtw, composed_gcn } = *ctx;
         // GCN path, per adjacency: stack of gated layers, max over depth
         // (Eq. 9), then max over adjacencies (Eq. 11). The weights mix only
         // the feature axis, so all output steps go through at once. Each
         // path gathers its own input rows, so the gradients reaching `h`
         // add up in the order the full-length pass adds them.
         let gcn_path = |fwd: &mut Fwd, layers: &[GcnLayer], adj: &Arc<CsrLinMap>| -> Var {
-            let mut z = self.gather_steps(fwd, h, have, &steps.out);
+            let mut z = self.gather_steps(fwd, h, have, &steps.gcn);
             let mut best: Option<Var> = None;
             for layer in layers {
                 z = if composed_gcn {
@@ -384,6 +610,17 @@ impl StModel {
         // Temporal path.
         match &block.temporal {
             TemporalSub::Conv(c1, c2) => {
+                // A rolling pass completes the GCN output and the block
+                // output to every step from the cache, and keeps them for
+                // the next window.
+                let all: Vec<usize> = (0..t_len).collect();
+                let (h_gcn, gcn_at) = match cache.as_mut() {
+                    Some((c, shift)) => {
+                        let full = Some(&mut c.gcn);
+                        (self.splice(fwd, h_gcn, &steps.gcn, full, *shift, t_len), &all)
+                    }
+                    None => (h_gcn, &steps.gcn),
+                };
                 // The convs run channels-last, on (N, T, H) as it is, or at
                 // the planned steps only.
                 let y = c1.forward_steps(fwd, h, have, &steps.mid, t_len);
@@ -391,7 +628,15 @@ impl StModel {
                 let y = c2.forward_steps(fwd, y, &steps.mid, &steps.out, t_len);
                 let h_tcn = fwd.relu(y);
                 // Eq. 12: residual combination.
-                fwd.add(h_gcn, h_tcn)
+                let h_gcn = self.gather_steps(fwd, h_gcn, gcn_at, &steps.out);
+                let out = fwd.add(h_gcn, h_tcn);
+                match cache {
+                    Some((c, shift)) => {
+                        let kept = c.keep_out.then_some(&mut c.out);
+                        self.splice(fwd, out, &steps.out, kept, shift, t_len)
+                    }
+                    None => out,
+                }
             }
             TemporalSub::Transformer(enc, gate_s, gate_t) => {
                 let h_trans = enc.forward(fwd, h); // (N, T, H): attention over time
@@ -542,8 +787,11 @@ mod tests {
         let mut store = ParamStore::new();
         let model = StModel::new(&mut store, &StsmConfig::default());
         let plan = model.step_plan(vec![11]);
-        let steps =
-            |mid: &[usize], out: &[usize]| BlockSteps { mid: mid.to_vec(), out: out.to_vec() };
+        let steps = |mid: &[usize], out: &[usize]| BlockSteps {
+            gcn: out.to_vec(),
+            mid: mid.to_vec(),
+            out: out.to_vec(),
+        };
         assert_eq!(plan, vec![steps(&[1, 3, 5, 7, 9, 11], &[1, 5, 7, 11]), steps(&[5, 11], &[11])]);
         // Block 0 reads its whole input; the full pass keeps every step.
         let TemporalSub::Conv(c1, _) = &model.blocks[0].temporal else { unreachable!() };
@@ -554,6 +802,40 @@ mod tests {
         let cfg = StsmConfig { temporal: TemporalModule::Transformer, ..Default::default() };
         let trans = StModel::new(&mut ParamStore::new(), &cfg);
         assert!(trans.step_plan(vec![11]).iter().all(|b| b.mid == all && b.out == all));
+    }
+
+    #[test]
+    fn reuse_plan_of_default_config() {
+        // T = 12, dilations 1, 2 (block 0) and 4, 6 (block 1), shifted by 1.
+        let model = StModel::new(&mut ParamStore::new(), &StsmConfig::default());
+        let all: Vec<usize> = (0..12).collect();
+        let steps = |gcn: &[usize], mid: &[usize], out: &[usize]| BlockSteps {
+            gcn: gcn.to_vec(),
+            mid: mid.to_vec(),
+            out: out.to_vec(),
+        };
+        let plan = model.reuse_plan(Some(1));
+        // Block 0: only step 11 is new; the last conv's taps reach the
+        // padding from steps 0..=2 and step 11 through the first conv.
+        assert_eq!(plan[0], steps(&[11], &[0, 1, 2, 9, 11], &[0, 1, 2, 11]));
+        // Block 1's convs reach back 4 + 6 steps from every step.
+        assert_eq!(plan[1], steps(&[0, 1, 2, 11], &all, &all));
+        // A larger shift moves more steps; no shift reuses nothing.
+        let out = [0, 1, 2, 9, 10, 11];
+        assert_eq!(
+            model.reuse_plan(Some(3))[0],
+            steps(&[9, 10, 11], &[0, 1, 2, 7, 8, 9, 10, 11], &out)
+        );
+        assert!(model.reuse_plan(None).iter().all(|b| b == &steps(&all, &all, &all)));
+        let state = model.rolling_state();
+        assert!(state.reusable);
+        // No shift reuses a step of block 1's output, so it is not kept.
+        assert_eq!(state.blocks.iter().map(|b| b.keep_out).collect::<Vec<_>>(), [true, false]);
+        // The transformer attends over every step: nothing to reuse.
+        let cfg = StsmConfig { temporal: TemporalModule::Transformer, ..Default::default() };
+        let trans = StModel::new(&mut ParamStore::new(), &cfg);
+        assert!(trans.reuse_plan(Some(1)).iter().all(|b| b == &steps(&all, &all, &all)));
+        assert!(!trans.rolling_state().reusable);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Eq. 3, and a forward-only [`InferSession`] with all parameters bound — so
 //! evaluation loops stop rebuilding binder state per window. One `Predictor`
 //! serves any number of windows: each call resets the session arena, which
-//! recycles the previous window's intermediates straight into the next one.
+//! recycles the previous window's intermediates straight into the next one,
+//! and a window that overlaps the previous one bit for bit recomputes only
+//! the block steps whose receptive field moved ([`Predictor::predict`]).
 //!
 //! [`Predictor::predict_window_checked`] additionally scans the observed
 //! readings of the window for non-finite values (dropped or corrupted
@@ -33,7 +35,7 @@
 //! *different* reduced precision.
 
 use crate::config::StsmConfig;
-use crate::model::StModel;
+use crate::model::{RollingState, StModel};
 use crate::problem::ProblemInstance;
 use crate::pseudo::{blend_series, inverse_distance_weights};
 use crate::quant::QuantizedStsm;
@@ -206,6 +208,8 @@ pub struct Predictor<'m> {
     source: ModelSource<'m>,
     session: InferSession,
     assets: InferAssets,
+    /// The last window's block rows, for the next window to reuse.
+    rolling: RollingState,
 }
 
 impl<'m> Predictor<'m> {
@@ -273,7 +277,8 @@ impl<'m> Predictor<'m> {
 
     fn from_parts(source: ModelSource<'m>, assets: InferAssets) -> Self {
         let session = InferSession::new(source.store());
-        Predictor { source, session, assets }
+        let rolling = source.model().rolling_state();
+        Predictor { source, session, assets, rolling }
     }
 
     /// The configuration of the bound model.
@@ -351,18 +356,25 @@ impl<'m> Predictor<'m> {
     /// Train-mode forward value; quantized sessions differ from f32 only by
     /// the round-to-nearest-even step applied to the stored weights (compute
     /// still accumulates in f32) and are themselves fully deterministic.
+    ///
+    /// When the first `T − δ` steps of `x` and `time_feats` are bitwise the
+    /// last `T − δ` steps of the previous call's (a rolling forecast
+    /// advanced by `δ`), only the block steps whose receptive field moved
+    /// are recomputed; the rest come from the previous call, and the output
+    /// is bitwise the full forward's (DESIGN.md, "Rolling reuse").
     pub fn predict(&mut self, x: &Tensor, time_feats: &Tensor) -> Tensor {
         let t0 = telemetry::enabled().then(Instant::now);
         self.session.reset();
         let mut fwd = Fwd::infer(self.source.store(), &mut self.session);
-        let out = self.source.model().forward(
+        let out = self.source.model().forward_rolling(
             &mut fwd,
             x,
             time_feats,
             &self.assets.a_s,
             &self.assets.a_dtw,
+            &mut self.rolling,
         );
-        let pred = fwd.value(out.prediction);
+        let pred = fwd.value(out);
         if let Some(t0) = t0 {
             telemetry::record_duration("infer.window", t0.elapsed());
         }

@@ -9,11 +9,11 @@
 use std::sync::Mutex;
 
 use stsm_core::{
-    evaluate_stsm, train_stsm, DistanceMode, OnlineConfig, OnlineTrainer, ProblemInstance,
-    StsmConfig, TrainedStsm,
+    evaluate_stsm, train_stsm, DistanceMode, OnlineConfig, OnlineTrainer, Predictor,
+    ProblemInstance, StsmConfig, TrainedStsm,
 };
 use stsm_synth::{space_split, FaultPlan, SplitAxis};
-use stsm_tensor::telemetry;
+use stsm_tensor::{telemetry, DType};
 
 /// Serializes tests that toggle the process-wide telemetry gate.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -117,6 +117,37 @@ fn train_and_evaluate_bitwise_identical_with_telemetry_on_and_off() {
         infer_hist.count,
         on_eval.windows
     );
+}
+
+/// A rolling forecast — stride-1 windows through one predictor, each
+/// reusing the block steps the previous one computed — is bitwise the same
+/// with telemetry on and off, and with it on the reuse counters see every
+/// window: the first misses, each later one hits.
+#[test]
+fn rolling_forecasts_bitwise_identical_with_telemetry_on_and_off() {
+    let _g = lock();
+    let p = problem_from(tiny_dataset(72));
+    let cfg = tiny_cfg(72);
+    let (trained, _) = telemetry::with_telemetry(false, || train_stsm(&p, &cfg).expect("trains"));
+    let starts: Vec<usize> = (p.test_time.start..p.test_time.start + 12).collect();
+    let sweep = || {
+        let mut predictor = Predictor::new_with_dtype(&trained, &p, DType::F32);
+        let preds: Vec<Vec<u32>> = starts
+            .iter()
+            .map(|&s| predictor.predict_window(&p, s).data().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        preds
+    };
+    let off = telemetry::with_telemetry(false, sweep);
+    let (on, snap) = telemetry::with_telemetry(true, || {
+        telemetry::reset();
+        (sweep(), telemetry::snapshot())
+    });
+    assert_eq!(on, off, "telemetry changed a rolling forecast");
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("infer.reuse.miss"), 1);
+    assert_eq!(counter("infer.reuse.hit"), starts.len() as u64 - 1);
+    assert!(counter("infer.reuse.steps") > 0);
 }
 
 /// The problem behind `seed`'s tiny dataset, with the resilience suite's

@@ -21,7 +21,7 @@
 //!   deterministic imputation path; every response carries a
 //!   [`DataQuality`](stsm_core::DataQuality) summary.
 //! * **Hot-swap** — [`Server::swap_model`] installs a new
-//!   [`SharedModel`](stsm_core::SharedModel) epoch-style (config
+//!   [`SharedModel`] epoch-style (config
 //!   fingerprints must match; in-flight requests are never dropped).
 //! * **Panic containment** — a worker panic answers that one caller with
 //!   [`ServeError::WorkerPanicked`], rebuilds the worker's predictor, and

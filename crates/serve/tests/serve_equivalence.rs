@@ -11,13 +11,17 @@
 //! * Hot-swap compatibility: a `QuantizedStsm` swaps over a running f32
 //!   pool and vice versa (same config fingerprint); a checkpoint with a
 //!   different fingerprint is rejected and the old model keeps serving.
+//! * Rolling reuse across a hot-swap: a stride-1 sweep of window requests,
+//!   which each worker's predictor answers from its previous window, swaps
+//!   the model halfway and still answers exactly like a fresh predictor of
+//!   whichever model served each request.
 //! * Graceful drain: `begin_drain` rejects new work with `ShuttingDown`
 //!   while everything already queued still completes.
 
 use std::sync::Arc;
 use stsm_core::{
-    train_stsm, DistanceMode, OnlineConfig, OnlineTrainer, Predictor, ProblemInstance, StsmConfig,
-    TrainedStsm,
+    train_stsm, DistanceMode, InferAssets, OnlineConfig, OnlineTrainer, Predictor, ProblemInstance,
+    StsmConfig, TrainedStsm,
 };
 use stsm_serve::{ForecastRequest, ServeConfig, ServeError, Server, SharedModel};
 use stsm_synth::{space_split, SplitAxis};
@@ -236,4 +240,36 @@ fn online_refresh_hot_swaps_fine_tuned_weights() {
     );
     let stats = server.shutdown();
     assert_eq!(stats.swaps, 1);
+}
+
+#[test]
+fn hot_swap_mid_rolling_sweep_answers_like_a_fresh_predictor() {
+    let (p, cfg, trained) = setup(133);
+    let quant = Arc::new(trained.quantize(DType::Bf16));
+    let models = [SharedModel::F32(Arc::clone(&trained)), SharedModel::Quantized(quant)];
+    let assets = InferAssets::new(&cfg, &p);
+    let server = Server::start(
+        Arc::clone(&p),
+        models[0].clone(),
+        ServeConfig { workers: 1, ..ServeConfig::default() },
+    );
+    let swap_at = 6;
+    for i in 0..2 * swap_at {
+        if i == swap_at {
+            assert_eq!(server.swap_model(models[1].clone()).expect("fingerprints match"), 1);
+        }
+        let s = p.test_time.start + i;
+        let resp =
+            server.submit(ForecastRequest::window(s)).expect("admitted").wait().expect("forecast");
+        let generation = resp.generation as usize;
+        assert_eq!(generation, usize::from(i >= swap_at));
+        let (fresh, _) = Predictor::new_shared_with_assets(models[generation].clone(), &assets)
+            .predict_window_checked(&p, s);
+        assert_eq!(
+            bits(&resp.prediction),
+            bits(&fresh),
+            "window at {s}, generation {generation}: served != fresh predictor"
+        );
+    }
+    server.shutdown();
 }

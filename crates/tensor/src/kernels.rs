@@ -235,7 +235,7 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
 ///   with tap shift `s_kk = (K − 1 − kk) · dilation`; taps before `t = 0`
 ///   read zeros (causal "same"-length padding).
 ///
-/// The K taps unfold into a transient (N·T, K·C_in) matrix ([`unfold_taps`])
+/// The K taps unfold into a transient (N·T, K·C_in) matrix (`unfold_taps`)
 /// that multiplies the (K·C_in, C_out) permuted weight through the packed
 /// SIMD path, which adds the bias row in its tile epilogue. The unfold goes
 /// straight back to the buffer pool. The product is dense: padding taps are

@@ -89,8 +89,8 @@ impl Conv1d {
     /// the result is `(N, |outs|, C_out)`. With every step in and out it is
     /// [`Conv1d::forward`].
     ///
-    /// Otherwise each output row's taps are gathered (`index_select0`, a
-    /// zero row for taps before step 0) into the unfold row the full conv
+    /// Otherwise each output row's taps are gathered (`index_select0_cat`,
+    /// a zero row for taps before step 0) into the unfold row the full conv
     /// builds, and the rows multiply the `(K·C_in, C_out)` permuted weight
     /// in one `addmm`. Every product takes the one packed path, which
     /// computes each row alone, so every output row is bitwise the full
@@ -128,12 +128,8 @@ impl Conv1d {
                 }));
             }
         }
-        let mut rows = fwd.reshape(x, [pad, cin]);
-        if idx.contains(&pad) {
-            let zero = fwd.constant(Tensor::zeros([1, cin]));
-            rows = fwd.concat(&[rows, zero], 0);
-        }
-        let taps = fwd.index_select0(rows, &idx);
+        let rows = fwd.reshape(x, [pad, cin]);
+        let taps = fwd.index_select0_cat(rows, &Tensor::zeros([1, cin]), &idx);
         let taps = fwd.reshape(taps, [n * outs.len(), self.kernel * cin]);
         let w = fwd.p(self.w);
         let b = fwd.p(self.b);

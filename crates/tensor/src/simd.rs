@@ -1,5 +1,5 @@
 //! Runtime-dispatched SIMD micro-kernels for the packed matmul path, the
-//! gated two-panel tile of the fused GCN layer ([`gated_tile`]), the
+//! gated two-panel tile of the fused GCN layer (`gated_tile`), the
 //! row-group kernel of the CSR spmm (`spmm_group`), and the polynomial
 //! `exp`/sigmoid ([`exp_slice`], [`sigmoid_slice`]).
 //!
@@ -10,7 +10,7 @@
 //! optional bias add on the finished accumulator. Keeping the entire
 //! accumulation for an output element inside a single tile call is what
 //! makes the blocked kernel bit-deterministic for any thread count and any
-//! strip/panel partitioning (see [`crate::gemm`]).
+//! strip/panel partitioning (see the `gemm` module).
 //!
 //! Three implementations are provided; the process runs the highest level
 //! the CPU has:

@@ -288,11 +288,11 @@ impl Tape {
 
     /// Fused gated GCN layer (Eq. 7) as one node: `agg = map(z)` (one spmm),
     /// then `(agg·W_v + b_v) ⊙ σ(agg·W_g + b_g)` through
-    /// [`kernels::gated_gcn`], with `value = (W_v, b_v)` and
+    /// `kernels::gated_gcn`, with `value = (W_v, b_v)` and
     /// `gate = (W_g, b_g)`. Bit-identical to `linmap`, `addmm` ×2, `sigmoid`
     /// and `mul` in forward and backward. A recording node keeps `agg`, `v`
     /// and `s` for its hand-written backward
-    /// ([`kernels::gated_gcn_backward`]) — not the gate pre-activation, and
+    /// (`kernels::gated_gcn_backward`) — not the gate pre-activation, and
     /// no gradient slots for the inner values; a forward-only tape has the
     /// kernel save nothing.
     pub fn gated_gcn(
@@ -329,7 +329,7 @@ impl Tape {
     }
 
     /// Fused GRU reset gate `rh = sigmoid(ar) ⊙ h`; bit-identical to
-    /// `mul(sigmoid(ar), h)` (see [`kernels::gru_rh`]). Used by
+    /// `mul(sigmoid(ar), h)` (see `kernels::gru_rh`). Used by
     /// `nn::GruCell`.
     pub fn gru_rh(&self, ar: Var, h: Var) -> Var {
         let (rh, r) = kernels::gru_rh(&self.val(ar), &self.val(h));
@@ -344,7 +344,7 @@ impl Tape {
 
     /// Fused GRU output gate
     /// `h' = (1 - sigmoid(az)) ⊙ tanh(s) + sigmoid(az) ⊙ h`; bit-identical
-    /// to the composed five-node chain (see [`kernels::gru_out`]). Used by
+    /// to the composed five-node chain (see `kernels::gru_out`). Used by
     /// `nn::GruCell`.
     pub fn gru_out(&self, az: Var, s: Var, h: Var) -> Var {
         let (out, z, n) = kernels::gru_out(&self.val(az), &self.val(s), &self.val(h));
@@ -662,15 +662,34 @@ impl Tape {
     /// scatter-adds back.
     pub fn index_select0(&self, x: Var, indices: &[usize]) -> Var {
         let out = self.val(x).index_select0(indices);
+        self.select_rows_backward(x, out, indices)
+    }
+
+    /// [`Tape::index_select0`] over `x` with the constant rows of `tail`
+    /// appended ([`Tensor::index_select0_cat`]): one output buffer, where a
+    /// concatenation followed by a gather would build two. `tail` stays off
+    /// the tape, so a caller may keep it (a cache of rows computed by an
+    /// earlier pass) or drop it once the op has run. Gradient scatter-adds
+    /// back to the rows of `x`.
+    pub fn index_select0_cat(&self, x: Var, tail: &Tensor, indices: &[usize]) -> Var {
+        let out = self.val(x).index_select0_cat(tail, indices);
+        self.select_rows_backward(x, out, indices)
+    }
+
+    /// Records a row gather's output: its backward scatter-adds each output
+    /// row into the row of `x` it was read from, skipping rows read from
+    /// past the end of `x`.
+    fn select_rows_backward(&self, x: Var, out: Tensor, indices: &[usize]) -> Var {
         self.record(out, |_| {
             let in_shape = self.shape_of(x);
             let idx = indices.to_vec();
             Box::new(move |g| {
                 let mut gx = Tensor::zeros(in_shape.clone());
                 let inner: usize = in_shape.dims()[1..].iter().product();
+                let rows = in_shape.dim(0);
                 {
                     let gd = gx.data_mut();
-                    for (row, &i) in idx.iter().enumerate() {
+                    for (row, &i) in idx.iter().enumerate().filter(|&(_, &i)| i < rows) {
                         let src = &g.data()[row * inner..(row + 1) * inner];
                         for (dst, &s) in gd[i * inner..(i + 1) * inner].iter_mut().zip(src) {
                             *dst += s;
@@ -1141,6 +1160,7 @@ mod tests {
             fwd.slice(x, 0, 1, 3),
             fwd.concat(&[x, y], 0),
             fwd.index_select0(x, &[0, 0, 2]),
+            fwd.index_select0_cat(x, &Tensor::ones([1, 3]), &[4, 0, 4]),
             fwd.broadcast_to(b, [4, 3]),
             fwd.softmax_lastdim(x),
             fwd.log_softmax_lastdim(x),

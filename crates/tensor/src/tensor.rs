@@ -544,16 +544,32 @@ impl Tensor {
 
     /// Selects rows (`axis = 0` entries) by index, with repetition allowed.
     pub fn index_select0(&self, indices: &[usize]) -> Tensor {
+        let mut none = self.dims().to_vec();
+        none[0] = 0;
+        self.index_select0_cat(&Tensor::from_vec(none, Vec::new()), indices)
+    }
+
+    /// [`Tensor::index_select0`] over `concat([self, tail], 0)`, written
+    /// straight into one output buffer: an index below `self.dim(0)` selects
+    /// a row of `self`, index `self.dim(0) + j` row `j` of `tail`, whose
+    /// rows hold as many elements as `self`'s.
+    pub fn index_select0_cat(&self, tail: &Tensor, indices: &[usize]) -> Tensor {
         if let Some(t) = self.upcast() {
-            return t.index_select0(indices);
+            return t.index_select0_cat(tail, indices);
         }
-        assert!(self.rank() >= 1);
+        if let Some(t) = tail.upcast() {
+            return self.index_select0_cat(&t, indices);
+        }
+        assert!(self.rank() >= 1 && tail.rank() >= 1);
         let inner: usize = self.dims()[1..].iter().product();
+        assert_eq!(tail.numel(), tail.dim(0) * inner, "tail rows must hold {inner} elements");
+        let (rows, total) = (self.dim(0), self.dim(0) + tail.dim(0));
         let mut out = alloc::buf_with_capacity(indices.len() * inner);
-        let data = self.data();
+        let (head, rest) = (self.data(), tail.data());
         for &i in indices {
-            assert!(i < self.dim(0), "index_select0 index {} out of range {}", i, self.dim(0));
-            out.extend_from_slice(&data[i * inner..(i + 1) * inner]);
+            assert!(i < total, "index_select0 index {i} out of range {total}");
+            let (src, r) = if i < rows { (head, i) } else { (rest, i - rows) };
+            out.extend_from_slice(&src[r * inner..(r + 1) * inner]);
         }
         let mut dims = self.dims().to_vec();
         dims[0] = indices.len();
@@ -683,7 +699,7 @@ impl Tensor {
     /// A stride-aware borrowed view of the whole tensor (contiguous layout,
     /// tagged with the tensor's dtype). Views reindex without copying:
     /// transposes, slices and window gathers become layout rewrites that the
-    /// packed matmul kernels consume directly (see [`crate::kernels`]).
+    /// packed matmul kernels consume directly (see the `kernels` module).
     /// Panics on half storage — views borrow the f32 buffer.
     pub fn view(&self) -> TensorView<'_> {
         TensorView {

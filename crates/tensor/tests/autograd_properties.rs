@@ -177,7 +177,7 @@ fn conv1d_gradcheck_dilations() {
 }
 
 /// The gather the readout pass builds its conv taps and GCN rows with:
-/// `index_select0` over a row matrix with an appended zero row (the pad
+/// `index_select0_cat` over a row matrix with a zero tail row (the pad
 /// tap), indices repeating and hitting the pad row more than once. The
 /// scatter-add backward must sum every repeat.
 #[test]
@@ -188,9 +188,7 @@ fn index_select0_gradcheck_repeats_and_pad_row() {
         Tensor::from_vec([idx.len(), 3], (0..27).map(|i| 0.5 + (i % 5) as f32 * 0.3).collect());
     gradcheck(
         |t, v| {
-            let pad = t.constant(Tensor::zeros([1, 3]));
-            let rows = t.concat(&[v, pad], 0);
-            let sel = t.index_select0(rows, &idx);
+            let sel = t.index_select0_cat(v, &Tensor::zeros([1, 3]), &idx);
             let s = t.constant(scale.clone());
             let y = t.mul(sel, s);
             let y = t.square(y);

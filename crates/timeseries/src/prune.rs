@@ -379,7 +379,7 @@ type NeighborRow = Vec<(u32, f32)>;
 /// threshold as it stands at that moment, then offered in candidate order.
 /// A threshold that is stale within a batch is never lower than the fresh
 /// one would be, so it only prunes and abandons less; every candidate of
-/// the true top-q still reaches [`BestQ`] with its exact distance, and the
+/// the true top-q still reaches `BestQ` with its exact distance, and the
 /// set stays exact.
 #[allow(clippy::too_many_arguments)]
 pub fn dtw_nearest(

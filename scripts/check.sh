@@ -39,6 +39,12 @@ readout="$(cargo test -q -p stsm-core --test infer_equivalence \
 echo "$readout"
 grep -q "test result: ok. 1 passed" <<<"$readout" \
   || { echo "readout_pass_stsm_batch_bitwise_matches_full_forward did not run exactly once" >&2; exit 1; }
+# Rolling reuse (DESIGN.md, "Rolling reuse"): a Predictor window that
+# overlaps the previous one recomputes only the moved block steps, bitwise
+# equal to the cold forward — stride sweeps for every shift with jumps,
+# backward steps and repeats, 1-3 blocks, T of 6/12/24, f16/bf16, STSM-trans,
+# faulted sources, every SIMD level at 1 and 3 threads — pinned by name.
+cargo test -q -p stsm-core --test rolling_equivalence
 # Fault-tolerance contracts (DESIGN.md, "Fault tolerance"): kill-and-resume
 # bit-identity, checkpoint rejection, guard survival under injected faults,
 # degraded-input sanitization — pinned by name.
@@ -100,6 +106,14 @@ cargo test -q -p stsm-core --test quantized_equivalence
 # too.
 cargo test -q -p stsm-serve --test serve_chaos
 cargo test -q -p stsm-serve --test serve_equivalence
+# A hot-swap in the middle of a rolling sweep answers like a fresh predictor
+# of the new model (the swap drops the worker's reuse cache); pinned so a
+# rename cannot drop it silently.
+swap="$(cargo test -q -p stsm-serve --test serve_equivalence \
+  hot_swap_mid_rolling_sweep_answers_like_a_fresh_predictor -- --exact)"
+echo "$swap"
+grep -q "test result: ok. 1 passed" <<<"$swap" \
+  || { echo "hot_swap_mid_rolling_sweep_answers_like_a_fresh_predictor did not run exactly once" >&2; exit 1; }
 # The online-adaptation contracts (DESIGN.md, "Online adaptation"): one
 # fine-tune epoch vs the batch-resumed epoch (both run the one shared epoch
 # body, so this checks the replay slice and the checkpoint hand-off), and
@@ -115,9 +129,9 @@ if [[ "$fast" == "1" ]]; then
 fi
 
 cargo run -q -p stsm-bench --release --bin bench_kernels -- --smoke
-# Bench-binary wiring smokes: infer asserts its Train/Infer and telemetry
-# on/off bitwise contracts in-process (and the per-dtype f32/f16/bf16
-# serving pass with its f32-row bitwise assert);
+# Bench-binary wiring smokes: infer asserts, per f32/f16/bf16 session, that
+# rolling forecasts equal cold ones bitwise, that telemetry on/off agree,
+# the reuse hit counts and a zero-fresh-allocation warm sweep;
 # scale asserts pruned-vs-dense top-q identity on a small metro layout;
 # online asserts its scenario accuracy curves are finite.
 # Smoke runs never rewrite the BENCH_*.json artefacts.
@@ -137,8 +151,11 @@ STSM_SCALE=smoke cargo run -q -p stsm-bench --release --bin repro -- no-such-id 
 [[ "$status" == 2 ]] || { echo "repro no-such-id exited $status, expected 2" >&2; exit 1; }
 cargo clippy --workspace --all-targets -q -- -D warnings
 # Every intra-doc link must resolve (a renamed or deleted item otherwise
-# leaves a dangling link behind).
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+# leaves a dangling link behind), no public doc may link a private item
+# (it renders as dead text), and no link may spell out the target its text
+# already names.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links \
+  -D rustdoc::redundant_explicit_links" cargo doc --workspace --no-deps -q
 # The subtraction measure: Rust lines in the source trees (print only).
 # A file walk, so a plain copy without git history counts the same lines.
 echo "rust lines (crates/ src/ tests/ offline/): $(find crates src tests offline -name '*.rs' -type f -print0 | xargs -0 cat | wc -l)"
